@@ -15,7 +15,7 @@ from typing import Optional
 from . import extensions as ext
 from .inference import interp_coinductive, interp_corules, reachable_universe
 from .maxelem import MaxElem, maxelem_gis
-from .pet import run, run_history
+from .pet import Diverges, run, run_history
 from .predicates import soundness_may_audit, soundness_must_audit
 from .rational import RationalList
 from .serialize import outcome_doc, report_doc, tree_doc, value_doc
@@ -138,17 +138,15 @@ def cmd_eval(args) -> int:
         else:
             docs = [outcome_doc(sem, run(sem, config, args.fuel))]
     else:
-        evaluators = {"wrong": ext.eval_wrong, "div": ext.eval_div,
-                      "trace": ext.eval_trace, "total": ext.eval_total}
-        evaluate = evaluators[mode]
-        values = (evaluate(sem, config, args.fuel, exhaustive=True)
-                  if args.exhaustive else [evaluate(sem, config, args.fuel)])
-        certificate = None
-        if any(v is ext.INFINITY for v in values):
-            witness = run(sem, config, args.fuel)
-            if hasattr(witness, "certificate"):
-                certificate = witness.certificate
-        docs = [value_doc(sem, v, certificate=certificate) for v in values]
+        # one document per distinct value, with the evidence of the first
+        # branch that produced it
+        branch = {}
+        for outcome, value in ext.evaluate(sem, config, args.fuel, mode,
+                                           args.exhaustive):
+            branch.setdefault(value, outcome)
+        docs = [value_doc(sem, v, certificate=(
+                    o.certificate if isinstance(o, Diverges) else None))
+                for v, o in branch.items()]
     for d in docs:
         _emit(d)
     return _exit_for(docs)

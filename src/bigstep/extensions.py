@@ -13,8 +13,10 @@ producing another rule oracle, plus evaluators on the stepper:
             with one coaxiom per configuration so that infinite
             derivations prove nothing but divergence.
 
-The total semantics combines wrong and divergence so every computation
-is classified.  Divergence is never decided by fixpoint here: the finite
+Wrong and divergence are one lifting transformer, ``LiftedSemantics``,
+with a different mark.  The total semantics combines wrong and divergence
+so every computation is classified; ``evaluate`` runs any of the four
+modes once and pairs each stepper outcome with its extended value.  Divergence is never decided by fixpoint here: the finite
 proof object is a cyclic certificate, replayable against the oracle.
 """
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .pet import (
     Converged,
     Diverges,
     DivergenceCertificate,
-    OutOfFuel,
     Stuck,
     active_path,
+    detect_cycle,
     run_exhaustive,
     run_first,
 )
@@ -55,17 +57,18 @@ class Ok:
 
 
 class _Mark:
-    __slots__ = ("_name",)
+    __slots__ = ("_name", "rule")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, rule: Optional[str] = None):
         self._name = name
+        self.rule = rule or name  # prefix of the rules that conclude this mark
 
     def __repr__(self):
         return self._name
 
 
 WRONG = _Mark("wrong")
-INFINITY = _Mark("infinity")
+INFINITY = _Mark("infinity", rule="div")
 NO_JUDGMENT = _Mark("no-judgment")
 STUCK_TRACE = _Mark("stuck")
 TIMEOUT = _Mark("timeout")
@@ -100,16 +103,24 @@ def trace_forget(tr: TraceResult):
     raise TypeError(tr)
 
 
-class WrongSemantics(LanguageSemantics):
-    """The wrong extension: every dead end becomes an explicit result."""
+class LiftedSemantics(LanguageSemantics):
+    """Base results lifted into ``Ok``, plus one mark propagated through premises.
 
-    def __init__(self, base: LanguageSemantics):
+    A premise producing ``mark`` concludes ``mark`` (rule ``<r>-prop``,
+    where ``<r>`` is the mark's rule prefix).  With ``dead_ends`` every
+    dead end becomes ``mark`` too: a configuration no rule starts
+    (``<r>-config``) and a premise result no rule accepts (``<r>-result``).
+    """
+
+    def __init__(self, base: LanguageSemantics, mark: _Mark, dead_ends: bool):
         self.base = base
+        self.mark = mark
+        self.dead_ends = dead_ends
 
     def start(self, config):
         steps = self.base.start(config)
-        if not steps:
-            return (Axiom(WRONG, rule="wrong-config"),)
+        if not steps and self.dead_ends:
+            return (Axiom(self.mark, rule=f"{self.mark.rule}-config"),)
         out = []
         for s in steps:
             if isinstance(s, Axiom):
@@ -119,12 +130,12 @@ class WrongSemantics(LanguageSemantics):
         return tuple(out)
 
     def advance(self, a, r):
-        if r is WRONG:
-            return (Finished(WRONG, rule="wrong-prop"),)
+        if r is self.mark:
+            return (Finished(self.mark, rule=f"{self.mark.rule}-prop"),)
         inner: Activation = a.bindings
         conts = self.base.advance(inner, r.value)
-        if not conts:
-            return (Finished(WRONG, rule="wrong-result"),)
+        if not conts and self.dead_ends:
+            return (Finished(self.mark, rule=f"{self.mark.rule}-result"),)
         out = []
         for c in conts:
             if isinstance(c, Finished):
@@ -140,47 +151,8 @@ class WrongSemantics(LanguageSemantics):
         return self.base.show_config(config)
 
     def show_result(self, result):
-        if result is WRONG:
-            return "wrong"
-        return self.base.show_result(result.value)
-
-
-class DivSemantics(LanguageSemantics):
-    """The divergence extension: infinity propagates through premises."""
-
-    def __init__(self, base: LanguageSemantics):
-        self.base = base
-
-    def start(self, config):
-        out = []
-        for s in self.base.start(config):
-            if isinstance(s, Axiom):
-                out.append(Axiom(Ok(s.result), rule=s.rule))
-            else:
-                out.append(FirstPremise(s.config, wrap_activation(s.activation, Ok)))
-        return tuple(out)
-
-    def advance(self, a, r):
-        if r is INFINITY:
-            return (Finished(INFINITY, rule="div-prop"),)
-        inner: Activation = a.bindings
-        out = []
-        for c in self.base.advance(inner, r.value):
-            if isinstance(c, Finished):
-                out.append(Finished(Ok(c.result), rule=c.rule or inner.rule_family))
-            else:
-                out.append(Demand(c.config, wrap_activation(c.activation, Ok)))
-        return tuple(out)
-
-    def premise_bound(self, config):
-        return self.base.premise_bound(config)
-
-    def show_config(self, config):
-        return self.base.show_config(config)
-
-    def show_result(self, result):
-        if result is INFINITY:
-            return "infinity"
+        if result is self.mark:
+            return repr(self.mark)
         return self.base.show_result(result.value)
 
 
@@ -239,8 +211,8 @@ class TraceSemantics(LanguageSemantics):
         return f"{pre}({per})^w"
 
 
-def wrong_oracle(sem: LanguageSemantics) -> WrongSemantics:
-    return WrongSemantics(sem)
+def wrong_oracle(sem: LanguageSemantics) -> LiftedSemantics:
+    return LiftedSemantics(sem, WRONG, dead_ends=True)
 
 
 def div_oracle(sem: LanguageSemantics):
@@ -249,76 +221,11 @@ def div_oracle(sem: LanguageSemantics):
     def is_coaxiom(j: BsJudgment) -> bool:
         return j.result is INFINITY
 
-    return DivSemantics(sem), is_coaxiom
+    return LiftedSemantics(sem, INFINITY, dead_ends=False), is_coaxiom
 
 
 def trace_oracle(sem: LanguageSemantics) -> TraceSemantics:
     return TraceSemantics(sem)
-
-
-def _check_fuel(fuel: int) -> None:
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-
-
-def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
-               exhaustive: bool = False):
-    """Ok / wrong per the wrong extension; divergence via certificate."""
-    _check_fuel(fuel)
-    wsem = wrong_oracle(sem)
-    if exhaustive:
-        return frozenset(_wrong_outcome(o) for o in run_exhaustive(wsem, config, fuel))
-    return _wrong_outcome(run_first(wsem, config, fuel))
-
-
-def _wrong_outcome(o):
-    if isinstance(o, Converged):
-        return o.result  # Ok(..) or WRONG
-    if isinstance(o, Diverges):
-        return o
-    if isinstance(o, OutOfFuel):
-        return TIMEOUT
-    raise AssertionError("wrong semantics cannot get stuck")
-
-
-def eval_div(sem: LanguageSemantics, config: Config, fuel: int,
-             exhaustive: bool = False):
-    """Ok / infinity per the divergence extension; stuckness has no judgment."""
-    _check_fuel(fuel)
-    dsem, _ = div_oracle(sem)
-    if exhaustive:
-        return frozenset(_div_outcome(o) for o in run_exhaustive(dsem, config, fuel))
-    return _div_outcome(run_first(dsem, config, fuel))
-
-
-def _div_outcome(o):
-    if isinstance(o, Converged):
-        return o.result
-    if isinstance(o, Diverges):
-        return INFINITY
-    if isinstance(o, Stuck):
-        return NO_JUDGMENT
-    return TIMEOUT
-
-
-def eval_trace(sem: LanguageSemantics, config: Config, fuel: int,
-               exhaustive: bool = False):
-    """Finite trace with result, or the rational trace induced by a cycle."""
-    _check_fuel(fuel)
-    tsem = trace_oracle(sem)
-    if exhaustive:
-        return frozenset(_trace_outcome(o) for o in run_exhaustive(tsem, config, fuel))
-    return _trace_outcome(run_first(tsem, config, fuel))
-
-
-def _trace_outcome(o):
-    if isinstance(o, Converged):
-        return o.result
-    if isinstance(o, Diverges):
-        return _rational_trace(o)
-    if isinstance(o, Stuck):
-        return STUCK_TRACE
-    return TIMEOUT
 
 
 def _rational_trace(d: Diverges) -> InfTrace:
@@ -329,8 +236,7 @@ def _rational_trace(d: Diverges) -> InfTrace:
     the cycle.
     """
     path = active_path(d.tree)
-    leaf = path[-1]
-    start = max(i for i in range(len(path) - 1) if path[i].config == leaf.config)
+    _, start = detect_cycle(d.tree)
 
     def contribution(entry):
         steps = [entry.config]
@@ -347,24 +253,80 @@ def _rational_trace(d: Diverges) -> InfTrace:
     return InfTrace(tuple(prefix), tuple(period))
 
 
+def _cannot_stick(o: Stuck):
+    raise AssertionError("the wrong extension cannot get stuck")
+
+
+# mode -> (its oracle, value of a diverging run, value of a stuck run); a
+# converged run yields its result and a run out of fuel TIMEOUT in every
+# mode.  The oracle factories are looked up when called, so that
+# rebinding the module globals reaches the evaluators.
+_MODES = {
+    "wrong": (lambda sem: wrong_oracle(sem), lambda d: d, _cannot_stick),
+    "div": (lambda sem: div_oracle(sem)[0], lambda d: INFINITY,
+            lambda s: NO_JUDGMENT),
+    "trace": (lambda sem: trace_oracle(sem), _rational_trace,
+              lambda s: STUCK_TRACE),
+    "total": (lambda sem: wrong_oracle(sem), lambda d: INFINITY, _cannot_stick),
+}
+
+
+def evaluate(sem: LanguageSemantics, config: Config, fuel: int, mode: str,
+             exhaustive: bool = False) -> Tuple[Tuple[Any, Any], ...]:
+    """(stepper outcome, extended value) pairs of ``config`` in ``mode``.
+
+    ``mode`` is ``wrong``, ``div``, ``trace`` or ``total``.  The first
+    strategy gives one pair, ``exhaustive`` one per distinct outcome.  The
+    outcome keeps the evidence the value forgets, such as the divergence
+    certificate behind ``INFINITY``.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    lift, on_diverges, on_stuck = _MODES[mode]
+    lifted = lift(sem)
+    outcomes = (run_exhaustive(lifted, config, fuel) if exhaustive
+                else (run_first(lifted, config, fuel),))
+
+    def value(o):
+        if isinstance(o, Converged):
+            return o.result
+        if isinstance(o, Diverges):
+            return on_diverges(o)
+        if isinstance(o, Stuck):
+            return on_stuck(o)
+        return TIMEOUT
+
+    return tuple((o, value(o)) for o in outcomes)
+
+
+def _values(pairs, exhaustive: bool):
+    if exhaustive:
+        return frozenset(v for _, v in pairs)
+    return pairs[0][1]
+
+
+def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
+               exhaustive: bool = False):
+    """Ok / wrong per the wrong extension; divergence via certificate."""
+    return _values(evaluate(sem, config, fuel, "wrong", exhaustive), exhaustive)
+
+
+def eval_div(sem: LanguageSemantics, config: Config, fuel: int,
+             exhaustive: bool = False):
+    """Ok / infinity per the divergence extension; stuckness has no judgment."""
+    return _values(evaluate(sem, config, fuel, "div", exhaustive), exhaustive)
+
+
+def eval_trace(sem: LanguageSemantics, config: Config, fuel: int,
+               exhaustive: bool = False):
+    """Finite trace with result, or the rational trace induced by a cycle."""
+    return _values(evaluate(sem, config, fuel, "trace", exhaustive), exhaustive)
+
+
 def eval_total(sem: LanguageSemantics, config: Config, fuel: int,
                exhaustive: bool = False):
     """All computations classified: a value, wrong, or infinity."""
-    _check_fuel(fuel)
-    wsem = wrong_oracle(sem)
-    if exhaustive:
-        return frozenset(_total_outcome(o) for o in run_exhaustive(wsem, config, fuel))
-    return _total_outcome(run_first(wsem, config, fuel))
-
-
-def _total_outcome(o):
-    if isinstance(o, Converged):
-        return o.result
-    if isinstance(o, Diverges):
-        return INFINITY
-    if isinstance(o, OutOfFuel):
-        return TIMEOUT
-    raise AssertionError("total semantics cannot get stuck")
+    return _values(evaluate(sem, config, fuel, "total", exhaustive), exhaustive)
 
 
 @dataclass(frozen=True)

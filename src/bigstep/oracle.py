@@ -26,6 +26,8 @@ from typing import Any, Sequence, Tuple, Union
 Config = Any  # opaque, hashable, structurally comparable
 ResultVal = Any
 
+_KEEP = object()  # default of ``Activation.extend``: keep the old bindings
+
 
 @dataclass(frozen=True, slots=True)
 class BsJudgment:
@@ -60,7 +62,7 @@ class Activation:
         next_config: Config,
         *,
         rule_family: str | None = None,
-        bindings: Any = "___keep___",
+        bindings: Any = _KEEP,
     ) -> "Activation":
         """Record ``pending => result`` and demand ``next_config``."""
         return Activation(
@@ -68,7 +70,7 @@ class Activation:
             self.conclusion_config,
             self.completed + (BsJudgment(self.pending, result),),
             next_config,
-            self.bindings if bindings == "___keep___" else bindings,
+            self.bindings if bindings is _KEEP else bindings,
         )
 
 

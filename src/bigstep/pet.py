@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .oracle import (
     Activation,
@@ -349,54 +349,6 @@ def _validate(t: PartialEvalTree) -> None:
         raise AssertionError(f"PET invariant violated at {bad[0]}: {bad[1]}")
 
 
-def run_first(sem: LanguageSemantics, config: Config, fuel: int,
-              validate: bool = False) -> Outcome:
-    """Follow the first successor at every step."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    t = initial_tree(config)
-    steps = 0
-    while True:
-        if t.is_complete:
-            return Converged(t.res.value, t, steps)
-        if steps >= fuel:
-            return OutOfFuel(t)
-        subs, stuck = _expand(sem, t)
-        if stuck is not None:
-            return Stuck(t, stuck.kind, steps, stuck)
-        t = subs[0]
-        steps += 1
-        if validate:
-            _validate(t)
-        hit = detect_cycle(t)
-        if hit is not None:
-            return Diverges(hit[0], t)
-
-
-def run_history(sem: LanguageSemantics, config: Config, fuel: int
-                ) -> Tuple[List[PartialEvalTree], Outcome]:
-    """First-successor run keeping the whole transition sequence."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    t = initial_tree(config)
-    history = [t]
-    steps = 0
-    while True:
-        if t.is_complete:
-            return history, Converged(t.res.value, t, steps)
-        if steps >= fuel:
-            return history, OutOfFuel(t)
-        subs, stuck = _expand(sem, t)
-        if stuck is not None:
-            return history, Stuck(t, stuck.kind, steps, stuck)
-        t = subs[0]
-        steps += 1
-        history.append(t)
-        hit = detect_cycle(t)
-        if hit is not None:
-            return history, Diverges(hit[0], t)
-
-
 def _outcome_key(o: Outcome):
     if isinstance(o, Converged):
         return ("ok", o.result, o.tree.skeleton())
@@ -407,26 +359,28 @@ def _outcome_key(o: Outcome):
     return ("fuel", o.frontier.skeleton())
 
 
-def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
-                   validate: bool = False) -> Tuple[Outcome, ...]:
-    """Breadth-first exploration of every nondeterministic branch.
+def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
+         history: Optional[List[PartialEvalTree]] = None,
+         validate: bool = False) -> Tuple[Outcome, ...]:
+    """Explore ``config`` level by level, one transition per level.
 
-    Fuel bounds the number of transitions along any single branch; the
-    frontier is deduplicated structurally per level so converging branches
-    are found before fuel runs out on diverging siblings.
+    Fuel bounds the number of transitions along any single branch.  With
+    ``first`` only the first successor of each tree is kept, so there is
+    one branch and one outcome.  Otherwise the frontier is deduplicated
+    structurally per level, so converging branches are found before fuel
+    runs out on diverging siblings, and outcomes are deduplicated by
+    ``_outcome_key``.  ``history``, if given, receives every tree taken.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    outcomes: List[Outcome] = []
-    seen_keys: Set[tuple] = set()
+    outcomes: dict = {}
 
     def emit(o: Outcome) -> None:
-        k = _outcome_key(o)
-        if k not in seen_keys:
-            seen_keys.add(k)
-            outcomes.append(o)
+        outcomes.setdefault(None if first else _outcome_key(o), o)
 
-    frontier: List[PartialEvalTree] = [initial_tree(config)]
+    frontier = [initial_tree(config)]
+    if history is not None:
+        history.append(frontier[0])
     steps = 0
     while frontier and steps < fuel:
         nxt: dict = {}
@@ -435,7 +389,9 @@ def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
             if stuck is not None:
                 emit(Stuck(t, stuck.kind, steps, stuck))
                 continue
-            for s in subs:
+            for s in subs[:1] if first else subs:
+                if history is not None:
+                    history.append(s)
                 if validate:
                     _validate(s)
                 if s.is_complete:
@@ -450,14 +406,33 @@ def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
         steps += 1
     for t in frontier:
         emit(OutOfFuel(t))
-    return tuple(outcomes)
+    return tuple(outcomes.values())
+
+
+def run_first(sem: LanguageSemantics, config: Config, fuel: int) -> Outcome:
+    """Follow the first successor at every step."""
+    return _run(sem, config, fuel, first=True)[0]
+
+
+def run_history(sem: LanguageSemantics, config: Config, fuel: int
+                ) -> Tuple[List[PartialEvalTree], Outcome]:
+    """First-successor run keeping the whole transition sequence."""
+    history: List[PartialEvalTree] = []
+    outcome = _run(sem, config, fuel, first=True, history=history)[0]
+    return history, outcome
+
+
+def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
+                   validate: bool = False) -> Tuple[Outcome, ...]:
+    """Breadth-first exploration of every nondeterministic branch."""
+    return _run(sem, config, fuel, first=False, validate=validate)
 
 
 def run(sem: LanguageSemantics, config: Config, fuel: int,
-        strategy: str = "first", validate: bool = False):
+        strategy: str = "first"):
     """Evaluate ``config``: one outcome (``first``) or all (``exhaustive``)."""
     if strategy == "first":
-        return run_first(sem, config, fuel, validate=validate)
+        return run_first(sem, config, fuel)
     if strategy == "exhaustive":
-        return run_exhaustive(sem, config, fuel, validate=validate)
+        return run_exhaustive(sem, config, fuel)
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -98,11 +98,14 @@ def value_doc(sem: LanguageSemantics, value, certificate=None) -> Dict[str, Any]
                       "period": []},
         }
     if isinstance(value, InfTrace):
-        return {
+        doc = {
             "kind": "infinity",
             "trace": {"prefix": [sem.show_config(c) for c in value.prefix],
                       "period": [sem.show_config(c) for c in value.period]},
         }
+        if certificate is not None:
+            doc["certificate"] = certificate_doc(sem, certificate)
+        return doc
     if isinstance(value, Diverges):
         return {"kind": "infinity",
                 "certificate": certificate_doc(sem, value.certificate)}

@@ -1,7 +1,12 @@
 """Command-line interface: documents, exit codes, round trips."""
 import json
 
+import pytest
+
 from bigstep.cli import main
+from bigstep.extensions import divergence_certificate_check
+from bigstep.lam import OMEGA, lambda_semantics, parse_expr, show_expr
+from bigstep.pet import DivergenceCertificate
 
 
 def run_cli(capsys, *argv):
@@ -153,3 +158,36 @@ def test_env_fuel_default(capsys, monkeypatch):
 def test_nonpositive_fuel_rejected(capsys):
     code, _, err = run_cli(capsys, "eval", "--lang", "lambda", "--fuel", "0", "1")
     assert code == 1 and "positive" in err
+
+
+OMEGA_TEXT = show_expr(OMEGA)
+
+
+def _check_certificate(doc):
+    """The document's certificate, read back, replays against the oracle."""
+    witness = tuple((parse_expr(e["config"]), e["rule"], e["premise"])
+                    for e in doc["certificate"])
+    assert witness
+    cert = DivergenceCertificate(witness, witness[0][0])
+    assert divergence_certificate_check(lambda_semantics(), cert, 60).passed
+
+
+@pytest.mark.parametrize("mode", ["total", "div", "wrong"])
+def test_exhaustive_infinity_carries_its_branch_certificate(capsys, mode):
+    # the first-strategy run of this term converges to 0, so the
+    # certificate must come from the diverging branch itself
+    code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda", "--mode", mode,
+                            "--exhaustive", f"0 (+) ({OMEGA_TEXT})")
+    assert code == 3
+    infinite = [d for d in docs if d["kind"] == "infinity"]
+    assert infinite and {"kind": "ok", "result": "0"} in docs
+    for doc in infinite:
+        _check_certificate(doc)
+
+
+def test_eval_omega_trace_carries_certificate(capsys):
+    code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda",
+                            "--mode", "trace", "omega")
+    assert code == 3
+    assert docs[0]["kind"] == "infinity" and "trace" in docs[0]
+    _check_certificate(docs[0])

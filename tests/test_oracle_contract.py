@@ -69,3 +69,11 @@ def test_exclusivity_for_fj_programs():
     for e in enumerate_fj(INTEROP_TABLE, 2):
         outcomes = eval_total(sem, EnvConfig(EMPTY_MAP, e), 150, exhaustive=True)
         assert len(outcomes) == 1
+
+
+def test_extend_keeps_bindings_only_by_default():
+    a = Activation("pair", "root", (), "leaf", bindings="env")
+    assert a.extend("v", "leaf").bindings == "env"
+    assert a.extend("v", "leaf", bindings=None).bindings is None
+    # no string value is reserved to mean "keep"
+    assert a.extend("v", "leaf", bindings="___keep___").bindings == "___keep___"
