@@ -2,7 +2,8 @@
 
 Structured documents go to stdout, one JSON object per line; diagnostics
 go to stderr.  Exit codes: 0 converged/passed, 2 wrong or stuck, 3
-divergence, 4 out of fuel, 5 audit violations, 1 usage or parse errors.
+divergence, 4 out of fuel, 5 audit violations, 1 usage or parse errors
+or input too deep.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .rational import RationalList
 from .serialize import outcome_doc, report_doc, tree_doc, value_doc
 from .util import EMPTY_MAP, FrozenMap
 from .lam import (
-    OMEGA,
     LambdaTypeError,
     lambda_semantics,
     lambda_type_predicate,
@@ -58,8 +58,6 @@ from .fj import (
     show_fj,
 )
 
-LAMBDA_FIXTURES = {"omega": OMEGA}
-
 EXIT_OK = 0
 EXIT_WRONG = 2
 EXIT_DIVERGES = 3
@@ -94,11 +92,8 @@ def _load_table(arg: Optional[str], default):
     return table
 
 
-def _parse_config(lang: str, source: str, table):
+def _parse_config(lang: str, source: str):
     if lang == "lambda":
-        text = source.strip()
-        if text in LAMBDA_FIXTURES:
-            return LAMBDA_FIXTURES[text]
         return parse_expr(source)
     expr = parse_fj_expr(source)
     if lang == "fj":
@@ -129,7 +124,7 @@ def _exit_for(docs) -> int:
 def cmd_eval(args) -> int:
     table = _load_table(args.table, INTEROP_TABLE if args.lang == "fj" else IMP_TABLE)
     sem = _semantics(args.lang, args.strategy, table)
-    config = _parse_config(args.lang, _read_input(args.input), table)
+    config = _parse_config(args.lang, _read_input(args.input))
     mode = args.mode
     if mode == "plain":
         if args.exhaustive:
@@ -155,7 +150,7 @@ def cmd_eval(args) -> int:
 def cmd_step(args) -> int:
     table = _load_table(args.table, INTEROP_TABLE if args.lang == "fj" else IMP_TABLE)
     sem = _semantics(args.lang, "app", table)
-    config = _parse_config(args.lang, _read_input(args.input), table)
+    config = _parse_config(args.lang, _read_input(args.input))
     history, outcome = run_history(sem, config, args.max_steps)
     for t in history[1:]:  # one document per transition taken
         _emit(tree_doc(sem, t))
@@ -167,7 +162,7 @@ def cmd_typecheck(args) -> int:
     source = _read_input(args.input)
     try:
         if args.lang == "lambda":
-            config = _parse_config("lambda", source, table)
+            config = _parse_config("lambda", source)
             _emit({"type": show_type(typecheck({}, config))})
         elif args.lang == "fj":
             _emit({"type": fj_typecheck(table, {}, parse_fj_expr(source))})
@@ -303,6 +298,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, FJParseError) as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("input too deep", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -41,7 +41,6 @@ from .pet import (
     DivergenceCertificate,
     Stuck,
     active_path,
-    detect_cycle,
     run_exhaustive,
     run_first,
 )
@@ -236,7 +235,7 @@ def _rational_trace(d: Diverges) -> InfTrace:
     the cycle.
     """
     path = active_path(d.tree)
-    _, start = detect_cycle(d.tree)
+    start = len(path) - 1 - len(d.certificate.witness)
 
     def contribution(entry):
         steps = [entry.config]

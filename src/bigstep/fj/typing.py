@@ -173,19 +173,17 @@ def _uses_assignment(e: FJExpr) -> bool:
     return False
 
 
-def class_table_wf(ct: ClassTable, imperative: bool | None = None) -> Tuple[str, ...]:
+def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
     """Well-formedness failures; empty means the table is good.
 
     Checks: acyclic and fully declared hierarchy, fields inherited with no
     hiding, methods inherited with invariant overriding and no
     overloading, interface obligations implemented, and every method body
     well-typed against its signature.  Bodies are checked with the
-    imperative rules when any of them assigns a field (or when forced by
-    the flag).
+    imperative rules when any of them assigns a field.
     """
-    if imperative is None:
-        imperative = any(_uses_assignment(m.body)
-                         for c in ct.classes for m in c.methods)
+    imperative = any(_uses_assignment(m.body)
+                     for c in ct.classes for m in c.methods)
     problems = []
     names = set(ct.all_types())
     for c in ct.classes:

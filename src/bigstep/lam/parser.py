@@ -3,16 +3,18 @@
     expr   ::= app ('(+)' app)*            choice, left-associative
     app    ::= factor+                     juxtaposition, left-associative
     factor ::= 'succ' factor | atom
-    atom   ::= nat | ident | '\\' x ':' type '.' expr | '(' expr ')'
+    atom   ::= nat | 'omega' | ident | '\\' x ':' type '.' expr | '(' expr ')'
     type   ::= tatom ('->' type)?          right-associative
     tatom  ::= 'nat' | ident | 'rec' t '.' type | '(' type ')'
 
-Whitespace-insensitive.  Errors carry the offending position.
+Whitespace-insensitive.  ``omega`` names the self-application loop
+``OMEGA``.  Errors carry the offending position.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corpus import OMEGA
 from .syntax import Abs, App, Choice, Expr, Nat, Succ, Var
 from .types import NAT, LType, TArrow, TRec, TVar
 
@@ -34,7 +36,7 @@ class _Tok:
     pos: int
 
 
-_KEYWORDS = {"succ", "rec", "nat"}
+_KEYWORDS = {"succ", "rec", "nat", "omega"}
 
 
 def _lex(text: str):
@@ -137,7 +139,7 @@ class _Parser:
             left = Choice(left, self.app())
         return left
 
-    _ATOM_STARTS = {"num", "ident", "\\", "("}
+    _ATOM_STARTS = {"num", "omega", "ident", "\\", "("}
 
     def app(self) -> Expr:
         e = self.factor()
@@ -156,6 +158,9 @@ class _Parser:
         if t.kind == "num":
             self.next()
             return Nat(int(t.text))
+        if t.kind == "omega":
+            self.next()
+            return OMEGA
         if t.kind == "ident":
             self.next()
             return Var(t.text)

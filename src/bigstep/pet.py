@@ -144,70 +144,85 @@ class StuckInfo:
 
 
 def _expand(sem: LanguageSemantics, t: PartialEvalTree
-            ) -> Tuple[Tuple[PartialEvalTree, ...], Optional[StuckInfo]]:
-    """Successor trees of ``t``, or the stuck frontier if there are none."""
+            ) -> Tuple[tuple, Optional[StuckInfo]]:
+    """(successor, certificate or None) pairs of ``t``, or its stuck frontier.
+
+    One walk down the active path: its last node is refined and every
+    ancestor rebuilt around it.  A successor that demands a fresh premise
+    closes a cycle if the demanded configuration is already on the path:
+    every path node began as a fresh node with its configuration, so the
+    demand replays that node's whole trajectory, a genuine loop.
+    """
     if t.is_complete:
         return (), None
-    tag = t.tag
-    if tag is START:
-        steps = dedup(sem.start(t.config))
+    path = active_path(t)
+    node = path[-1].node
+    config = node.config
+    refined = []  # (refined node, demanded configuration or None)
+    if node.tag is START:
+        steps = dedup(sem.start(config))
         if not steps:
-            return (), StuckInfo(StuckKind.NO_RULE, t.config)
-        out = []
+            return (), StuckInfo(StuckKind.NO_RULE, config)
         for s in steps:
             if isinstance(s, Axiom):
-                out.append(PartialEvalTree(t.config, Known(s.result),
-                                           CompletedRule(s.rule), ()))
+                refined.append((PartialEvalTree(config, Known(s.result),
+                                                CompletedRule(s.rule), ()), None))
             else:
                 act = s.activation
                 if act.completed or act.pending != s.config:
                     raise OracleContractError(
-                        f"start activation malformed for {t.config!r}")
-                out.append(PartialEvalTree(t.config, UNKNOWN, act,
-                                           (initial_tree(s.config),)))
-        return tuple(out), None
-
-    act: Activation = tag
-    last = t.children[-1]
-    if not last.is_complete:
-        subs, stuck = _expand(sem, last)
-        if stuck is not None:
-            return (), stuck
-        pre = t.children[:-1]
-        return tuple(PartialEvalTree(t.config, UNKNOWN, act, pre + (s,))
-                     for s in subs), None
-
-    result = last.res.value
-    conts = dedup(sem.advance(act, result))
-    if not conts:
-        return (), StuckInfo(StuckKind.NO_CONTINUATION, t.config,
-                             act.rule_family, len(t.children), result)
-    expected = act.completed + (BsJudgment(act.pending, result),)
-    out = []
-    for c in conts:
-        if isinstance(c, Finished):
-            rule = c.rule if c.rule is not None else act.rule_family
-            out.append(PartialEvalTree(t.config, Known(c.result),
-                                       CompletedRule(rule), t.children))
-        else:
+                        f"start activation malformed for {config!r}")
+                refined.append((PartialEvalTree(config, UNKNOWN, act,
+                                                (initial_tree(s.config),)), s.config))
+    else:
+        act: Activation = node.tag
+        result = node.children[-1].res.value
+        conts = dedup(sem.advance(act, result))
+        if not conts:
+            return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
+                                 act.rule_family, len(node.children), result)
+        expected = act.completed + (BsJudgment(act.pending, result),)
+        for c in conts:
+            if isinstance(c, Finished):
+                rule = c.rule if c.rule is not None else act.rule_family
+                done = PartialEvalTree(config, Known(c.result), CompletedRule(rule),
+                                       node.children)
+                refined.append((done, None))
+                continue
             nxt = c.activation
             if (nxt.completed != expected
                     or nxt.conclusion_config != act.conclusion_config
                     or nxt.pending != c.config):
                 raise OracleContractError(
-                    f"advance activation malformed for {t.config!r}")
-            if len(t.children) + 1 > sem.premise_bound(t.config):
+                    f"advance activation malformed for {config!r}")
+            if len(node.children) + 1 > sem.premise_bound(config):
                 raise OracleContractError(
-                    f"premise bound exceeded for {t.config!r}")
-            out.append(PartialEvalTree(t.config, UNKNOWN, nxt,
-                                       t.children + (initial_tree(c.config),)))
+                    f"premise bound exceeded for {config!r}")
+            refined.append((PartialEvalTree(
+                config, UNKNOWN, nxt, node.children + (initial_tree(c.config),)),
+                c.config))
+    out = []
+    for new, demanded in refined:
+        cert = None
+        if demanded is not None:
+            for i in range(len(path) - 1, -1, -1):
+                if path[i].config == demanded:
+                    witness = tuple((e.config, e.rule_family, e.premise_index)
+                                    for e in path[i:-1])
+                    cert = DivergenceCertificate(witness + (
+                        (config, new.tag.rule_family, len(new.children)),), demanded)
+                    break
+        for e in reversed(path[:-1]):
+            new = PartialEvalTree(e.config, UNKNOWN, e.node.tag,
+                                  e.node.children[:-1] + (new,))
+        out.append((new, cert))
     return tuple(out), None
 
 
 def step(sem: LanguageSemantics, t: PartialEvalTree) -> Tuple[PartialEvalTree, ...]:
     """One-step successors of ``t``; empty iff ``t`` is irreducible."""
-    subs, _ = _expand(sem, t)
-    return subs
+    succs, _ = _expand(sem, t)
+    return tuple(s for s, _ in succs)
 
 
 def tree_leq(t1: PartialEvalTree, t2: PartialEvalTree) -> bool:
@@ -286,34 +301,6 @@ class DivergenceCertificate:
     entry: Config
 
 
-def detect_cycle(t: PartialEvalTree) -> Optional[Tuple[DivergenceCertificate, int]]:
-    """Certificate if the fresh frontier re-demands an active-path config.
-
-    Every active-path node began as a fresh node with its configuration;
-    a fresh frontier equal to an ancestor therefore replays the ancestor's
-    whole trajectory, which is a genuine loop of the stepper.  Returns the
-    certificate and the path index where the cycle starts.
-    """
-    if t.is_complete:
-        return None
-    path = active_path(t)
-    leaf = path[-1]
-    if leaf.rule_family is not None:  # frontier is mid-rule, not fresh
-        return None
-    start_idx = None
-    for i in range(len(path) - 2, -1, -1):
-        if path[i].config == leaf.config:
-            start_idx = i
-            break
-    if start_idx is None:
-        return None
-    witness = tuple(
-        (e.config, e.rule_family, e.premise_index)
-        for e in path[start_idx:-1]
-    )
-    return DivergenceCertificate(witness, leaf.config), start_idx
-
-
 @dataclass(frozen=True)
 class Converged:
     result: ResultVal
@@ -385,11 +372,11 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
     while frontier and steps < fuel:
         nxt: dict = {}
         for t in frontier:
-            subs, stuck = _expand(sem, t)
+            succs, stuck = _expand(sem, t)
             if stuck is not None:
                 emit(Stuck(t, stuck.kind, steps, stuck))
                 continue
-            for s in subs[:1] if first else subs:
+            for s, cert in succs[:1] if first else succs:
                 if history is not None:
                     history.append(s)
                 if validate:
@@ -397,9 +384,8 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
                 if s.is_complete:
                     emit(Converged(s.res.value, s, steps + 1))
                     continue
-                hit = detect_cycle(s)
-                if hit is not None:
-                    emit(Diverges(hit[0], s))
+                if cert is not None:
+                    emit(Diverges(cert, s))
                     continue
                 nxt.setdefault(s, None)
         frontier = list(nxt)

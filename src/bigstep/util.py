@@ -7,8 +7,9 @@ from typing import Any, Iterable, Iterator, Tuple
 class FrozenMap:
     """Immutable, hashable mapping with value-based equality.
 
-    Keys must be hashable and mutually comparable (entries are kept sorted
-    so two maps with equal contents are structurally identical).
+    Keys and values must be hashable.  Equality and hash depend on the
+    contents only; ``items()`` lists the entries sorted by key ``repr``,
+    for a stable display.
     """
 
     __slots__ = ("_items", "_dict", "_hash")
@@ -18,7 +19,7 @@ class FrozenMap:
         pairs = tuple(sorted(d.items(), key=lambda kv: repr(kv[0])))
         object.__setattr__(self, "_items", pairs)
         object.__setattr__(self, "_dict", d)
-        object.__setattr__(self, "_hash", hash(pairs))
+        object.__setattr__(self, "_hash", hash(frozenset(pairs)))
 
     def set(self, key: Any, value: Any) -> "FrozenMap":
         d = dict(self._dict)
@@ -50,7 +51,7 @@ class FrozenMap:
         return len(self._dict)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrozenMap) and self._items == other._items
+        return isinstance(other, FrozenMap) and self._dict == other._dict
 
     def __hash__(self) -> int:
         return self._hash

@@ -191,3 +191,20 @@ def test_eval_omega_trace_carries_certificate(capsys):
     assert code == 3
     assert docs[0]["kind"] == "infinity" and "trace" in docs[0]
     _check_certificate(docs[0])
+
+
+def test_omega_is_known_inside_a_term(capsys):
+    code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda", "--mode", "total",
+                            "--exhaustive", "0 (+) omega")
+    assert code == 3
+    assert {"kind": "ok", "result": "0"} in docs
+    infinite = [d for d in docs if d["kind"] == "infinity"]
+    assert len(infinite) == 1
+    _check_certificate(infinite[0])
+
+
+def test_too_deep_input_exits_with_usage_error(capsys):
+    code, docs, err = run_cli(capsys, "eval", "--lang", "lambda",
+                              "(" * 2000 + "0" + ")" * 2000)
+    assert code == 1 and docs == []
+    assert err.strip() == "input too deep"

@@ -167,6 +167,12 @@ def test_parse_goldens():
     assert parse_type("nat -> nat -> nat") == TArrow(NAT, TArrow(NAT, NAT))
 
 
+def test_parse_knows_omega_inside_terms():
+    assert parse_expr("0 (+) omega") == Choice(Nat(0), OMEGA)
+    with pytest.raises(ParseError):
+        parse_expr("\\omega:nat. 0")  # a name, not a variable
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_expr("succ )")

@@ -1,0 +1,80 @@
+"""Property tests on random closed lambda terms deeper than the corpus."""
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bigstep.extensions import divergence_certificate_check
+from bigstep.lam import OMEGA_BODY, lambda_semantics
+from bigstep.lam.corpus import ANNOTATION_ALPHABET, MAX_LITERAL
+from bigstep.lam.semantics import STRATEGIES, _Exhausted, direct_results
+from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var
+from bigstep.pet import (
+    Converged,
+    DivergenceCertificate,
+    Diverges,
+    active_path,
+    run_exhaustive,
+)
+
+SEMS = [lambda_semantics(s) for s in STRATEGIES]
+FUEL = 60
+
+
+@st.composite
+def closed_terms(draw, depth=6, scope=()):
+    """Terms of AST depth <= ``depth`` over the corpus constructors.
+
+    Half of the leaves are ``OMEGA_BODY`` and some applications apply a
+    term to itself, so that runs often diverge by cycles of more than
+    one configuration, such as ``(\\x. succ (x x)) (\\x. succ (x x))``.
+    """
+    kinds = (["app", "self", "choice", "succ", "abs"] if depth >= 2 else []) + ["leaf"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        atoms = [Nat(k) for k in range(MAX_LITERAL + 1)] + [Var(x) for x in scope]
+        return draw(st.just(OMEGA_BODY) | st.sampled_from(atoms))
+    if kind == "succ":
+        return Succ(draw(closed_terms(depth - 1, scope)))
+    if kind == "abs":
+        fresh = f"x{len(scope)}"
+        return Abs(fresh, draw(st.sampled_from(ANNOTATION_ALPHABET)),
+                   draw(closed_terms(depth - 1, scope + (fresh,))))
+    left = draw(closed_terms(depth - 1, scope))
+    if kind == "self":
+        return App(left, left)
+    right = draw(closed_terms(depth - 1, scope))
+    return App(left, right) if kind == "app" else Choice(left, right)
+
+
+def _path_scan(tree):
+    """Certificate from a scan of the detection tree's active path.
+
+    The fresh frontier repeats the deepest path configuration equal to it;
+    the witness runs from there down to the frontier's parent.
+    """
+    path = active_path(tree)
+    leaf = path[-1]
+    if leaf.rule_family is not None:
+        return None
+    for i in range(len(path) - 2, -1, -1):
+        if path[i].config == leaf.config:
+            witness = tuple((e.config, e.rule_family, e.premise_index)
+                            for e in path[i:-1])
+            return DivergenceCertificate(witness, leaf.config)
+    return None
+
+
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms())
+def test_random_terms_certificates_and_results(e):
+    try:
+        expected = direct_results(e, depth=24)
+    except _Exhausted:
+        expected = None
+    for sem in SEMS:
+        for o in run_exhaustive(sem, e, FUEL):
+            if isinstance(o, Diverges):
+                assert divergence_certificate_check(sem, o.certificate, FUEL).passed
+                assert o.certificate == _path_scan(o.tree)
+            elif isinstance(o, Converged) and expected is not None:
+                assert o.result in expected
