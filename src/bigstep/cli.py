@@ -2,8 +2,8 @@
 
 Structured documents go to stdout, one JSON object per line; diagnostics
 go to stderr.  Exit codes: 0 converged/passed, 2 wrong or stuck, 3
-divergence, 4 out of fuel, 5 audit violations, 1 usage or parse errors
-or input too deep.
+divergence, 4 out of fuel or over the corules cap, 5 audit violations,
+1 usage or parse errors or input too deep.
 """
 from __future__ import annotations
 
@@ -14,8 +14,14 @@ import sys
 from typing import Optional
 
 from . import extensions as ext
-from .inference import interp_coinductive, interp_corules, reachable_universe
+from .inference import (
+    UniverseOverflow,
+    interp_coinductive,
+    interp_corules,
+    reachable_universe,
+)
 from .maxelem import MaxElem, maxelem_gis
+from .parsing import ParseError
 from .pet import Diverges, run, run_history
 from .predicates import soundness_may_audit, soundness_must_audit
 from .rational import RationalList
@@ -33,17 +39,15 @@ from .lam import (
     typed_corpus,
 )
 from .lam.corpus import FOOL_TERM
-from .lam.parser import ParseError
 from .lam.syntax import Nat, Succ
 from .fj import (
     EMPTY_MEMORY,
     EnvConfig,
-    FJParseError,
     FJTypeError,
-    IMP_LOOP_TABLE,
     IMP_TABLE,
     INTEROP_TABLE,
     MemConfig,
+    TABLES,
     class_table_wf,
     fj_indexed_predicate,
     fj_semantics,
@@ -80,9 +84,8 @@ def _emit(doc) -> None:
 def _load_table(arg: Optional[str], default):
     if arg is None:
         return default
-    builtin = {"interop": INTEROP_TABLE, "imp": IMP_TABLE, "imp-loop": IMP_LOOP_TABLE}
-    if arg in builtin:
-        return builtin[arg]
+    if arg in TABLES:
+        return TABLES[arg]
     table = parse_class_table(_read_input(arg))
     problems = class_table_wf(table)
     if problems:
@@ -230,7 +233,11 @@ def _parse_maxelem_goal(goal: str):
 def cmd_corules(args) -> int:
     goal = _parse_maxelem_goal(args.goal)
     gis = maxelem_gis()
-    universe = reachable_universe(gis.combined(), {goal}, cap=args.cap)
+    try:
+        universe = reachable_universe(gis.combined(), {goal}, cap=args.cap)
+    except UniverseOverflow as err:  # the cap bounds exploration as fuel does
+        print(err, file=sys.stderr)
+        return EXIT_TIMEOUT
     with_corules = goal in interp_corules(gis, universe)
     plain_coinductive = goal in interp_coinductive(gis.rules, universe)
     _emit({
@@ -242,20 +249,26 @@ def cmd_corules(args) -> int:
     return EXIT_OK if with_corules else EXIT_WRONG
 
 
-def _add_common(p, fuel_default: int) -> None:
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on usage errors, which here means wrong or stuck
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(p) -> None:
     p.add_argument("--lang", choices=("lambda", "fj", "impfj"), default="lambda")
     p.add_argument("--table", help="class table: file path or builtin name")
-    p.add_argument("--fuel", type=int, default=fuel_default)
 
 
 def main(argv=None) -> int:
     fuel_default = int(os.environ.get("BSM_FUEL", "100"))
-    top = argparse.ArgumentParser(
-        prog="bsm", description="big-step semantics workbench")
+    top = _ArgumentParser(prog="bsm", description="big-step semantics workbench")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a configuration")
-    _add_common(p, fuel_default)
+    _add_common(p)
+    p.add_argument("--fuel", type=int, default=fuel_default)
     p.add_argument("--mode", choices=("plain", "wrong", "div", "trace", "total"),
                    default="plain")
     p.add_argument("--strategy", choices=("app", "app-r", "app-late"), default="app")
@@ -264,18 +277,19 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("step", help="print the transition sequence")
-    _add_common(p, fuel_default)
+    _add_common(p)
     p.add_argument("--max-steps", type=int, default=fuel_default)
     p.add_argument("input")
     p.set_defaults(fn=cmd_step)
 
     p = sub.add_parser("typecheck", help="typecheck an expression")
-    _add_common(p, fuel_default)
+    _add_common(p)
     p.add_argument("input")
     p.set_defaults(fn=cmd_typecheck)
 
     p = sub.add_parser("soundness", help="run a soundness audit")
-    _add_common(p, fuel_default)
+    _add_common(p)
+    p.add_argument("--fuel", type=int, default=fuel_default)
     p.add_argument("--flavor", choices=("must", "may"), default="must")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--fixture", choices=("default", "dropped-succ", "fool"),
@@ -283,20 +297,19 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_soundness)
 
     p = sub.add_parser("corules", help="maxElem corules demo")
-    p.add_argument("--demo", choices=("maxelem",), default="maxelem")
     p.add_argument("--goal", required=True,
                    help="e.g. '(1:2)*=2', '1:2:nil=2', '1:2:(1:2)*=2'")
     p.add_argument("--cap", type=int, default=1000)
     p.set_defaults(fn=cmd_corules)
 
     args = top.parse_args(argv)
-    for name in ("fuel", "max_steps", "depth"):
+    for name in ("fuel", "max_steps", "depth", "cap"):
         if getattr(args, name, 1) <= 0:
             print(f"{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, FJParseError) as err:
+    except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -14,7 +14,6 @@ divergence is certifiable by cycle detection.
 from __future__ import annotations
 
 from itertools import product
-from typing import Tuple
 
 from ..util import EMPTY_MAP
 from .syntax import (
@@ -22,7 +21,6 @@ from .syntax import (
     EnvConfig,
     FieldAccess,
     FieldAssign,
-    FJExpr,
     Invoke,
     Lambda,
     MemConfig,
@@ -87,8 +85,7 @@ TABLES = {
 }
 
 
-def enumerate_fj(ct: ClassTable, depth: int,
-                 lam_pool: Tuple[FJExpr, ...] = (IDENTITY_LAMBDA,)) -> tuple:
+def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
     """Closed functional-variant expressions of bounded depth."""
     classes = tuple(c.name for c in ct.classes)
     types = ct.all_types()
@@ -99,7 +96,8 @@ def enumerate_fj(ct: ClassTable, depth: int,
 
     def level(d: int) -> tuple:
         if d <= 1:
-            return tuple(New(c, ()) for c in classes if not ct.fields(c)) + lam_pool
+            return tuple(New(c, ()) for c in classes
+                         if not ct.fields(c)) + (IDENTITY_LAMBDA,)
         below = level(d - 1)
         out = list(below)
         for c in classes:

@@ -21,8 +21,8 @@ out the rest.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
 
+from ..parsing import Cursor, ParseError
 from .syntax import (
     Cast,
     FieldAccess,
@@ -36,228 +36,113 @@ from .syntax import (
 )
 from .table import ClassDecl, ClassTable, InterfaceDecl, MethodDef
 
-
-class FJParseError(Exception):
-    def __init__(self, message: str, pos: int, text: str):
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        super().__init__(f"{message} at line {line}, column {col}")
-        self.pos = pos
+FJParseError = ParseError  # exported by ``bigstep.fj`` under this name
 
 
-_TOKEN = re.compile(r"\s*(=>|[A-Za-z_][A-Za-z0-9_]*|\d+|[{}().,;<>=\\#])")
-
-
-def _lex(text: str):
-    toks: List[Tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise FJParseError(f"unexpected character {text[i]!r}", i, text)
-            break
-        toks.append((m.group(1), m.start(1)))
-        i = m.end()
-    toks.append(("", len(text)))
-    return toks
-
-
-class _P:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _lex(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.toks[self.i][0]
-
-    def pos(self) -> int:
-        return self.toks[self.i][1]
-
-    def next(self) -> str:
-        tok = self.toks[self.i][0]
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str) -> str:
-        if self.peek() != tok:
-            raise FJParseError(
-                f"expected {tok!r}, found {self.peek() or 'end of input'!r}",
-                self.pos(), self.text)
-        return self.next()
-
-    def ident(self) -> str:
-        t = self.peek()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t or ""):
-            raise FJParseError(f"expected a name, found {t or 'end of input'!r}",
-                               self.pos(), self.text)
-        return self.next()
+class _P(Cursor):
+    token = re.compile(r"\s*(=>|[A-Za-z_][A-Za-z0-9_]*|\d+|[{}().,;<>=\\#])")
 
     # expressions
 
     def expr(self) -> FJExpr:
         e = self.postfix()
-        if isinstance(e, FieldAccess) and self.peek() == "=":
-            self.next()
+        if isinstance(e, FieldAccess) and self.accept("="):
             return FieldAssign(e.target, e.field, self.expr())
         return e
 
     def postfix(self) -> FJExpr:
         e = self.primary()
-        while self.peek() == ".":
-            self.next()
-            name = self.ident()
-            if self.peek() == "(":
-                self.next()
-                args = self.args()
-                e = Invoke(e, name, args)
+        while self.accept("."):
+            name = self.name()
+            if self.accept("("):
+                e = Invoke(e, name, self.commas(self.expr, ")"))
             else:
                 e = FieldAccess(e, name)
         return e
 
-    def args(self) -> tuple:
-        out = []
-        if self.peek() != ")":
-            out.append(self.expr())
-            while self.peek() == ",":
-                self.next()
-                out.append(self.expr())
-        self.expect(")")
-        return tuple(out)
-
     def primary(self) -> FJExpr:
-        t = self.peek()
-        if t == "new":
-            self.next()
-            cls = self.ident()
+        if self.accept("new"):
+            cls = self.name()
             self.expect("(")
-            return New(cls, self.args())
-        if t == "<":
-            self.next()
-            type_ = self.ident()
+            return New(cls, self.commas(self.expr, ")"))
+        if self.accept("<"):
+            type_ = self.name()
             self.expect(">")
             return Cast(type_, self.primary())
-        if t == "\\":
-            self.next()
-            params = [self.ident()]
-            while self.peek() != ".":
-                params.append(self.ident())
-            self.expect(".")
+        if self.accept("\\"):
+            params = [self.name()]
+            while not self.accept("."):
+                params.append(self.name())
             body = self.expr()
             if isinstance(body, Lambda):
-                raise FJParseError("lambda body may not be a lambda",
-                                   self.pos(), self.text)
+                raise self.error("lambda body may not be a lambda")
             return Lambda(tuple(params), body)
-        if t == "(":
-            self.next()
+        if self.accept("("):
             e = self.expr()
             self.expect(")")
             return e
-        if t == "#":
-            self.next()
+        if self.accept("#"):
             n = self.next()
             if not n.isdigit():
-                raise FJParseError("expected an object id", self.pos(), self.text)
+                raise self.error("expected an object id")
             return ObjIdRef(int(n))
-        return Var(self.ident())
+        return Var(self.name())
 
     # declarations
 
     def table(self) -> ClassTable:
         classes, interfaces = [], []
         while self.peek():
-            if self.peek() == "class":
+            if self.accept("class"):
                 classes.append(self.class_decl())
-            elif self.peek() == "interface":
+            elif self.accept("interface"):
                 interfaces.append(self.interface_decl())
             else:
-                raise FJParseError(
-                    f"expected a declaration, found {self.peek()!r}",
-                    self.pos(), self.text)
+                raise self.expected("a declaration")
         return ClassTable(tuple(classes), tuple(interfaces))
 
     def class_decl(self) -> ClassDecl:
-        self.expect("class")
-        name = self.ident()
-        superclass = None
-        interfaces: tuple = ()
-        if self.peek() == "extends":
-            self.next()
-            superclass = self.ident()
-        if self.peek() == "implements":
-            self.next()
-            names = [self.ident()]
-            while self.peek() == ",":
-                self.next()
-                names.append(self.ident())
-            interfaces = tuple(names)
+        name = self.name()
+        superclass = self.name() if self.accept("extends") else None
+        interfaces = self.commas(self.name) if self.accept("implements") else ()
         self.expect("{")
         fields, methods = [], []
-        while self.peek() != "}":
-            type_ = self.ident()
-            name2 = self.ident()
-            if self.peek() == ";":
-                self.next()
-                fields.append((type_, name2))
+        while not self.accept("}"):
+            type_, member = self.name(), self.name()
+            if self.accept(";"):
+                fields.append((type_, member))
             else:
-                methods.append(self.method_rest(type_, name2))
-        self.expect("}")
+                params = self.params()
+                self.expect("{")
+                self.expect("return")
+                body = self.expr()
+                self.expect(";")
+                self.expect("}")
+                methods.append(MethodDef(member, params, type_, body))
         return ClassDecl(name, superclass, interfaces, tuple(fields), tuple(methods))
 
-    def method_rest(self, ret: str, name: str) -> MethodDef:
+    def params(self) -> tuple:
+        """``'(' (T x (',' T x)*)? ')'`` as (type, name) pairs."""
         self.expect("(")
-        params = []
-        if self.peek() != ")":
-            params.append((self.ident(), self.ident()))
-            while self.peek() == ",":
-                self.next()
-                params.append((self.ident(), self.ident()))
-        self.expect(")")
-        self.expect("{")
-        self.expect("return")
-        body = self.expr()
-        self.expect(";")
-        self.expect("}")
-        return MethodDef(name, tuple(params), ret, body)
+        return self.commas(lambda: (self.name(), self.name()), ")")
 
     def interface_decl(self) -> InterfaceDecl:
-        self.expect("interface")
-        name = self.ident()
-        extends: tuple = ()
-        if self.peek() == "extends":
-            self.next()
-            names = [self.ident()]
-            while self.peek() == ",":
-                self.next()
-                names.append(self.ident())
-            extends = tuple(names)
+        name = self.name()
+        extends = self.commas(self.name) if self.accept("extends") else ()
         self.expect("{")
         sigs = []
-        while self.peek() != "}":
-            ret = self.ident()
-            mname = self.ident()
-            self.expect("(")
-            ptypes = []
-            if self.peek() != ")":
-                ptypes.append(self.ident())
-                self.ident()
-                while self.peek() == ",":
-                    self.next()
-                    ptypes.append(self.ident())
-                    self.ident()
-            self.expect(")")
+        while not self.accept("}"):
+            ret, mname = self.name(), self.name()
+            ptypes = tuple(t for t, _ in self.params())
             self.expect(";")
-            sigs.append((mname, tuple(ptypes), ret))
-        self.expect("}")
+            sigs.append((mname, ptypes, ret))
         return InterfaceDecl(name, extends, tuple(sigs))
 
 
 def parse_fj_expr(text: str) -> FJExpr:
     p = _P(text)
     e = p.expr()
-    if p.peek():
-        raise FJParseError(f"unexpected trailing input {p.peek()!r}", p.pos(), p.text)
+    p.end()
     return e
 
 

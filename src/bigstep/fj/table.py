@@ -150,9 +150,6 @@ class ClassTable:
             out[sig[0]] = sig
         return tuple(out.values())
 
-    def is_functional(self, name: str) -> bool:
-        return len(self.interface_methods(name)) == 1
-
     def umtype(self, name: str) -> Optional[Tuple[Tuple[str, ...], str]]:
         """The method type of a functional interface's unique method."""
         sigs = self.interface_methods(name)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .oracle import (
     Activation,
@@ -144,50 +145,36 @@ class StuckInfo:
 
 
 def _expand(sem: LanguageSemantics, t: PartialEvalTree
-            ) -> Tuple[tuple, Optional[StuckInfo]]:
+            ) -> Tuple[Iterable[tuple], Optional[StuckInfo]]:
     """(successor, certificate or None) pairs of ``t``, or its stuck frontier.
 
-    One walk down the active path: its last node is refined and every
-    ancestor rebuilt around it.  A successor that demands a fresh premise
-    closes a cycle if the demanded configuration is already on the path:
-    every path node began as a fresh node with its configuration, so the
-    demand replays that node's whole trajectory, a genuine loop.
+    The oracle is queried and every answer checked at once; the pairs are
+    built lazily, one answer at a time.
     """
     if t.is_complete:
         return (), None
     path = active_path(t)
     node = path[-1].node
     config = node.config
-    refined = []  # (refined node, demanded configuration or None)
     if node.tag is START:
-        steps = dedup(sem.start(config))
-        if not steps:
+        answers = dedup(sem.start(config))
+        if not answers:
             return (), StuckInfo(StuckKind.NO_RULE, config)
-        for s in steps:
-            if isinstance(s, Axiom):
-                refined.append((PartialEvalTree(config, Known(s.result),
-                                                CompletedRule(s.rule), ()), None))
-            else:
-                act = s.activation
-                if act.completed or act.pending != s.config:
-                    raise OracleContractError(
-                        f"start activation malformed for {config!r}")
-                refined.append((PartialEvalTree(config, UNKNOWN, act,
-                                                (initial_tree(s.config),)), s.config))
+        for s in answers:
+            if not isinstance(s, Axiom) and (s.activation.completed
+                                             or s.activation.pending != s.config):
+                raise OracleContractError(
+                    f"start activation malformed for {config!r}")
     else:
         act: Activation = node.tag
         result = node.children[-1].res.value
-        conts = dedup(sem.advance(act, result))
-        if not conts:
+        answers = dedup(sem.advance(act, result))
+        if not answers:
             return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
                                  act.rule_family, len(node.children), result)
         expected = act.completed + (BsJudgment(act.pending, result),)
-        for c in conts:
+        for c in answers:
             if isinstance(c, Finished):
-                rule = c.rule if c.rule is not None else act.rule_family
-                done = PartialEvalTree(config, Known(c.result), CompletedRule(rule),
-                                       node.children)
-                refined.append((done, None))
                 continue
             nxt = c.activation
             if (nxt.completed != expected
@@ -198,25 +185,40 @@ def _expand(sem: LanguageSemantics, t: PartialEvalTree
             if len(node.children) + 1 > sem.premise_bound(config):
                 raise OracleContractError(
                     f"premise bound exceeded for {config!r}")
-            refined.append((PartialEvalTree(
-                config, UNKNOWN, nxt, node.children + (initial_tree(c.config),)),
-                c.config))
-    out = []
-    for new, demanded in refined:
+    return _successors(path, answers), None
+
+
+def _successors(path: Tuple["PathEntry", ...], answers: tuple):
+    """One walk down the active path per answer: its last node is refined
+    and every ancestor rebuilt around it.
+
+    A successor that demands a fresh premise closes a cycle if the demanded
+    configuration is already on the path: every path node began as a fresh
+    node with its configuration, so the demand replays that node's whole
+    trajectory, a genuine loop.
+    """
+    node = path[-1].node
+    config = node.config
+    for a in answers:
         cert = None
-        if demanded is not None:
+        if isinstance(a, (Axiom, Finished)):
+            rule = a.rule if a.rule is not None else node.tag.rule_family
+            new = PartialEvalTree(config, Known(a.result), CompletedRule(rule),
+                                  node.children)
+        else:  # FirstPremise or Demand; a fresh node has no children yet
+            new = PartialEvalTree(config, UNKNOWN, a.activation,
+                                  node.children + (initial_tree(a.config),))
             for i in range(len(path) - 1, -1, -1):
-                if path[i].config == demanded:
+                if path[i].config == a.config:
                     witness = tuple((e.config, e.rule_family, e.premise_index)
                                     for e in path[i:-1])
                     cert = DivergenceCertificate(witness + (
-                        (config, new.tag.rule_family, len(new.children)),), demanded)
+                        (config, new.tag.rule_family, len(new.children)),), a.config)
                     break
         for e in reversed(path[:-1]):
             new = PartialEvalTree(e.config, UNKNOWN, e.node.tag,
                                   e.node.children[:-1] + (new,))
-        out.append((new, cert))
-    return tuple(out), None
+        yield new, cert
 
 
 def step(sem: LanguageSemantics, t: PartialEvalTree) -> Tuple[PartialEvalTree, ...]:
@@ -337,13 +339,10 @@ def _validate(t: PartialEvalTree) -> None:
 
 
 def _outcome_key(o: Outcome):
-    if isinstance(o, Converged):
-        return ("ok", o.result, o.tree.skeleton())
-    if isinstance(o, Stuck):
-        return ("stuck", o.kind, o.tree.skeleton())
-    if isinstance(o, Diverges):
-        return ("div", o.certificate)
-    return ("fuel", o.frontier.skeleton())
+    # the skeleton's root holds a converged result and fixes the stuck kind;
+    # diverging branches that reach one cycle along different paths differ
+    tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
+    return type(o), tree.skeleton()
 
 
 def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
@@ -376,7 +375,7 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
             if stuck is not None:
                 emit(Stuck(t, stuck.kind, steps, stuck))
                 continue
-            for s, cert in succs[:1] if first else succs:
+            for s, cert in islice(succs, 1) if first else succs:
                 if history is not None:
                     history.append(s)
                 if validate:

@@ -208,3 +208,29 @@ def test_too_deep_input_exits_with_usage_error(capsys):
                               "(" * 2000 + "0" + ")" * 2000)
     assert code == 1 and docs == []
     assert err.strip() == "input too deep"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--bogus", "1", "0"],
+    ["eval", "--lang", "cobol", "0"],
+    ["step", "--fuel", "3", "0"],
+    ["typecheck", "--fuel", "3", "0"],
+    ["corules", "--demo", "maxelem", "--goal", "(1:2)*=2"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: bsm" in capsys.readouterr().err
+
+
+def test_nonpositive_cap_rejected(capsys):
+    code, docs, err = run_cli(capsys, "corules", "--cap", "0", "--goal", "(1:2)*=2")
+    assert code == 1 and docs == []
+    assert err.strip() == "cap must be positive"
+
+
+def test_cap_overflow_exits_4(capsys):
+    code, docs, err = run_cli(capsys, "corules", "--cap", "1", "--goal", "(1:2)*=2")
+    assert code == 4 and docs == []
+    assert err.strip() == "premise closure exceeded cap 1"

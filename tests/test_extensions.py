@@ -243,3 +243,12 @@ def test_wrong_propagation_short_circuits():
     starts = [s for s in wsem.start(IDENTITY_APP) if isinstance(s, FirstPremise)]
     conts = wsem.advance(starts[0].activation, WRONG)
     assert conts == (Finished(WRONG, rule="wrong-prop"),)
+
+
+def test_exhaustive_trace_keeps_every_diverging_branch():
+    # both infinite traces end in the cycle of omega; one passes through
+    # ``0 (+) omega`` first, so their prefixes differ
+    values = ext.eval_trace(SEM, parse_expr("(0 (+) omega) (+) omega"), 100,
+                            exhaustive=True)
+    assert sum(isinstance(v, FinTrace) for v in values) == 1
+    assert sorted(len(v.prefix) for v in values if isinstance(v, InfTrace)) == [1, 2]

@@ -7,6 +7,7 @@ from bigstep.fj import (
     ClassTable,
     EnvConfig,
     FJ_OMEGA,
+    FJParseError,
     FJTypeError,
     IDENTITY_LAMBDA,
     INTEROP_TABLE,
@@ -25,6 +26,7 @@ from bigstep.fj import (
     parse_fj_expr,
     value_has_type,
 )
+from bigstep.parsing import ParseError
 from bigstep.pet import Converged, Diverges, Stuck, StuckKind, run_exhaustive, run_first
 from bigstep.predicates import soundness_must_audit
 from bigstep.util import EMPTY_MAP
@@ -197,3 +199,19 @@ def test_parse_show_roundtrip_on_enumerated_fj():
                 "(<K>\\x. x.m(x)).m(\\x. x.m(x))"):
         e = parse_fj_expr(src)
         assert parse_fj_expr(show_fj(e)) == e
+
+
+def test_parse_rejects_empty_implements_list():
+    assert FJParseError is ParseError
+    with pytest.raises(ParseError) as err:
+        parse_class_table("class C implements { }")
+    assert err.value.pos == 19
+
+
+def test_parse_errors_point_at_the_offending_character():
+    with pytest.raises(ParseError) as err:
+        parse_fj_expr("new A(\n  $)")
+    assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(ParseError) as err:
+        parse_fj_expr("#")  # an object id is missing at the end of input
+    assert err.value.pos == 1

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from bigstep import pet
 from bigstep.extensions import divergence_certificate_check
 from bigstep.lam import OMEGA, OMEGA_BODY, lambda_semantics, parse_expr, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Var
 from bigstep.oracle import Activation
+from bigstep.oracle import LanguageSemantics
+from bigstep.util import dedup
 from bigstep.pet import (
     UNKNOWN,
     Converged,
@@ -256,3 +259,41 @@ def test_premise_bound_is_respected():
     for t in history:
         for _, node in t.positions():
             assert len(node.children) <= SEM.premise_bound(node.config)
+
+
+class _FirstAnswer(LanguageSemantics):
+    """``sem`` cut down to its first answer to every query."""
+
+    def __init__(self, sem):
+        self.sem = sem
+
+    def start(self, config):
+        return dedup(self.sem.start(config))[:1]
+
+    def advance(self, activation, result):
+        return dedup(self.sem.advance(activation, result))[:1]
+
+    def premise_bound(self, config):
+        return self.sem.premise_bound(config)
+
+
+def test_first_successor_runs_build_only_the_kept_successor(monkeypatch):
+    built = [0]
+
+    class Counting(PartialEvalTree):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(pet, "PartialEvalTree", Counting)
+    term = parse_expr("succ (succ (succ ((1 (+) 2) (+) (3 (+) 0))))")
+    runs = []
+    for sem in (SEM, _FirstAnswer(SEM)):
+        built[0] = 0
+        history, outcome = run_history(sem, term, 100)
+        runs.append((history, outcome.result, built[0]))
+    assert len(runs[0][0]) == 12 and runs[0][1] == Nat(4)
+    # the full oracle's other answers must not cost a single tree
+    assert runs[0] == runs[1]

@@ -3,10 +3,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bigstep.extensions import divergence_certificate_check
-from bigstep.lam import OMEGA_BODY, lambda_semantics
+from bigstep.lam import (OMEGA_BODY, lambda_semantics, parse_expr, parse_type,
+                         show_expr, show_type)
 from bigstep.lam.corpus import ANNOTATION_ALPHABET, MAX_LITERAL
 from bigstep.lam.semantics import STRATEGIES, _Exhausted, direct_results
 from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var
+from bigstep.lam.types import NAT, TArrow, TRec, TVar
 from bigstep.pet import (
     Converged,
     DivergenceCertificate,
@@ -78,3 +80,18 @@ def test_random_terms_certificates_and_results(e):
                 assert o.certificate == _path_scan(o.tree)
             elif isinstance(o, Converged) and expected is not None:
                 assert o.result in expected
+
+
+TYPE_NAMES = st.sampled_from(["t", "u"])
+TYPES = st.recursive(
+    st.just(NAT) | st.builds(TVar, TYPE_NAMES),
+    lambda inner: st.builds(TArrow, inner, inner) | st.builds(TRec, TYPE_NAMES, inner),
+    max_leaves=8)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms(), TYPES)
+def test_show_then_parse_is_the_identity(e, t):
+    assert parse_expr(show_expr(e)) == e
+    assert parse_type(show_type(t)) == t
