@@ -40,7 +40,7 @@ FJParseError = ParseError  # exported by ``bigstep.fj`` under this name
 
 
 class _P(Cursor):
-    token = re.compile(r"\s*(=>|[A-Za-z_][A-Za-z0-9_]*|\d+|[{}().,;<>=\\#])")
+    token = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[{}().,;<>=\\#])")
 
     # expressions
 

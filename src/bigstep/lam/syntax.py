@@ -93,8 +93,6 @@ def subst(e: Expr, v: Expr, x: str) -> Expr:
 
 def show_expr(e: Expr) -> str:
     """Surface syntax; parses back to the same term."""
-    from .types import show_type
-
     def atom(t: Expr) -> str:
         s = show_expr(t)
         if isinstance(t, (Var, Nat)):
@@ -119,3 +117,8 @@ def show_expr(e: Expr) -> str:
             rs = show_expr(right) if not isinstance(right, (Abs, Choice)) else atom(right)
             return f"{ls} (+) {rs}"
     raise TypeError(e)
+
+
+# ``types`` imports the term classes above, so it is imported only once
+# they exist; the package imports this module first.
+from .types import show_type  # noqa: E402

@@ -15,6 +15,12 @@ transition refines the tree at its unique deepest incomplete node:
 A maximal sequence of transitions ends in a complete tree (convergence),
 reaches an incomplete tree with no successor (stuck), or never ends
 (divergence, witnessed here by a finite cyclic certificate).
+
+Runs do not rebuild trees.  A live computation is held as its active
+path, a stack of frames from the root to the incomplete node the next
+transition refines, so a transition touches only the top frame; trees
+are folded from the path where an outcome, a history or ``step`` needs
+one.
 """
 from __future__ import annotations
 
@@ -78,18 +84,21 @@ class PartialEvalTree:
     ``tag`` records the partial-evaluation rule applied at the root: the
     start rule for a fresh node, the activation of a partially applied
     rule for an internal in-progress node, and the completed rule for a
-    finished node.
+    finished node.  The hash is computed on first use, from ``chash``
+    (the hash of ``config``) when the builder already knows it.
     """
 
-    __slots__ = ("config", "res", "tag", "children", "_hash")
+    __slots__ = ("config", "res", "tag", "children", "_chash", "_hash")
 
     def __init__(self, config: Config, res: UnResult, tag: RuleTag,
-                 children: Tuple["PartialEvalTree", ...]):
+                 children: Tuple["PartialEvalTree", ...],
+                 chash: Optional[int] = None):
         self.config = config
         self.res = res
         self.tag = tag
         self.children = children
-        self._hash = hash((config, res if res is UNKNOWN else res.value, tag, children))
+        self._chash = chash
+        self._hash = None
 
     @property
     def is_complete(self) -> bool:
@@ -107,12 +116,18 @@ class PartialEvalTree:
                 yield (i,) + pos, node
 
     def __hash__(self):
+        if self._hash is None:
+            chash = hash(self.config) if self._chash is None else self._chash
+            res = self.res if self.res is UNKNOWN else self.res.value
+            self._hash = hash((chash, res, self.tag, self.children))
         return self._hash
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, PartialEvalTree) or self._hash != other._hash:
+        if not isinstance(other, PartialEvalTree) or (
+                self._hash is not None and other._hash is not None
+                and self._hash != other._hash):
             return False
         return (self.config == other.config and self.res == other.res
                 and self.tag == other.tag and self.children == other.children)
@@ -144,19 +159,74 @@ class StuckInfo:
     result: ResultVal = None
 
 
-def _expand(sem: LanguageSemantics, t: PartialEvalTree
-            ) -> Tuple[Iterable[tuple], Optional[StuckInfo]]:
-    """(successor, certificate or None) pairs of ``t``, or its stuck frontier.
+class _Frame:
+    """One node of the active path: a live judgment ``config => ?``.
 
-    The oracle is queried and every answer checked at once; the pairs are
-    built lazily, one answer at a time.
+    ``children`` are the completed premises; on every frame but the top,
+    the pending premise is the next frame up.  ``chash`` is the hash of
+    ``config``, computed once when the frame is pushed; the frame's own
+    hash, needed only to deduplicate paths, is computed on first use.
     """
-    if t.is_complete:
-        return (), None
+
+    __slots__ = ("config", "tag", "children", "chash", "_hash")
+
+    def __init__(self, config: Config, tag: Union[_StartTag, Activation],
+                 children: Tuple[PartialEvalTree, ...], chash: int):
+        self.config = config
+        self.tag = tag
+        self.children = children
+        self.chash = chash
+        self._hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.chash, self.tag, self.children))
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            self.chash == other.chash and self.config == other.config
+            and self.tag == other.tag and self.children == other.children)
+
+
+# A live computation is its active path: a tuple of frames, root first.
+Path = Tuple[_Frame, ...]
+
+
+def _fresh(config: Config) -> _Frame:
+    return _Frame(config, START, (), hash(config))
+
+
+def _fold(path: Path) -> PartialEvalTree:
+    """The partial evaluation tree whose active path is ``path``."""
+    tree = None
+    for f in reversed(path):
+        children = f.children if tree is None else f.children + (tree,)
+        tree = PartialEvalTree(f.config, UNKNOWN, f.tag, children, f.chash)
+    return tree
+
+
+def _unfold(t: PartialEvalTree) -> Path:
+    """The active path of the incomplete tree ``t``, as frames."""
     path = active_path(t)
-    node = path[-1].node
-    config = node.config
-    if node.tag is START:
+    top = len(path) - 1
+    return tuple(_Frame(e.config, e.node.tag,
+                        e.node.children if i == top else e.node.children[:-1],
+                        hash(e.config))
+                 for i, e in enumerate(path))
+
+
+def _expand(sem: LanguageSemantics, path: Path
+            ) -> Tuple[Iterable[tuple], Optional[StuckInfo]]:
+    """(successor, certificate or None) pairs of ``path``, or its stuck info.
+
+    A successor is the next active path or, once the root completes, the
+    complete tree.  The oracle is queried about the top frame and every
+    answer checked at once; the pairs are built lazily, one at a time.
+    """
+    top = path[-1]
+    config = top.config
+    if top.tag is START:
         answers = dedup(sem.start(config))
         if not answers:
             return (), StuckInfo(StuckKind.NO_RULE, config)
@@ -166,12 +236,12 @@ def _expand(sem: LanguageSemantics, t: PartialEvalTree
                 raise OracleContractError(
                     f"start activation malformed for {config!r}")
     else:
-        act: Activation = node.tag
-        result = node.children[-1].res.value
+        act: Activation = top.tag
+        result = top.children[-1].res.value
         answers = dedup(sem.advance(act, result))
         if not answers:
             return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
-                                 act.rule_family, len(node.children), result)
+                                 act.rule_family, len(top.children), result)
         expected = act.completed + (BsJudgment(act.pending, result),)
         for c in answers:
             if isinstance(c, Finished):
@@ -182,49 +252,57 @@ def _expand(sem: LanguageSemantics, t: PartialEvalTree
                     or nxt.pending != c.config):
                 raise OracleContractError(
                     f"advance activation malformed for {config!r}")
-            if len(node.children) + 1 > sem.premise_bound(config):
+            if len(top.children) + 1 > sem.premise_bound(config):
                 raise OracleContractError(
                     f"premise bound exceeded for {config!r}")
     return _successors(path, answers), None
 
 
-def _successors(path: Tuple["PathEntry", ...], answers: tuple):
-    """One walk down the active path per answer: its last node is refined
-    and every ancestor rebuilt around it.
+def _successors(path: Path, answers: tuple):
+    """One transition of the top frame per answer.
 
-    A successor that demands a fresh premise closes a cycle if the demanded
-    configuration is already on the path: every path node began as a fresh
-    node with its configuration, so the demand replays that node's whole
-    trajectory, a genuine loop.
+    A completion pops the top frame and hands its tree to the frame below;
+    a demand re-tags the top frame and pushes a fresh one.  A demand closes
+    a cycle if the demanded configuration is already on the path: every
+    frame began fresh with its configuration, so the demand replays that
+    frame's whole trajectory, a genuine loop.  Configurations are compared
+    only where their cached hashes agree.
     """
-    node = path[-1].node
-    config = node.config
+    top = path[-1]
+    below = path[:-1]
     for a in answers:
-        cert = None
         if isinstance(a, (Axiom, Finished)):
-            rule = a.rule if a.rule is not None else node.tag.rule_family
-            new = PartialEvalTree(config, Known(a.result), CompletedRule(rule),
-                                  node.children)
-        else:  # FirstPremise or Demand; a fresh node has no children yet
-            new = PartialEvalTree(config, UNKNOWN, a.activation,
-                                  node.children + (initial_tree(a.config),))
-            for i in range(len(path) - 1, -1, -1):
-                if path[i].config == a.config:
-                    witness = tuple((e.config, e.rule_family, e.premise_index)
-                                    for e in path[i:-1])
-                    cert = DivergenceCertificate(witness + (
-                        (config, new.tag.rule_family, len(new.children)),), a.config)
-                    break
-        for e in reversed(path[:-1]):
-            new = PartialEvalTree(e.config, UNKNOWN, e.node.tag,
-                                  e.node.children[:-1] + (new,))
-        yield new, cert
+            rule = a.rule if a.rule is not None else top.tag.rule_family
+            done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
+                                   top.children, top.chash)
+            if below:
+                f = below[-1]
+                yield below[:-1] + (_Frame(f.config, f.tag, f.children + (done,),
+                                           f.chash),), None
+            else:
+                yield done, None
+            continue
+        fresh = _fresh(a.config)
+        succ = below + (_Frame(top.config, a.activation, top.children, top.chash),
+                        fresh)
+        cert = None
+        for i in range(len(path) - 1, -1, -1):
+            f = path[i]
+            if f.chash == fresh.chash and f.config == fresh.config:
+                # each frame's pending premise follows its completed ones
+                cert = DivergenceCertificate(tuple(
+                    (g.config, g.tag.rule_family, len(g.children) + 1)
+                    for g in succ[i:-1]), fresh.config)
+                break
+        yield succ, cert
 
 
 def step(sem: LanguageSemantics, t: PartialEvalTree) -> Tuple[PartialEvalTree, ...]:
     """One-step successors of ``t``; empty iff ``t`` is irreducible."""
-    succs, _ = _expand(sem, t)
-    return tuple(s for s, _ in succs)
+    if t.is_complete:
+        return ()
+    succs, _ = _expand(sem, _unfold(t))
+    return tuple(s if isinstance(s, PartialEvalTree) else _fold(s) for s, _ in succs)
 
 
 def tree_leq(t1: PartialEvalTree, t2: PartialEvalTree) -> bool:
@@ -351,11 +429,13 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
     """Explore ``config`` level by level, one transition per level.
 
     Fuel bounds the number of transitions along any single branch.  With
-    ``first`` only the first successor of each tree is kept, so there is
-    one branch and one outcome.  Otherwise the frontier is deduplicated
-    structurally per level, so converging branches are found before fuel
-    runs out on diverging siblings, and outcomes are deduplicated by
-    ``_outcome_key``.  ``history``, if given, receives every tree taken.
+    ``first`` only the first successor of each path is kept, so there is
+    one branch and one outcome.  Otherwise the frontier of active paths is
+    deduplicated structurally per level, so converging branches are found
+    before fuel runs out on diverging siblings, and outcomes are
+    deduplicated by ``_outcome_key``.  ``history``, if given, receives
+    every tree taken.  Trees are folded from paths only for outcomes,
+    ``history`` and ``validate``.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -364,33 +444,39 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
     def emit(o: Outcome) -> None:
         outcomes.setdefault(None if first else _outcome_key(o), o)
 
-    frontier = [initial_tree(config)]
+    frontier = [(_fresh(config),)]
     if history is not None:
-        history.append(frontier[0])
+        history.append(initial_tree(config))
     steps = 0
     while frontier and steps < fuel:
-        nxt: dict = {}
-        for t in frontier:
-            succs, stuck = _expand(sem, t)
+        nxt = []
+        for path in frontier:
+            succs, stuck = _expand(sem, path)
             if stuck is not None:
-                emit(Stuck(t, stuck.kind, steps, stuck))
+                emit(Stuck(_fold(path), stuck.kind, steps, stuck))
                 continue
             for s, cert in islice(succs, 1) if first else succs:
+                done = isinstance(s, PartialEvalTree)
+                if done:
+                    tree = s
+                elif history is not None or validate or cert is not None:
+                    tree = _fold(s)
                 if history is not None:
-                    history.append(s)
+                    history.append(tree)
                 if validate:
-                    _validate(s)
-                if s.is_complete:
+                    _validate(tree)
+                if done:
                     emit(Converged(s.res.value, s, steps + 1))
-                    continue
-                if cert is not None:
-                    emit(Diverges(cert, s))
-                    continue
-                nxt.setdefault(s, None)
-        frontier = list(nxt)
+                elif cert is not None:
+                    emit(Diverges(cert, tree))
+                else:
+                    nxt.append(s)
+        # hashing is confined to exhaustive runs, which merge equal paths:
+        # each frame is hashed once, each tree on first use
+        frontier = nxt if first else list(dict.fromkeys(nxt))
         steps += 1
-    for t in frontier:
-        emit(OutOfFuel(t))
+    for path in frontier:
+        emit(OutOfFuel(_fold(path)))
     return tuple(outcomes.values())
 
 

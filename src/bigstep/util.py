@@ -65,5 +65,9 @@ EMPTY_MAP = FrozenMap()
 
 
 def dedup(items: Iterable[Any]) -> tuple:
-    """Structural, order-preserving deduplication."""
-    return tuple(dict.fromkeys(items))
+    """Structural, order-preserving deduplication.
+
+    Fewer than two items are returned as they are, without hashing them.
+    """
+    items = tuple(items)
+    return items if len(items) < 2 else tuple(dict.fromkeys(items))

@@ -215,3 +215,11 @@ def test_parse_errors_point_at_the_offending_character():
     with pytest.raises(ParseError) as err:
         parse_fj_expr("#")  # an object id is missing at the end of input
     assert err.value.pos == 1
+
+
+def test_parse_has_no_arrow_token():
+    # `=>` is not FJ syntax: the error names the `=` where the input goes wrong
+    with pytest.raises(ParseError) as err:
+        parse_fj_expr("a => b")
+    assert (err.value.line, err.value.column) == (1, 3)
+    assert "'='" in str(err.value) and "'=>'" not in str(err.value)

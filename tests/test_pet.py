@@ -1,14 +1,15 @@
 """Stepper behaviour: the identity-application golden run, tree order,
 active paths, structural invariants, and divergence certificates."""
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from bigstep import pet
-from bigstep.extensions import divergence_certificate_check
+from bigstep.extensions import divergence_certificate_check, evaluate
 from bigstep.lam import OMEGA, OMEGA_BODY, lambda_semantics, parse_expr, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Var
-from bigstep.oracle import Activation
+from bigstep.oracle import Activation, Axiom, Finished, FirstPremise
 from bigstep.oracle import LanguageSemantics
 from bigstep.util import dedup
 from bigstep.pet import (
@@ -297,3 +298,60 @@ def test_first_successor_runs_build_only_the_kept_successor(monkeypatch):
     assert len(runs[0][0]) == 12 and runs[0][1] == Nat(4)
     # the full oracle's other answers must not cost a single tree
     assert runs[0] == runs[1]
+
+
+@dataclass(frozen=True)
+class _Collide:
+    """A configuration whose hash tells nothing: every one hashes to 0."""
+    n: int
+
+    def __hash__(self):
+        return 0
+
+
+class _CollidingChain(LanguageSemantics):
+    """``n > 0`` demands ``n - 1`` and adds one to its result, ``0`` is an
+    axiom, and ``-1 -> -2 -> -3 -> -1`` is a loop of three configurations."""
+
+    def start(self, config):
+        n = config.n
+        if n == 0:
+            return (Axiom(0),)
+        nxt = _Collide(n - 1 if n > 0 else -1 - (-n % 3))
+        family = "down" if n > 0 else "loop"
+        return (FirstPremise(nxt, Activation(family, config, (), nxt)),)
+
+    def advance(self, activation, result):
+        return (Finished(result + 1),)
+
+    def premise_bound(self, config):
+        return 1
+
+
+def test_equal_hashes_close_no_false_cycle():
+    sem = _CollidingChain()
+    out = run_first(sem, _Collide(30), 100)
+    assert isinstance(out, Converged) and out.result == 30 and out.steps == 61
+    [out] = run_exhaustive(sem, _Collide(30), 100)
+    assert isinstance(out, Converged) and out.result == 30
+    out = run_first(sem, _Collide(2), 100)
+    assert isinstance(out, Converged) and out.result == 2
+    out = run_first(sem, _Collide(-1), 100)
+    assert isinstance(out, Diverges)
+    assert out.certificate.witness == tuple(
+        (_Collide(n), "loop", 1) for n in (-1, -2, -3))
+    assert out.certificate.entry == _Collide(-1)
+    assert divergence_certificate_check(sem, out.certificate, 100).passed
+
+
+def test_first_successor_runs_hash_no_tree(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a first-successor run hashed a tree")
+
+    monkeypatch.setattr(PartialEvalTree, "__hash__", refuse)
+    for e, fuel in ((IDENTITY_APP, 20), (OMEGA, 50), (OMEGA, 3),
+                    (parse_expr("succ (1 (+) 2)"), 20), (parse_expr("0 0"), 20)):
+        run_first(SEM, e, fuel)
+        run_history(SEM, e, fuel)
+        for mode in ("wrong", "div", "trace", "total"):
+            evaluate(SEM, e, fuel, mode)

@@ -13,8 +13,14 @@ from bigstep.pet import (
     Converged,
     DivergenceCertificate,
     Diverges,
+    OutOfFuel,
+    Stuck,
+    StuckInfo,
+    StuckKind,
     active_path,
+    initial_tree,
     run_exhaustive,
+    step,
 )
 
 SEMS = [lambda_semantics(s) for s in STRATEGIES]
@@ -80,6 +86,53 @@ def test_random_terms_certificates_and_results(e):
                 assert o.certificate == _path_scan(o.tree)
             elif isinstance(o, Converged) and expected is not None:
                 assert o.result in expected
+
+
+def _step_exhaustive(sem, e, fuel):
+    """``run_exhaustive`` as a level-by-level loop over the public ``step``.
+
+    Cycles are found by ``_path_scan`` on every successor; outcomes are
+    kept once per kind and tree skeleton.
+    """
+    outcomes = {}
+
+    def emit(o, tree):
+        outcomes.setdefault((type(o), tree.skeleton()), o)
+
+    frontier = [initial_tree(e)]
+    steps = 0
+    while frontier and steps < fuel:
+        nxt = {}
+        for t in frontier:
+            succs = step(sem, t)
+            if not succs:
+                leaf = active_path(t)[-1]
+                info = (StuckInfo(StuckKind.NO_RULE, leaf.config)
+                        if leaf.rule_family is None else
+                        StuckInfo(StuckKind.NO_CONTINUATION, leaf.config,
+                                  leaf.rule_family, leaf.premise_index,
+                                  leaf.node.children[-1].res.value))
+                emit(Stuck(t, info.kind, steps, info), t)
+            for s in succs:
+                if s.is_complete:
+                    emit(Converged(s.res.value, s, steps + 1), s)
+                elif (cert := _path_scan(s)) is not None:
+                    emit(Diverges(cert, s), s)
+                else:
+                    nxt.setdefault(s, None)
+        frontier = list(nxt)
+        steps += 1
+    for t in frontier:
+        emit(OutOfFuel(t), t)
+    return tuple(outcomes.values())
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms())
+def test_exhaustive_runs_equal_a_loop_over_step(e):
+    for sem in SEMS:
+        assert run_exhaustive(sem, e, FUEL) == _step_exhaustive(sem, e, FUEL)
 
 
 TYPE_NAMES = st.sampled_from(["t", "u"])

@@ -1,0 +1,61 @@
+"""SHA-256 digests of the stepper's and the evaluators' outcomes.
+
+Two source trees that print the same digests give byte-identical
+``repr``s of every outcome computed here, so a change meant to keep the
+engine's behaviour can be checked with one command on each side:
+
+    PYTHONPATH=src python3 tools/outcome_digest.py
+
+The corpus is every closed lambda term of depth <= 3 (6,343 terms) plus
+``OMEGA``.  Under each of the three premise orders the script digests
+``run_exhaustive`` and ``run_first`` (fuel 120) on the whole corpus, and
+``evaluate`` in all four modes, exhaustive, on every seventh term.  The
+order of exhaustive outcomes can follow set iteration order, so the
+script re-executes itself under ``PYTHONHASHSEED=0``.
+"""
+import hashlib
+import os
+import sys
+
+if os.environ.get("PYTHONHASHSEED") != "0":
+    os.execve(sys.executable, [sys.executable] + sys.argv,
+              dict(os.environ, PYTHONHASHSEED="0"))
+
+from bigstep import extensions as ext  # noqa: E402
+from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics  # noqa: E402
+from bigstep.lam.semantics import STRATEGIES  # noqa: E402
+from bigstep.pet import run_exhaustive, run_first  # noqa: E402
+
+FUEL = 120
+MODES = ("wrong", "div", "trace", "total")
+
+
+def digest(reprs) -> str:
+    h = hashlib.sha256()
+    for r in reprs:
+        h.update(r.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main() -> None:
+    print(f"bigstep from {os.path.dirname(ext.__file__)}", file=sys.stderr)
+    terms = enumerate_terms(3) + (OMEGA,)
+    every = hashlib.sha256()
+    for strategy in STRATEGIES:
+        sem = lambda_semantics(strategy)
+        parts = {
+            "run_exhaustive": (repr(run_exhaustive(sem, e, FUEL)) for e in terms),
+            "run_first": (repr(run_first(sem, e, FUEL)) for e in terms),
+            "evaluate": (repr(ext.evaluate(sem, e, FUEL, mode, exhaustive=True))
+                         for e in terms[::7] for mode in MODES),
+        }
+        for name, reprs in parts.items():
+            d = digest(reprs)
+            every.update(d.encode())
+            print(f"{name:15} {strategy:9} {d}")
+    print(f"{'all':25} {every.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
