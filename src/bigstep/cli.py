@@ -137,14 +137,16 @@ def cmd_eval(args) -> int:
             docs = [outcome_doc(sem, run(sem, config, args.fuel))]
     else:
         # one document per distinct value, with the evidence of the first
-        # branch that produced it
+        # branch that produced it; a wrong-mode value is the Diverges outcome
+        # itself, so distinct values can still give equal documents
         branch = {}
         for outcome, value in ext.evaluate(sem, config, args.fuel, mode,
                                            args.exhaustive):
             branch.setdefault(value, outcome)
-        docs = [value_doc(sem, v, certificate=(
-                    o.certificate if isinstance(o, Diverges) else None))
-                for v, o in branch.items()]
+        docs = {json.dumps(d): d for d in (
+            value_doc(sem, v, certificate=(
+                o.certificate if isinstance(o, Diverges) else None))
+            for v, o in branch.items())}.values()
     for d in docs:
         _emit(d)
     return _exit_for(docs)

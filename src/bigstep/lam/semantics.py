@@ -9,6 +9,10 @@ premise order decides which computations get stuck versus diverge.
 * ``app-late`` - function, argument, and only then check the function
                  value is an abstraction (late error detection).
 
+``e1 (+) e2`` has one choice rule per distinct premise: when ``e1`` and
+``e2`` are equal the two rules coincide, so ``start`` answers the same
+activation twice and the stepper takes one branch.
+
 ``drop_succ`` removes the successor rule, the deliberately unsound
 fixture used by the soundness audits.
 """
@@ -55,9 +59,9 @@ class LambdaSemantics(LanguageSemantics):
                         arg, Activation("succ", config, (), arg)))
             case Choice(left, right):
                 steps.append(FirstPremise(
-                    left, Activation("choice", config, (), left, bindings=1)))
+                    left, Activation("choice", config, (), left)))
                 steps.append(FirstPremise(
-                    right, Activation("choice", config, (), right, bindings=2)))
+                    right, Activation("choice", config, (), right)))
         return tuple(steps)
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:

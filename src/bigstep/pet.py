@@ -84,21 +84,17 @@ class PartialEvalTree:
     ``tag`` records the partial-evaluation rule applied at the root: the
     start rule for a fresh node, the activation of a partially applied
     rule for an internal in-progress node, and the completed rule for a
-    finished node.  The hash is computed on first use, from ``chash``
-    (the hash of ``config``) when the builder already knows it.
+    finished node.
     """
 
-    __slots__ = ("config", "res", "tag", "children", "_chash", "_hash")
+    __slots__ = ("config", "res", "tag", "children")
 
     def __init__(self, config: Config, res: UnResult, tag: RuleTag,
-                 children: Tuple["PartialEvalTree", ...],
-                 chash: Optional[int] = None):
+                 children: Tuple["PartialEvalTree", ...]):
         self.config = config
         self.res = res
         self.tag = tag
         self.children = children
-        self._chash = chash
-        self._hash = None
 
     @property
     def is_complete(self) -> bool:
@@ -116,21 +112,13 @@ class PartialEvalTree:
                 yield (i,) + pos, node
 
     def __hash__(self):
-        if self._hash is None:
-            chash = hash(self.config) if self._chash is None else self._chash
-            res = self.res if self.res is UNKNOWN else self.res.value
-            self._hash = hash((chash, res, self.tag, self.children))
-        return self._hash
+        return hash((self.config, self.res, self.tag, self.children))
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PartialEvalTree) or (
-                self._hash is not None and other._hash is not None
-                and self._hash != other._hash):
-            return False
-        return (self.config == other.config and self.res == other.res
-                and self.tag == other.tag and self.children == other.children)
+        return self is other or (
+            isinstance(other, PartialEvalTree)
+            and self.config == other.config and self.res == other.res
+            and self.tag == other.tag and self.children == other.children)
 
     def __repr__(self):
         res = "?" if self.res is UNKNOWN else repr(self.res.value)
@@ -164,11 +152,11 @@ class _Frame:
 
     ``children`` are the completed premises; on every frame but the top,
     the pending premise is the next frame up.  ``chash`` is the hash of
-    ``config``, computed once when the frame is pushed; the frame's own
-    hash, needed only to deduplicate paths, is computed on first use.
+    ``config``, computed once when the frame is pushed, for the cycle
+    check.
     """
 
-    __slots__ = ("config", "tag", "children", "chash", "_hash")
+    __slots__ = ("config", "tag", "children", "chash")
 
     def __init__(self, config: Config, tag: Union[_StartTag, Activation],
                  children: Tuple[PartialEvalTree, ...], chash: int):
@@ -176,17 +164,6 @@ class _Frame:
         self.tag = tag
         self.children = children
         self.chash = chash
-        self._hash = None
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.chash, self.tag, self.children))
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            self.chash == other.chash and self.config == other.config
-            and self.tag == other.tag and self.children == other.children)
 
 
 # A live computation is its active path: a tuple of frames, root first.
@@ -202,7 +179,7 @@ def _fold(path: Path) -> PartialEvalTree:
     tree = None
     for f in reversed(path):
         children = f.children if tree is None else f.children + (tree,)
-        tree = PartialEvalTree(f.config, UNKNOWN, f.tag, children, f.chash)
+        tree = PartialEvalTree(f.config, UNKNOWN, f.tag, children)
     return tree
 
 
@@ -274,7 +251,7 @@ def _successors(path: Path, answers: tuple):
         if isinstance(a, (Axiom, Finished)):
             rule = a.rule if a.rule is not None else top.tag.rule_family
             done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
-                                   top.children, top.chash)
+                                   top.children)
             if below:
                 f = below[-1]
                 yield below[:-1] + (_Frame(f.config, f.tag, f.children + (done,),
@@ -430,12 +407,13 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
 
     Fuel bounds the number of transitions along any single branch.  With
     ``first`` only the first successor of each path is kept, so there is
-    one branch and one outcome.  Otherwise the frontier of active paths is
-    deduplicated structurally per level, so converging branches are found
-    before fuel runs out on diverging siblings, and outcomes are
-    deduplicated by ``_outcome_key``.  ``history``, if given, receives
-    every tree taken.  Trees are folded from paths only for outcomes,
-    ``history`` and ``validate``.
+    one branch and one outcome.  Otherwise each successor is a branch and
+    all branches advance together, so converging branches are found before
+    fuel runs out on diverging siblings.  Paths are never compared: an
+    oracle that gives two distinct answers for the same rule gets two
+    branches, and outcomes are merged by ``_outcome_key`` only.
+    ``history``, if given, receives every tree taken.  Trees are folded
+    from paths only for outcomes, ``history`` and ``validate``.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -471,9 +449,7 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
                     emit(Diverges(cert, tree))
                 else:
                     nxt.append(s)
-        # hashing is confined to exhaustive runs, which merge equal paths:
-        # each frame is hashed once, each tree on first use
-        frontier = nxt if first else list(dict.fromkeys(nxt))
+        frontier = nxt
         steps += 1
     for path in frontier:
         emit(OutOfFuel(_fold(path)))
@@ -495,7 +471,12 @@ def run_history(sem: LanguageSemantics, config: Config, fuel: int
 
 def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
                    validate: bool = False) -> Tuple[Outcome, ...]:
-    """Breadth-first exploration of every nondeterministic branch."""
+    """Breadth-first exploration of every nondeterministic branch.
+
+    Each distinct oracle answer opens its own branch, so an oracle that
+    gives two distinct answers for the same rule gets two branches;
+    outcomes are merged by ``_outcome_key`` only.
+    """
     return _run(sem, config, fuel, first=False, validate=validate)
 
 

@@ -119,8 +119,6 @@ def _preservation_violation(pred: IndexedPredicate, config: Config,
 def audit_preservation(sem: LanguageSemantics, pred: IndexedPredicate,
                        config: Config, fuel: int) -> AuditOutcome:
     """Node-wise predicate and root index/result check on converged trees."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
     outcomes = run_exhaustive(sem, config, fuel)
     violation = _preservation_violation(pred, config, outcomes)
     if violation is not None:
@@ -145,8 +143,6 @@ def _stuck_violation(pred: IndexedPredicate, o: Stuck) -> Optional[Violation]:
 def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
                    config: Config, fuel: int) -> AuditOutcome:
     """No stuck outcome whose stuck node satisfies the predicate."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
     saw_fuel = False
     for o in run_exhaustive(sem, config, fuel):
         if isinstance(o, OutOfFuel):

@@ -234,3 +234,23 @@ def test_cap_overflow_exits_4(capsys):
     code, docs, err = run_cli(capsys, "corules", "--cap", "1", "--goal", "(1:2)*=2")
     assert code == 4 and docs == []
     assert err.strip() == "premise closure exceeded cap 1"
+
+
+def test_exhaustive_eval_emits_each_document_once(capsys):
+    # two diverging branches reach the same cycle: in every extended mode but
+    # trace they give the same document, which is printed once
+    term = f"(\\x:nat.x)((0 (+) ({OMEGA_TEXT})) (+) ({OMEGA_TEXT}))"
+    printed = {}
+    for mode in ("wrong", "total", "div", "trace"):
+        code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda", "--mode",
+                                mode, "--exhaustive", term)
+        assert code == 3
+        printed[mode] = docs
+        assert [d["result"] for d in docs if d["kind"] == "ok"] == ["0"]
+        for doc in docs:
+            if doc["kind"] == "infinity":
+                _check_certificate(doc)
+    assert printed["wrong"] == printed["total"] == printed["div"]
+    assert len(printed["wrong"]) == 2
+    # the two infinite traces differ in their prefixes
+    assert len(printed["trace"]) == 3

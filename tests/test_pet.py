@@ -7,8 +7,10 @@ import pytest
 
 from bigstep import pet
 from bigstep.extensions import divergence_certificate_check, evaluate
-from bigstep.lam import OMEGA, OMEGA_BODY, lambda_semantics, parse_expr, typed_corpus
-from bigstep.lam.syntax import Choice, Nat, Var
+from bigstep.lam import (
+    NAT, OMEGA, OMEGA_BODY, enumerate_terms, lambda_semantics, parse_expr, typed_corpus)
+from bigstep.lam.semantics import STRATEGIES
+from bigstep.lam.syntax import Abs, App, Choice, Nat, Var
 from bigstep.oracle import Activation, Axiom, Finished, FirstPremise
 from bigstep.oracle import LanguageSemantics
 from bigstep.util import dedup
@@ -355,3 +357,66 @@ def test_first_successor_runs_hash_no_tree(monkeypatch):
         run_history(SEM, e, fuel)
         for mode in ("wrong", "div", "trace", "total"):
             evaluate(SEM, e, fuel, mode)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_equal_choice_premises_are_one_rule(strategy):
+    sem = lambda_semantics(strategy)
+    for e in (Nat(0), OMEGA, parse_expr("\\x:nat. x"), parse_expr("succ 0")):
+        assert len(dedup(sem.start(Choice(e, e)))) == 1
+        assert len(dedup(sem.start(Choice(e, Nat(1))))) == 2
+        assert len(dedup(sem.start(Choice(Nat(1), e)))) == 2
+
+
+class _Counting(LanguageSemantics):
+    """``sem`` counting every oracle query."""
+
+    def __init__(self, sem):
+        self.sem = sem
+        self.queries = 0
+
+    def start(self, config):
+        self.queries += 1
+        return self.sem.start(config)
+
+    def advance(self, activation, result):
+        self.queries += 1
+        return self.sem.advance(activation, result)
+
+    def premise_bound(self, config):
+        return self.sem.premise_bound(config)
+
+
+def _constant_function_applied(k, arg):
+    """``(\\a0:nat. ... \\a{k-1}:nat. 0) arg ... arg``, built without the parser."""
+    fn = Nat(0)
+    for i in reversed(range(k)):
+        fn = Abs(f"a{i}", NAT, fn)
+    for _ in range(k):
+        fn = App(fn, arg)
+    return fn
+
+
+def test_sequential_equal_choices_stay_one_branch():
+    k = 12
+    counts = []
+    for arg in (Choice(Nat(0), Nat(0)), Nat(0)):
+        sem = _Counting(SEM)
+        [out] = run_exhaustive(sem, _constant_function_applied(k, arg), 1000)
+        assert isinstance(out, Converged) and out.result == Nat(0)
+        counts.append(sem.queries)
+    assert counts[0] <= 2 * counts[1]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_exhaustive_runs_hash_no_tree(monkeypatch, strategy):
+    def refuse(self):
+        raise AssertionError("an exhaustive run hashed a tree")
+
+    monkeypatch.setattr(PartialEvalTree, "__hash__", refuse)
+    sem = lambda_semantics(strategy)
+    terms = random.Random(11).sample(enumerate_terms(3), 120) + [OMEGA]
+    for e in terms:
+        run_exhaustive(sem, e, 60)
+        for mode in ("div", "trace", "total"):
+            evaluate(sem, e, 60, mode, exhaustive=True)

@@ -141,3 +141,10 @@ def test_report_merge():
     merged = r1.merge(r2)
     assert merged.stats["configs"] == 2 * r1.stats["configs"]
     assert merged.passed
+
+
+@pytest.mark.parametrize("audit", [audit_preservation, audit_progress])
+def test_single_configuration_audits_reject_nonpositive_fuel(audit):
+    for fuel in (0, -1):
+        with pytest.raises(ValueError):
+            audit(SEM, PRED, parse_expr("succ 0"), fuel)

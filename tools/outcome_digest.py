@@ -9,9 +9,13 @@ engine's behaviour can be checked with one command on each side:
 The corpus is every closed lambda term of depth <= 3 (6,343 terms) plus
 ``OMEGA``.  Under each of the three premise orders the script digests
 ``run_exhaustive`` and ``run_first`` (fuel 120) on the whole corpus, and
-``evaluate`` in all four modes, exhaustive, on every seventh term.  The
-order of exhaustive outcomes can follow set iteration order, so the
-script re-executes itself under ``PYTHONHASHSEED=0``.
+``evaluate`` in all four modes, exhaustive, on every seventh term.  It
+also digests ``run_exhaustive`` on the object calculi: every FJ term of
+depth <= 3 over ``INTEROP_TABLE`` in the empty environment (3,118 terms,
+fuel 150) and every imperative-FJ term of depth <= 3 over ``IMP_TABLE``
+in the empty memory (225 terms, fuel 200).  The order of exhaustive
+outcomes can follow set iteration order, so the script re-executes
+itself under ``PYTHONHASHSEED=0``.
 """
 import hashlib
 import os
@@ -22,11 +26,17 @@ if os.environ.get("PYTHONHASHSEED") != "0":
               dict(os.environ, PYTHONHASHSEED="0"))
 
 from bigstep import extensions as ext  # noqa: E402
+from bigstep.fj import (  # noqa: E402
+    EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
+    enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
 from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics  # noqa: E402
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
 from bigstep.pet import run_exhaustive, run_first  # noqa: E402
+from bigstep.util import EMPTY_MAP  # noqa: E402
 
 FUEL = 120
+FJ_FUEL = 150
+IMPFJ_FUEL = 200
 MODES = ("wrong", "div", "trace", "total")
 
 
@@ -54,6 +64,17 @@ def main() -> None:
             d = digest(reprs)
             every.update(d.encode())
             print(f"{name:15} {strategy:9} {d}")
+    objects = {
+        "fj": (fj_semantics(INTEROP_TABLE), FJ_FUEL,
+               [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)]),
+        "impfj": (impfj_semantics(IMP_TABLE), IMPFJ_FUEL,
+                  [MemConfig(EMPTY_MEMORY, e)
+                   for e in enumerate_impfj(IMP_TABLE, 3)]),
+    }
+    for lang, (sem, fuel, configs) in objects.items():
+        d = digest(repr(run_exhaustive(sem, c, fuel)) for c in configs)
+        every.update(d.encode())
+        print(f"{'run_exhaustive':15} {lang:9} {d}")
     print(f"{'all':25} {every.hexdigest()}")
 
 
