@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import extensions as ext
 from .inference import (
@@ -22,10 +21,10 @@ from .inference import (
 )
 from .maxelem import MaxElem, maxelem_gis
 from .parsing import ParseError
-from .pet import Diverges, run, run_history
+from .pet import Diverges, run_history
 from .predicates import soundness_may_audit, soundness_must_audit
 from .rational import RationalList
-from .serialize import outcome_doc, report_doc, tree_doc, value_doc
+from .serialize import report_doc, tree_doc, value_doc
 from .util import EMPTY_MAP, FrozenMap
 from .lam import (
     LambdaTypeError,
@@ -81,12 +80,15 @@ def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
-def _load_table(arg: Optional[str], default):
-    if arg is None:
-        return default
-    if arg in TABLES:
-        return TABLES[arg]
-    table = parse_class_table(_read_input(arg))
+def _load_table(args):
+    """The class table of an fj or impfj command; lambda has none."""
+    if args.lang == "lambda":
+        return None
+    if args.table is None:
+        return INTEROP_TABLE if args.lang == "fj" else IMP_TABLE
+    if args.table in TABLES:
+        return TABLES[args.table]
+    table = parse_class_table(_read_input(args.table))
     problems = class_table_wf(table)
     if problems:
         for p in problems:
@@ -125,45 +127,32 @@ def _exit_for(docs) -> int:
 
 
 def cmd_eval(args) -> int:
-    table = _load_table(args.table, INTEROP_TABLE if args.lang == "fj" else IMP_TABLE)
-    sem = _semantics(args.lang, args.strategy, table)
+    sem = _semantics(args.lang, args.strategy, _load_table(args))
     config = _parse_config(args.lang, _read_input(args.input))
-    mode = args.mode
-    if mode == "plain":
-        if args.exhaustive:
-            outs = run(sem, config, args.fuel, "exhaustive")
-            docs = [outcome_doc(sem, o) for o in outs]
-        else:
-            docs = [outcome_doc(sem, run(sem, config, args.fuel))]
-    else:
-        # one document per distinct value, with the evidence of the first
-        # branch that produced it; a wrong-mode value is the Diverges outcome
-        # itself, so distinct values can still give equal documents
-        branch = {}
-        for outcome, value in ext.evaluate(sem, config, args.fuel, mode,
-                                           args.exhaustive):
-            branch.setdefault(value, outcome)
-        docs = {json.dumps(d): d for d in (
-            value_doc(sem, v, certificate=(
-                o.certificate if isinstance(o, Diverges) else None))
-            for v, o in branch.items())}.values()
-    for d in docs:
-        _emit(d)
-    return _exit_for(docs)
+    # every distinct document once, in the order the run first produces it;
+    # a diverging branch's document carries that branch's certificate
+    docs = {}
+    for outcome, value in ext.evaluate(sem, config, args.fuel, args.mode,
+                                       args.exhaustive):
+        cert = outcome.certificate if isinstance(outcome, Diverges) else None
+        doc = value_doc(sem, value, certificate=cert)
+        docs.setdefault(json.dumps(doc), doc)
+    for doc in docs.values():
+        _emit(doc)
+    return _exit_for(docs.values())
 
 
 def cmd_step(args) -> int:
-    table = _load_table(args.table, INTEROP_TABLE if args.lang == "fj" else IMP_TABLE)
-    sem = _semantics(args.lang, "app", table)
+    sem = _semantics(args.lang, "app", _load_table(args))
     config = _parse_config(args.lang, _read_input(args.input))
     history, outcome = run_history(sem, config, args.max_steps)
     for t in history[1:]:  # one document per transition taken
         _emit(tree_doc(sem, t))
-    return _exit_for([outcome_doc(sem, outcome)])
+    return _exit_for([value_doc(sem, outcome)])
 
 
 def cmd_typecheck(args) -> int:
-    table = _load_table(args.table, INTEROP_TABLE if args.lang == "fj" else IMP_TABLE)
+    table = _load_table(args)
     source = _read_input(args.input)
     try:
         if args.lang == "lambda":
@@ -181,7 +170,7 @@ def cmd_typecheck(args) -> int:
 
 
 def _soundness_setup(args):
-    table = _load_table(args.table, INTEROP_TABLE if args.lang == "fj" else IMP_TABLE)
+    table = _load_table(args)
     if args.lang == "lambda":
         if args.fixture == "dropped-succ":
             return (lambda_semantics(drop_succ=True), lambda_type_predicate(),
@@ -260,7 +249,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _add_common(p) -> None:
     p.add_argument("--lang", choices=("lambda", "fj", "impfj"), default="lambda")
-    p.add_argument("--table", help="class table: file path or builtin name")
+    p.add_argument("--table",
+                   help="fj/impfj class table: file path or builtin name")
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,11 @@ producing another rule oracle, plus evaluators on the stepper:
 
 Wrong and divergence are one lifting transformer, ``LiftedSemantics``,
 with a different mark.  The total semantics combines wrong and divergence
-so every computation is classified; ``evaluate`` runs any of the four
-modes once and pairs each stepper outcome with its extended value.  Divergence is never decided by fixpoint here: the finite
-proof object is a cyclic certificate, replayable against the oracle.
+so every computation is classified; ``evaluate`` runs the base semantics
+(mode ``plain``, the identity extension) or any of the four extensions
+once and pairs each stepper outcome with its extended value.  Divergence
+is never decided by fixpoint here: the finite proof object is a cyclic
+certificate, replayable against the oracle.
 """
 from __future__ import annotations
 
@@ -258,9 +260,11 @@ def _cannot_stick(o: Stuck):
 
 # mode -> (its oracle, value of a diverging run, value of a stuck run); a
 # converged run yields its result and a run out of fuel TIMEOUT in every
-# mode.  The oracle factories are looked up when called, so that
-# rebinding the module globals reaches the evaluators.
+# mode.  ``plain`` is the identity extension: a diverging or stuck run's
+# value is the outcome itself.  The oracle factories are looked up when
+# called, so that rebinding the module globals reaches the evaluators.
 _MODES = {
+    "plain": (lambda sem: sem, lambda d: d, lambda s: s),
     "wrong": (lambda sem: wrong_oracle(sem), lambda d: d, _cannot_stick),
     "div": (lambda sem: div_oracle(sem)[0], lambda d: INFINITY,
             lambda s: NO_JUDGMENT),
@@ -274,10 +278,12 @@ def evaluate(sem: LanguageSemantics, config: Config, fuel: int, mode: str,
              exhaustive: bool = False) -> Tuple[Tuple[Any, Any], ...]:
     """(stepper outcome, extended value) pairs of ``config`` in ``mode``.
 
-    ``mode`` is ``wrong``, ``div``, ``trace`` or ``total``.  The first
-    strategy gives one pair, ``exhaustive`` one per distinct outcome.  The
-    outcome keeps the evidence the value forgets, such as the divergence
-    certificate behind ``INFINITY``.
+    ``mode`` is ``plain`` (the base semantics), ``wrong``, ``div``,
+    ``trace`` or ``total``.  The first strategy gives one pair,
+    ``exhaustive`` one per distinct outcome.  The value is the converged
+    result or the mode's reading of the outcome; the outcome keeps the
+    evidence the value forgets, such as the divergence certificate behind
+    ``INFINITY``.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -52,64 +52,48 @@ def certificate_doc(sem: LanguageSemantics, cert) -> list:
     ]
 
 
-def _show_plain(sem, value) -> str:
-    if isinstance(value, Ok):
-        return sem.show_result(value.value)
-    return sem.show_result(value)
-
-
-def outcome_doc(sem: LanguageSemantics, outcome) -> Dict[str, Any]:
-    """Classify a stepper outcome: ok / wrong / infinity / stuck / timeout."""
-    if isinstance(outcome, Converged):
-        result = outcome.result
-        if result is WRONG:
-            return {"kind": "wrong"}
-        return {"kind": "ok", "result": _show_plain(sem, result)}
-    if isinstance(outcome, Stuck):
-        return {"kind": "stuck", "detail": outcome.kind.value}
-    if isinstance(outcome, Diverges):
-        return {"kind": "infinity",
-                "certificate": certificate_doc(sem, outcome.certificate)}
-    if isinstance(outcome, OutOfFuel):
-        return {"kind": "timeout"}
-    raise TypeError(outcome)
+def _trace_doc(sem: LanguageSemantics, prefix, period) -> Dict[str, Any]:
+    return {"prefix": [sem.show_config(c) for c in prefix],
+            "period": [sem.show_config(c) for c in period]}
 
 
 def value_doc(sem: LanguageSemantics, value, certificate=None) -> Dict[str, Any]:
-    """Classify an extended-evaluator value into an outcome document."""
-    if isinstance(value, Ok):
-        return {"kind": "ok", "result": sem.show_result(value.value)}
+    """Classify a value or stepper outcome: ok/wrong/infinity/stuck/timeout.
+
+    A converged outcome is classified by its result and a diverging one
+    carries its own certificate; ``certificate`` is attached to the other
+    infinite values.  Any result that is not a mark or a trace is ``ok``.
+    """
+    if isinstance(value, Converged):
+        value = value.result
+    if isinstance(value, Diverges):
+        value, certificate = INFINITY, value.certificate
     if value is WRONG:
         return {"kind": "wrong"}
-    if value is INFINITY:
-        doc = {"kind": "infinity"}
-        if certificate is not None:
-            doc["certificate"] = certificate_doc(sem, certificate)
-        return doc
-    if value in (NO_JUDGMENT, STUCK_TRACE):
+    if isinstance(value, Stuck):
+        return {"kind": "stuck", "detail": value.kind.value}
+    if value is NO_JUDGMENT or value is STUCK_TRACE:
         return {"kind": "stuck"}
-    if value is TIMEOUT:
+    if value is TIMEOUT or isinstance(value, OutOfFuel):
         return {"kind": "timeout"}
     if isinstance(value, FinTrace):
-        return {
-            "kind": "ok",
-            "result": sem.show_result(value.result),
-            "trace": {"prefix": [sem.show_config(c) for c in value.steps],
-                      "period": []},
-        }
-    if isinstance(value, InfTrace):
-        doc = {
-            "kind": "infinity",
-            "trace": {"prefix": [sem.show_config(c) for c in value.prefix],
-                      "period": [sem.show_config(c) for c in value.period]},
-        }
-        if certificate is not None:
-            doc["certificate"] = certificate_doc(sem, certificate)
-        return doc
-    if isinstance(value, Diverges):
-        return {"kind": "infinity",
-                "certificate": certificate_doc(sem, value.certificate)}
-    raise TypeError(value)
+        return {"kind": "ok", "result": sem.show_result(value.result),
+                "trace": _trace_doc(sem, value.steps, ())}
+    if value is INFINITY:
+        doc = {"kind": "infinity"}
+    elif isinstance(value, InfTrace):
+        doc = {"kind": "infinity",
+               "trace": _trace_doc(sem, value.prefix, value.period)}
+    else:
+        return {"kind": "ok", "result": sem.show_result(
+            value.value if isinstance(value, Ok) else value)}
+    if certificate is not None:
+        doc["certificate"] = certificate_doc(sem, certificate)
+    return doc
+
+
+# the classifier's older name, for callers that classify stepper outcomes
+outcome_doc = value_doc
 
 
 def report_doc(report: AuditReport, show=str) -> Dict[str, Any]:

@@ -254,3 +254,61 @@ def test_exhaustive_eval_emits_each_document_once(capsys):
     assert len(printed["wrong"]) == 2
     # the two infinite traces differ in their prefixes
     assert len(printed["trace"]) == 3
+
+
+@pytest.mark.parametrize("term, kinds", [
+    ("(\\x0:nat. 0) (3 (+) 0)", ["ok"]),
+    (f"(\\x:nat.x)((0 (+) ({OMEGA_TEXT})) (+) ({OMEGA_TEXT}))",
+     ["infinity", "ok"]),
+], ids=["constant-function", "two-branches-one-cycle"])
+def test_plain_exhaustive_eval_emits_each_document_once(capsys, term, kinds):
+    # branches that differ only inside their trees give equal documents
+    code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda",
+                            "--exhaustive", term)
+    assert code == (3 if "infinity" in kinds else 0)
+    assert sorted(d["kind"] for d in docs) == kinds
+    assert [d["result"] for d in docs if d["kind"] == "ok"] == ["0"]
+
+
+def test_distinct_certificates_are_distinct_documents_in_every_mode(capsys):
+    # omega and omega with its bound variable renamed diverge through
+    # different cycles: two infinity documents, whatever the mode
+    renamed = OMEGA_TEXT.replace("x", "y")
+    term = f"({OMEGA_TEXT}) (+) ({renamed})"
+    printed = {}
+    for mode in ("plain", "wrong", "total", "div"):
+        code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda", "--mode",
+                                mode, "--exhaustive", term)
+        assert code == 3
+        printed[mode] = docs
+    assert (printed["plain"] == printed["wrong"] == printed["total"]
+            == printed["div"])
+    docs = printed["plain"]
+    assert len(docs) == 2 and docs[0] != docs[1]
+    for doc in docs:
+        assert doc["kind"] == "infinity"
+        _check_certificate(doc)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "0"], [{"kind": "ok", "result": "0"}]),
+    (["step", "0"], [{"config": "0", "result": "0", "rule": "val",
+                      "children": []}]),
+    (["typecheck", "0"], [{"type": "nat"}]),
+], ids=["eval", "step", "typecheck"])
+def test_table_is_ignored_by_lambda(capsys, argv, out):
+    code, docs, err = run_cli(capsys, argv[0], "--lang", "lambda",
+                              "--table", "nosuch", *argv[1:])
+    assert (code, docs, err) == (0, out, "")
+
+
+def test_table_is_ignored_by_lambda_soundness(capsys):
+    code, docs, _ = run_cli(capsys, "soundness", "--lang", "lambda",
+                            "--table", "nosuch", "--depth", "1", "--fuel", "20")
+    assert code == 0 and docs[0]["violations"] == []
+
+
+def test_table_still_applies_to_fj(capsys):
+    code, docs, err = run_cli(capsys, "eval", "--lang", "fj",
+                              "--table", "nosuch", "new C(<I>\\x. x)")
+    assert code == 1 and docs == [] and "parse error" in err

@@ -252,3 +252,16 @@ def test_exhaustive_trace_keeps_every_diverging_branch():
                             exhaustive=True)
     assert sum(isinstance(v, FinTrace) for v in values) == 1
     assert sorted(len(v.prefix) for v in values if isinstance(v, InfTrace)) == [1, 2]
+
+
+def test_plain_mode_is_the_base_semantics():
+    # the identity extension: a converged run's value is its raw result,
+    # a stuck or diverging run's value is the outcome itself
+    for text in ("(\\x:nat. x) 3", "0 0", "1 (+) 2", "0 (+) omega"):
+        e = parse_expr(text)
+        pairs = ext.evaluate(SEM, e, 60, "plain", exhaustive=True)
+        assert tuple(o for o, _ in pairs) == run_exhaustive(SEM, e, 60)
+        for o, v in pairs:
+            assert v == (o.result if isinstance(o, Converged) else o)
+    [(_, value)] = ext.evaluate(SEM, IDENTITY_APP, 60, "plain")
+    assert value == Nat(3)

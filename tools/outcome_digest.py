@@ -13,23 +13,36 @@ The corpus is every closed lambda term of depth <= 3 (6,343 terms) plus
 also digests ``run_exhaustive`` on the object calculi: every FJ term of
 depth <= 3 over ``INTEROP_TABLE`` in the empty environment (3,118 terms,
 fuel 150) and every imperative-FJ term of depth <= 3 over ``IMP_TABLE``
-in the empty memory (225 terms, fuel 200).  The order of exhaustive
-outcomes can follow set iteration order, so the script re-executes
-itself under ``PYTHONHASHSEED=0``.
+in the empty memory (225 terms, fuel 200).  ``all`` combines these
+engine digests.
+
+Apart from them, ``docs`` digests the exit code and stdout of
+``bsm eval`` (``cli.main``, in process, fuel 120) in all five modes, each
+with and without ``--exhaustive``, on every seventh closed lambda term
+plus ``OMEGA`` (9,080 runs).  It changes whenever the documents do, so
+a change to the command line alone can be checked against its parent;
+``doc_runs`` yields the runs one by one, to find the ones that differ.
+
+The order of exhaustive outcomes can follow set iteration order, so the
+script re-executes itself under ``PYTHONHASHSEED=0``.
 """
 import hashlib
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 
 if os.environ.get("PYTHONHASHSEED") != "0":
     os.execve(sys.executable, [sys.executable] + sys.argv,
               dict(os.environ, PYTHONHASHSEED="0"))
 
+from bigstep import cli  # noqa: E402
 from bigstep import extensions as ext  # noqa: E402
 from bigstep.fj import (  # noqa: E402
     EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
     enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
-from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics  # noqa: E402
+from bigstep.lam import (  # noqa: E402
+    OMEGA, enumerate_terms, lambda_semantics, show_expr)
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
 from bigstep.pet import run_exhaustive, run_first  # noqa: E402
 from bigstep.util import EMPTY_MAP  # noqa: E402
@@ -46,6 +59,19 @@ def digest(reprs) -> str:
         h.update(r.encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def doc_runs():
+    """(argv, exit code and stdout) of each ``bsm eval`` run in ``docs``."""
+    for e in enumerate_terms(3)[::7] + (OMEGA,):
+        for mode in ("plain",) + MODES:
+            for flags in ((), ("--exhaustive",)):
+                argv = ["eval", "--fuel", str(FUEL), "--mode", mode, *flags,
+                        show_expr(e)]
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main(argv)
+                yield argv, f"{code}\n{out.getvalue()}"
 
 
 def main() -> None:
@@ -76,6 +102,8 @@ def main() -> None:
         every.update(d.encode())
         print(f"{'run_exhaustive':15} {lang:9} {d}")
     print(f"{'all':25} {every.hexdigest()}")
+    d = digest(f"{argv}\n{text}" for argv, text in doc_runs())
+    print(f"{'docs':25} {d}")
 
 
 if __name__ == "__main__":
