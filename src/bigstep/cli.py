@@ -69,11 +69,15 @@ EXIT_AUDIT = 5
 EXIT_USAGE = 1
 
 
-def _read_input(text: str) -> str:
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return text
+def _parse_input(parse, text: str):
+    """``text`` parsed as source or, if it does not parse, the file it names."""
+    try:
+        return parse(text)
+    except ParseError:
+        if not os.path.isfile(text):
+            raise
+    with open(text, "r", encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def _emit(doc) -> None:
@@ -88,7 +92,7 @@ def _load_table(args):
         return INTEROP_TABLE if args.lang == "fj" else IMP_TABLE
     if args.table in TABLES:
         return TABLES[args.table]
-    table = parse_class_table(_read_input(args.table))
+    table = _parse_input(parse_class_table, args.table)
     problems = class_table_wf(table)
     if problems:
         for p in problems:
@@ -97,10 +101,10 @@ def _load_table(args):
     return table
 
 
-def _parse_config(lang: str, source: str):
+def _parse_config(lang: str, text: str):
     if lang == "lambda":
-        return parse_expr(source)
-    expr = parse_fj_expr(source)
+        return _parse_input(parse_expr, text)
+    expr = _parse_input(parse_fj_expr, text)
     if lang == "fj":
         return EnvConfig(EMPTY_MAP, expr)
     return MemConfig(EMPTY_MEMORY, expr)
@@ -128,7 +132,7 @@ def _exit_for(docs) -> int:
 
 def cmd_eval(args) -> int:
     sem = _semantics(args.lang, args.strategy, _load_table(args))
-    config = _parse_config(args.lang, _read_input(args.input))
+    config = _parse_config(args.lang, args.input)
     # every distinct document once, in the order the run first produces it;
     # a diverging branch's document carries that branch's certificate
     docs = {}
@@ -144,7 +148,7 @@ def cmd_eval(args) -> int:
 
 def cmd_step(args) -> int:
     sem = _semantics(args.lang, "app", _load_table(args))
-    config = _parse_config(args.lang, _read_input(args.input))
+    config = _parse_config(args.lang, args.input)
     history, outcome = run_history(sem, config, args.max_steps)
     for t in history[1:]:  # one document per transition taken
         _emit(tree_doc(sem, t))
@@ -153,16 +157,15 @@ def cmd_step(args) -> int:
 
 def cmd_typecheck(args) -> int:
     table = _load_table(args)
-    source = _read_input(args.input)
+    expr = _parse_input(parse_expr if args.lang == "lambda" else parse_fj_expr,
+                        args.input)
     try:
         if args.lang == "lambda":
-            config = _parse_config("lambda", source)
-            _emit({"type": show_type(typecheck({}, config))})
+            _emit({"type": show_type(typecheck({}, expr))})
         elif args.lang == "fj":
-            _emit({"type": fj_typecheck(table, {}, parse_fj_expr(source))})
+            _emit({"type": fj_typecheck(table, {}, expr)})
         else:
-            _emit({"type": impfj_typecheck(table, {}, FrozenMap(),
-                                           parse_fj_expr(source))})
+            _emit({"type": impfj_typecheck(table, {}, FrozenMap(), expr)})
     except (LambdaTypeError, FJTypeError) as err:
         _emit({"error": str(err)})
         return EXIT_WRONG
@@ -265,7 +268,7 @@ def main(argv=None) -> int:
                    default="plain")
     p.add_argument("--strategy", choices=("app", "app-r", "app-late"), default="app")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("input", help="source text or a file path")
+    p.add_argument("input", help="source text, or a file path if it does not parse")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("step", help="print the transition sequence")

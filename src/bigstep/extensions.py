@@ -13,17 +13,20 @@ producing another rule oracle, plus evaluators on the stepper:
             with one coaxiom per configuration so that infinite
             derivations prove nothing but divergence.
 
-Wrong and divergence are one lifting transformer, ``LiftedSemantics``,
-with a different mark.  The total semantics combines wrong and divergence
-so every computation is classified; ``evaluate`` runs the base semantics
-(mode ``plain``, the identity extension) or any of the four extensions
-once and pairs each stepper outcome with its extended value.  Divergence
-is never decided by fixpoint here: the finite proof object is a cyclic
-certificate, replayable against the oracle.
+All three lift every base rule the same way and differ only in how a
+result is lifted, lowered, propagated and shown; wrong and divergence
+are one transformer, ``LiftedSemantics``, with a different mark.  The
+total semantics combines wrong and divergence so every computation is
+classified; ``evaluate`` runs the base semantics (mode ``plain``, the
+identity extension) or any of the four extensions once and pairs each
+stepper outcome with its extended value.  Divergence is never decided
+by fixpoint here: the finite proof object is a cyclic certificate,
+replayable against the oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Optional, Tuple, Union
 
 from .oracle import (
@@ -35,7 +38,6 @@ from .oracle import (
     Finished,
     FirstPremise,
     LanguageSemantics,
-    wrap_activation,
 )
 from .pet import (
     Converged,
@@ -104,94 +106,65 @@ def trace_forget(tr: TraceResult):
     raise TypeError(tr)
 
 
-class LiftedSemantics(LanguageSemantics):
-    """Base results lifted into ``Ok``, plus one mark propagated through premises.
+# ``lower``'s answer for an extended result with no base counterpart; not
+# ``None``, which may be a base result
+_NO_BASE = object()
 
-    A premise producing ``mark`` concludes ``mark`` (rule ``<r>-prop``,
-    where ``<r>`` is the mark's rule prefix).  With ``dead_ends`` every
-    dead end becomes ``mark`` too: a configuration no rule starts
-    (``<r>-config``) and a premise result no rule accepts (``<r>-result``).
+
+def _trace_word(config, completed) -> Tuple[Config, ...]:
+    """``config`` followed by the traces of the ``completed`` premises."""
+    word = [config]
+    for j in completed:
+        word.extend(j.result.steps)
+    return tuple(word)
+
+
+class _Extension(LanguageSemantics):
+    """Every base rule lifted to extended results, plus propagation rules.
+
+    An extended activation holds the extended premise results and keeps
+    the base activation in ``bindings``.  Subclasses define ``lift``,
+    ``lower`` (``_NO_BASE`` for a result to ``propagate``) and
+    ``show_result``.  A ``dead_end`` mark concludes every configuration no
+    rule starts (``<r>-config``, ``<r>`` the mark's rule prefix) and every
+    premise result no rule accepts (``<r>-result``).
     """
 
-    def __init__(self, base: LanguageSemantics, mark: _Mark, dead_ends: bool):
+    def __init__(self, base: LanguageSemantics, dead_end: Optional[_Mark] = None):
         self.base = base
-        self.mark = mark
-        self.dead_ends = dead_ends
+        self.dead_end = dead_end
 
     def start(self, config):
         steps = self.base.start(config)
-        if not steps and self.dead_ends:
-            return (Axiom(self.mark, rule=f"{self.mark.rule}-config"),)
+        if not steps and self.dead_end is not None:
+            return (Axiom(self.dead_end, rule=f"{self.dead_end.rule}-config"),)
         out = []
         for s in steps:
             if isinstance(s, Axiom):
-                out.append(Axiom(Ok(s.result), rule=s.rule))
+                out.append(Axiom(self.lift(config, (), s.result), rule=s.rule))
             else:
-                out.append(FirstPremise(s.config, wrap_activation(s.activation, Ok)))
+                inner = s.activation
+                out.append(FirstPremise(s.config, Activation(
+                    inner.rule_family, inner.conclusion_config, (),
+                    inner.pending, inner)))
         return tuple(out)
 
     def advance(self, a, r):
-        if r is self.mark:
-            return (Finished(self.mark, rule=f"{self.mark.rule}-prop"),)
+        value = self.lower(r)
+        if value is _NO_BASE:
+            return (self.propagate(a, r),)
         inner: Activation = a.bindings
-        conts = self.base.advance(inner, r.value)
-        if not conts and self.dead_ends:
-            return (Finished(self.mark, rule=f"{self.mark.rule}-result"),)
+        conts = self.base.advance(inner, value)
+        if not conts and self.dead_end is not None:
+            return (Finished(self.dead_end, rule=f"{self.dead_end.rule}-result"),)
+        completed = a.completed + (BsJudgment(a.pending, r),)
         out = []
         for c in conts:
             if isinstance(c, Finished):
-                out.append(Finished(Ok(c.result), rule=c.rule or inner.rule_family))
-            else:
-                out.append(Demand(c.config, wrap_activation(c.activation, Ok)))
-        return tuple(out)
-
-    def premise_bound(self, config):
-        return self.base.premise_bound(config)
-
-    def show_config(self, config):
-        return self.base.show_config(config)
-
-    def show_result(self, result):
-        if result is self.mark:
-            return repr(self.mark)
-        return self.base.show_result(result.value)
-
-
-class TraceSemantics(LanguageSemantics):
-    """The trace extension: premise traces concatenate after the conclusion."""
-
-    def __init__(self, base: LanguageSemantics):
-        self.base = base
-
-    def start(self, config):
-        out = []
-        for s in self.base.start(config):
-            if isinstance(s, Axiom):
-                out.append(Axiom(FinTrace((config,), s.result), rule=s.rule))
-            else:
-                act = s.activation
-                out.append(FirstPremise(s.config, Activation(
-                    act.rule_family, act.conclusion_config, (), act.pending, act)))
-        return tuple(out)
-
-    def advance(self, a, r):
-        inner: Activation = a.bindings
-        conclusion = a.conclusion_config
-        prior = tuple(j.result.steps for j in a.completed)
-        if isinstance(r, InfTrace):
-            prefix = (conclusion,) + tuple(
-                x for steps in prior for x in steps) + r.prefix
-            return (Finished(InfTrace(prefix, r.period), rule="div-trace"),)
-        out = []
-        for c in self.base.advance(inner, r.result):
-            if isinstance(c, Finished):
-                steps = (conclusion,) + tuple(
-                    x for ss in prior for x in ss) + r.steps
-                out.append(Finished(FinTrace(steps, c.result),
+                out.append(Finished(self.lift(a.conclusion_config, completed, c.result),
                                     rule=c.rule or inner.rule_family))
             else:
                 nxt = c.activation
-                completed = a.completed + (BsJudgment(a.pending, r),)
                 out.append(Demand(c.config, Activation(
                     nxt.rule_family, nxt.conclusion_config, completed,
                     nxt.pending, nxt)))
@@ -202,6 +175,46 @@ class TraceSemantics(LanguageSemantics):
 
     def show_config(self, config):
         return self.base.show_config(config)
+
+
+class LiftedSemantics(_Extension):
+    """Base results lifted into ``Ok``, plus one mark propagated through premises.
+
+    A premise producing ``mark`` concludes ``mark`` (rule ``<r>-prop``).
+    With ``dead_ends`` every dead end concludes ``mark`` too.
+    """
+
+    def __init__(self, base: LanguageSemantics, mark: _Mark, dead_ends: bool):
+        super().__init__(base, mark if dead_ends else None)
+        self.mark = mark
+
+    def lift(self, config, completed, result):
+        return Ok(result)
+
+    def lower(self, r):
+        return _NO_BASE if r is self.mark else r.value
+
+    def propagate(self, a, r):
+        return Finished(self.mark, rule=f"{self.mark.rule}-prop")
+
+    def show_result(self, result):
+        if result is self.mark:
+            return repr(self.mark)
+        return self.base.show_result(result.value)
+
+
+class TraceSemantics(_Extension):
+    """The trace extension: premise traces concatenate after the conclusion."""
+
+    def lift(self, config, completed, result):
+        return FinTrace(_trace_word(config, completed), result)
+
+    def lower(self, r):
+        return _NO_BASE if isinstance(r, InfTrace) else r.result
+
+    def propagate(self, a, r):
+        prefix = _trace_word(a.conclusion_config, a.completed) + r.prefix
+        return Finished(InfTrace(prefix, r.period), rule="div-trace")
 
     def show_result(self, result):
         if isinstance(result, FinTrace):
@@ -232,26 +245,14 @@ def trace_oracle(sem: LanguageSemantics) -> TraceSemantics:
 def _rational_trace(d: Diverges) -> InfTrace:
     """The eventually periodic trace induced by a detected cycle.
 
-    Each active-path node contributes its configuration followed by the
-    traces of its already-completed premises; the fresh frontier closes
-    the cycle.
+    Each active-path node contributes the trace word of its activation:
+    its configuration, then the traces of its completed premises; the
+    fresh frontier closes the cycle.
     """
     path = active_path(d.tree)
     start = len(path) - 1 - len(d.certificate.witness)
-
-    def contribution(entry):
-        steps = [entry.config]
-        for child in entry.node.children[:-1]:
-            steps.extend(child.res.value.steps)
-        return steps
-
-    prefix: list = []
-    for e in path[:start]:
-        prefix.extend(contribution(e))
-    period: list = []
-    for e in path[start:-1]:
-        period.extend(contribution(e))
-    return InfTrace(tuple(prefix), tuple(period))
+    words = [_trace_word(e.config, e.node.tag.completed) for e in path[:-1]]
+    return InfTrace(tuple(chain(*words[:start])), tuple(chain(*words[start:])))
 
 
 def _cannot_stick(o: Stuck):

@@ -9,7 +9,7 @@ come from a deterministic counter so runs are reproducible.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from ..oracle import (
     Activation,
@@ -101,40 +101,23 @@ class FJSemantics(LanguageSemantics):
             n = len(e.args)
             if i == 1:  # receiver premise: select the rule family
                 if isinstance(r, ObjVal):
-                    if self.ct.mbody(r.cls, e.method) is None:
+                    found = self.ct.mbody(r.cls, e.method)
+                    if found is None or len(found[0]) != n:
                         return ()
-                    params, _ = self.ct.mbody(r.cls, e.method)
-                    if len(params) != n:
-                        return ()
-                    return (self._after_receiver(a, r, "invk"),)
-                if isinstance(r, LamVal):
-                    if len(r.params) != n:
-                        return ()
-                    return (self._after_receiver(a, r, "lambda-invk"),)
-                return ()
-            if i < 1 + n:  # an argument premise other than the last
+                    family = "invk"
+                elif isinstance(r, LamVal) and len(r.params) == n:
+                    family = "lambda-invk"
+                else:
+                    return ()
+            if i <= n:  # demand argument i
                 nxt = EnvConfig(env, e.args[i - 1])
-                return (Demand(nxt, a.extend(r, nxt)),)
-            if i == 1 + n:  # last argument done: demand the body
-                nxt = self._body_config(a, last_arg=r)
-                return (Demand(nxt, a.extend(r, nxt)),)
-            return (Finished(r, rule=family),)
+            elif i == n + 1:  # demand the body
+                values = tuple(j.result for j in a.completed) + (r,)
+                nxt = self._invoke_body(family, values[0], values[1:], e.method)
+            else:
+                return (Finished(r, rule=family),)
+            return (Demand(nxt, a.extend(r, nxt, rule_family=family)),)
         raise ValueError(f"unknown rule family {family!r}")
-
-    def _after_receiver(self, a: Activation, recv, family: str) -> Continuation:
-        config: EnvConfig = a.conclusion_config
-        e = config.expr
-        if e.args:
-            nxt = EnvConfig(config.env, e.args[0])
-            return Demand(nxt, a.extend(recv, nxt, rule_family=family))
-        body = self._invoke_body(family, recv, (), e.method)
-        return Demand(body, a.extend(recv, body, rule_family=family))
-
-    def _body_config(self, a: Activation, last_arg) -> EnvConfig:
-        config: EnvConfig = a.conclusion_config
-        recv = a.completed[0].result
-        args = tuple(j.result for j in a.completed[1:]) + (last_arg,)
-        return self._invoke_body(a.rule_family, recv, args, config.expr.method)
 
     def _invoke_body(self, family: str, recv, args, method: str) -> EnvConfig:
         if family == "invk":
@@ -237,6 +220,7 @@ class ImpFJSemantics(LanguageSemantics):
             return (Finished(MemResult(mem2, r.oid), rule="fld-up"),)
         if family == "invk":
             n = len(e.args)
+            cls = a.bindings
             if i == 1:
                 # class lookup in the memory produced by the receiver premise
                 state = mem_after.get(r.oid)
@@ -245,30 +229,19 @@ class ImpFJSemantics(LanguageSemantics):
                 found = self.ct.mbody(state.cls, e.method)
                 if found is None or len(found[0]) != n:
                     return ()
-                binding = state.cls
-                if n:
-                    nxt = MemConfig(mem_after, e.args[0])
-                    return (Demand(nxt, a.extend(r, nxt, bindings=binding)),)
-                nxt = self._body_config(mem_after, binding, r.oid, (), e.method)
-                return (Demand(nxt, a.extend(r, nxt, bindings=binding)),)
-            if i < 1 + n:
+                cls = state.cls
+            if i <= n:  # demand argument i
                 nxt = MemConfig(mem_after, e.args[i - 1])
-                return (Demand(nxt, a.extend(r, nxt)),)
-            if i == 1 + n:
-                recv_oid = a.completed[0].result.oid
-                arg_oids = tuple(j.result.oid for j in a.completed[1:]) + (r.oid,)
-                nxt = self._body_config(mem_after, a.bindings, recv_oid,
-                                        arg_oids, e.method)
-                return (Demand(nxt, a.extend(r, nxt)),)
-            return (Finished(r, rule="invk"),)
+            elif i == n + 1:  # demand the body
+                oids = tuple(j.result.oid for j in a.completed) + (r.oid,)
+                params, body = self.ct.mbody(cls, e.method)
+                mapping = {p: ObjIdRef(o) for p, o in zip(params, oids[1:])}
+                mapping["this"] = ObjIdRef(oids[0])
+                nxt = MemConfig(mem_after, subst_expr(body, mapping))
+            else:
+                return (Finished(r, rule="invk"),)
+            return (Demand(nxt, a.extend(r, nxt, bindings=cls)),)
         raise ValueError(f"unknown rule family {family!r}")
-
-    def _body_config(self, mem, cls: str, recv_oid: int,
-                     arg_oids: Tuple[int, ...], method: str) -> MemConfig:
-        params, body = self.ct.mbody(cls, method)
-        mapping = {p: ObjIdRef(o) for p, o in zip(params, arg_oids)}
-        mapping["this"] = ObjIdRef(recv_oid)
-        return MemConfig(mem, subst_expr(body, mapping))
 
     def premise_bound(self, config: Config) -> int:
         match config.expr:

@@ -135,20 +135,6 @@ class LanguageSemantics(ABC):
         return str(result)
 
 
-def wrap_activation(inner: Activation, lift_result) -> Activation:
-    """Re-key an inner activation for a result-transforming semantics.
-
-    The inner activation is kept in ``bindings`` so the transformer can
-    delegate; completed results are lifted into the transformed result set.
-    """
-    completed = tuple(
-        BsJudgment(j.config, lift_result(j.result)) for j in inner.completed
-    )
-    return Activation(
-        inner.rule_family, inner.conclusion_config, completed, inner.pending, inner
-    )
-
-
 __all__ = [
     "Activation",
     "Axiom",
@@ -162,5 +148,4 @@ __all__ = [
     "OracleContractError",
     "ResultVal",
     "StartStep",
-    "wrap_activation",
 ]

@@ -131,6 +131,25 @@ def test_file_input(tmp_path, capsys):
     assert code == 0 and docs[0]["result"] == "3"
 
 
+def test_inline_source_is_not_replaced_by_a_file_of_that_name(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "0").write_text("succ 0")
+    monkeypatch.chdir(tmp_path)
+    code, docs, _ = run_cli(capsys, "eval", "0")
+    assert code == 0 and docs == [{"kind": "ok", "result": "0"}]
+
+
+def test_table_builtin_name_then_inline_declarations(tmp_path, monkeypatch, capsys):
+    (tmp_path / "interop").write_text("not a class table")
+    monkeypatch.chdir(tmp_path)
+    code, docs, _ = run_cli(capsys, "typecheck", "--lang", "fj",
+                            "--table", "interop", "new C(<I>\\x. x)")
+    assert code == 0 and docs == [{"type": "C"}]
+    code, docs, _ = run_cli(capsys, "typecheck", "--lang", "fj", "--table",
+                            "interface P { P id(P x); }", "<P>\\x. x")
+    assert code == 0 and docs == [{"type": "P"}]
+
+
 def test_table_from_file(tmp_path, capsys):
     f = tmp_path / "table.fj"
     f.write_text("""

@@ -16,7 +16,10 @@ from bigstep.extensions import (
 from bigstep.lam import OMEGA, OMEGA_BODY, enumerate_terms, lambda_semantics, parse_expr
 from bigstep.lam.semantics import WRONG_MARK, direct_traces, direct_wrong_results
 from bigstep.lam.syntax import App, Choice, Nat, Succ, Var
-from bigstep.pet import Converged, Diverges, DivergenceCertificate, run_exhaustive
+from bigstep.oracle import Finished, FirstPremise
+from bigstep.pet import (Converged, Diverges, DivergenceCertificate, run_exhaustive,
+                         run_first)
+from bigstep.serialize import tree_doc
 
 SEM = lambda_semantics()
 IDENTITY_APP = parse_expr("(\\x:nat. x) 3")
@@ -265,3 +268,63 @@ def test_plain_mode_is_the_base_semantics():
             assert v == (o.result if isinstance(o, Converged) else o)
     [(_, value)] = ext.evaluate(SEM, IDENTITY_APP, 60, "plain")
     assert value == Nat(3)
+
+
+def _leaf(config, result, rule):
+    return {"config": config, "result": result, "rule": rule, "children": []}
+
+
+@pytest.mark.parametrize("text, doc", [
+    ("y", _leaf("y", "wrong", "wrong-config")),
+    ("0 0", {"config": "0 0", "result": "wrong", "rule": "wrong-result",
+             "children": [_leaf("0", "0", "val")]}),
+    ("succ (0 0)", {"config": "succ (0 0)", "result": "wrong", "rule": "wrong-prop",
+                    "children": [{"config": "0 0", "result": "wrong",
+                                  "rule": "wrong-result",
+                                  "children": [_leaf("0", "0", "val")]}]}),
+])
+def test_wrong_rules_by_name(text, doc):
+    wsem = ext.wrong_oracle(SEM)
+    assert tree_doc(wsem, run_first(wsem, parse_expr(text), 20).tree) == doc
+
+
+def _rules(doc):
+    """Rule labels of a tree document, in preorder."""
+    return [doc["rule"]] + [r for c in doc["children"] for r in _rules(c)]
+
+
+@pytest.mark.parametrize("lift", [
+    ext.wrong_oracle, lambda sem: ext.div_oracle(sem)[0], ext.trace_oracle,
+], ids=["wrong", "div", "trace"])
+def test_extensions_keep_the_base_rule_names(lift):
+    lifted = lift(SEM)
+    outcomes = run_exhaustive(lifted, parse_expr("succ ((\\x:nat. x) (1 (+) 2))"), 40)
+    assert len(outcomes) == 2  # one per choice
+    for o in outcomes:
+        assert _rules(tree_doc(lifted, o.tree)) == [
+            "succ", "app", "val", "choice", "val", "val"]
+
+
+def test_div_trace_prefixes_the_conclusion_and_completed_premises():
+    tsem = ext.trace_oracle(SEM)
+    fn = parse_expr("\\x:nat. x")
+    e = App(fn, OMEGA)
+    [first] = [s for s in tsem.start(e) if isinstance(s, FirstPremise)]
+    [demand] = tsem.advance(first.activation, FinTrace((fn,), fn))
+    period = (OMEGA, OMEGA_BODY, OMEGA_BODY)
+    assert tsem.advance(demand.activation, InfTrace((), period)) == (
+        Finished(InfTrace((e, fn), period), rule="div-trace"),)
+
+
+def test_show_result_of_each_extension():
+    wsem, (dsem, _), tsem = (ext.wrong_oracle(SEM), ext.div_oracle(SEM),
+                             ext.trace_oracle(SEM))
+    assert wsem.show_result(WRONG) == "wrong"
+    assert wsem.show_result(Ok(Nat(3))) == "3"
+    assert dsem.show_result(INFINITY) == "infinity"
+    assert dsem.show_result(Ok(Nat(3))) == "3"
+    fn, n = IDENTITY_APP.fn, IDENTITY_APP.arg
+    assert tsem.show_result(FinTrace((IDENTITY_APP, fn, n, n), n)) == \
+        "<(\\x:nat. x) 3 \\x:nat. x 3 3, 3>"
+    assert tsem.show_result(InfTrace((IDENTITY_APP,), (fn, n))) == \
+        "(\\x:nat. x) 3(\\x:nat. x 3)^w"

@@ -2,7 +2,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bigstep.extensions import divergence_certificate_check
+from bigstep.extensions import InfTrace, divergence_certificate_check, evaluate
 from bigstep.lam import (OMEGA_BODY, lambda_semantics, parse_expr, parse_type,
                          show_expr, show_type)
 from bigstep.lam.corpus import ANNOTATION_ALPHABET, MAX_LITERAL
@@ -148,3 +148,45 @@ TYPES = st.recursive(
 def test_show_then_parse_is_the_identity(e, t):
     assert parse_expr(show_expr(e)) == e
     assert parse_type(show_type(t)) == t
+
+
+def _preorder_configs(tree):
+    """The configurations of ``tree``, each node before its premises."""
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        out.append(node.config)
+        todo.extend(reversed(node.children))
+    return tuple(out)
+
+
+def _cycle_trace(d):
+    """The rational trace of a detected cycle, read off the detection tree.
+
+    Each active-path node contributes its configuration and then the
+    traces of its completed premises; the fresh frontier closes the cycle.
+    """
+    path = active_path(d.tree)
+    start = len(path) - 1 - len(d.certificate.witness)
+
+    def contribution(entry):
+        steps = [entry.config]
+        for child in entry.node.children[:-1]:
+            steps.extend(child.res.value.steps)
+        return steps
+
+    prefix = [c for e in path[:start] for c in contribution(e)]
+    period = [c for e in path[start:-1] for c in contribution(e)]
+    return InfTrace(tuple(prefix), tuple(period))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms())
+def test_traces_are_read_off_the_trees(e):
+    for sem in SEMS:
+        for o, value in evaluate(sem, e, FUEL, "trace", exhaustive=True):
+            if isinstance(o, Converged):
+                assert value.steps == _preorder_configs(o.tree)
+            elif isinstance(o, Diverges):
+                assert value == _cycle_trace(o)

@@ -23,11 +23,20 @@ plus ``OMEGA`` (9,080 runs).  It changes whenever the documents do, so
 a change to the command line alone can be checked against its parent;
 ``doc_runs`` yields the runs one by one, to find the ones that differ.
 
+``tags``, also kept out of ``all``, digests the JSON text of
+``serialize.tree_doc`` of every outcome tree: of ``run_exhaustive``
+under the wrong, divergence and trace extensions of each premise order
+on every seventh closed lambda term plus ``OMEGA`` (fuel 120), and of
+``run_exhaustive`` on the FJ and imperative-FJ corpora above.  Unlike
+the ``repr``s it covers rule labels, partial activations and the
+extensions' rendering of results.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
 import hashlib
 import io
+import json
 import os
 import sys
 from contextlib import redirect_stdout
@@ -44,7 +53,8 @@ from bigstep.fj import (  # noqa: E402
 from bigstep.lam import (  # noqa: E402
     OMEGA, enumerate_terms, lambda_semantics, show_expr)
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
-from bigstep.pet import run_exhaustive, run_first  # noqa: E402
+from bigstep.pet import OutOfFuel, run_exhaustive, run_first  # noqa: E402
+from bigstep.serialize import tree_doc  # noqa: E402
 from bigstep.util import EMPTY_MAP  # noqa: E402
 
 FUEL = 120
@@ -74,6 +84,34 @@ def doc_runs():
                 yield argv, f"{code}\n{out.getvalue()}"
 
 
+def object_corpora():
+    """lang -> (base oracle, fuel, configurations) of the object calculi."""
+    return {
+        "fj": (fj_semantics(INTEROP_TABLE), FJ_FUEL,
+               [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)]),
+        "impfj": (impfj_semantics(IMP_TABLE), IMPFJ_FUEL,
+                  [MemConfig(EMPTY_MEMORY, e)
+                   for e in enumerate_impfj(IMP_TABLE, 3)]),
+    }
+
+
+def tag_docs():
+    """JSON text of ``tree_doc`` of each outcome tree in ``tags``."""
+    terms = enumerate_terms(3)[::7] + (OMEGA,)
+    runs = []
+    for strategy in STRATEGIES:
+        base = lambda_semantics(strategy)
+        for sem in (ext.wrong_oracle(base), ext.div_oracle(base)[0],
+                    ext.trace_oracle(base)):
+            runs.append((sem, FUEL, terms))
+    runs.extend(object_corpora().values())
+    for sem, fuel, configs in runs:
+        for c in configs:
+            for o in run_exhaustive(sem, c, fuel):
+                tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
+                yield json.dumps(tree_doc(sem, tree))
+
+
 def main() -> None:
     print(f"bigstep from {os.path.dirname(ext.__file__)}", file=sys.stderr)
     terms = enumerate_terms(3) + (OMEGA,)
@@ -90,20 +128,14 @@ def main() -> None:
             d = digest(reprs)
             every.update(d.encode())
             print(f"{name:15} {strategy:9} {d}")
-    objects = {
-        "fj": (fj_semantics(INTEROP_TABLE), FJ_FUEL,
-               [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)]),
-        "impfj": (impfj_semantics(IMP_TABLE), IMPFJ_FUEL,
-                  [MemConfig(EMPTY_MEMORY, e)
-                   for e in enumerate_impfj(IMP_TABLE, 3)]),
-    }
-    for lang, (sem, fuel, configs) in objects.items():
+    for lang, (sem, fuel, configs) in object_corpora().items():
         d = digest(repr(run_exhaustive(sem, c, fuel)) for c in configs)
         every.update(d.encode())
         print(f"{'run_exhaustive':15} {lang:9} {d}")
     print(f"{'all':25} {every.hexdigest()}")
     d = digest(f"{argv}\n{text}" for argv, text in doc_runs())
     print(f"{'docs':25} {d}")
+    print(f"{'tags':25} {digest(tag_docs())}")
 
 
 if __name__ == "__main__":
