@@ -38,6 +38,7 @@ from .lam import (
     typed_corpus,
 )
 from .lam.corpus import FOOL_TERM
+from .lam.semantics import STRATEGIES
 from .lam.syntax import Nat, Succ
 from .fj import (
     EMPTY_MEMORY,
@@ -257,7 +258,11 @@ def _add_common(p) -> None:
 
 
 def main(argv=None) -> int:
-    fuel_default = int(os.environ.get("BSM_FUEL", "100"))
+    try:
+        fuel_default = int(os.environ.get("BSM_FUEL", "100"))
+    except ValueError:
+        print("BSM_FUEL must be an integer", file=sys.stderr)
+        return EXIT_USAGE
     top = _ArgumentParser(prog="bsm", description="big-step semantics workbench")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
     p.add_argument("--fuel", type=int, default=fuel_default)
     p.add_argument("--mode", choices=("plain", "wrong", "div", "trace", "total"),
                    default="plain")
-    p.add_argument("--strategy", choices=("app", "app-r", "app-late"), default="app")
+    p.add_argument("--strategy", choices=STRATEGIES, default="app")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("input", help="source text, or a file path if it does not parse")
     p.set_defaults(fn=cmd_eval)

@@ -217,11 +217,12 @@ class TraceSemantics(_Extension):
         return Finished(InfTrace(prefix, r.period), rule="div-trace")
 
     def show_result(self, result):
+        # neither surface syntax uses ";", so it separates configurations
         if isinstance(result, FinTrace):
-            trace = " ".join(self.base.show_config(c) for c in result.steps)
+            trace = " ; ".join(map(self.base.show_config, result.steps))
             return f"<{trace}, {self.base.show_result(result.result)}>"
-        pre = " ".join(self.base.show_config(c) for c in result.prefix)
-        per = " ".join(self.base.show_config(c) for c in result.period)
+        pre = "".join(self.base.show_config(c) + " ; " for c in result.prefix)
+        per = " ; ".join(map(self.base.show_config, result.period))
         return f"{pre}({per})^w"
 
 

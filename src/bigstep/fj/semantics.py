@@ -45,11 +45,36 @@ from .syntax import (
 from .table import ClassTable
 
 
-class FJSemantics(LanguageSemantics):
-    """MiniFJ with lambdas: configurations are (environment, expression)."""
+class _FJOracle(LanguageSemantics):
+    """What the two FJ oracles share: the class table, premise bounds over
+    every form (each oracle starts only its own) and the rendering."""
 
     def __init__(self, ct: ClassTable):
         self.ct = ct
+
+    def premise_bound(self, config: Config) -> int:
+        match config.expr:
+            case Invoke(_, _, args):
+                return len(args) + 2
+            case New(_, args):
+                return len(args)
+            case FieldAssign(_, _, _):
+                return 2
+            case FieldAccess(_, _) | Cast(_, _):
+                return 1
+        return 0
+
+    def show_config(self, config):
+        return show_fj(config)
+
+    show_result = show_config
+
+
+class FJSemantics(_FJOracle):
+    """MiniFJ with lambdas: configurations are (environment, expression)."""
+
+    # rules whose first premise evaluates the target
+    _TARGET_FIRST = {FieldAccess: "field-access", Invoke: "invk", Cast: "upcast"}
 
     def start(self, config: Config) -> Sequence[StartStep]:
         env, e = config.env, config.expr
@@ -67,15 +92,10 @@ class FJSemantics(LanguageSemantics):
                     return (Axiom(ObjVal(cls, ()), rule="new"),)
                 first = EnvConfig(env, args[0])
                 return (FirstPremise(first, Activation("new", config, (), first)),)
-            case FieldAccess(target, _):
-                first = EnvConfig(env, target)
-                return (FirstPremise(first, Activation("field-access", config, (), first)),)
-            case Invoke(target, _, _):
-                first = EnvConfig(env, target)
-                return (FirstPremise(first, Activation("invk", config, (), first)),)
-            case Cast(_, target):
-                first = EnvConfig(env, target)
-                return (FirstPremise(first, Activation("upcast", config, (), first)),)
+            case FieldAccess() | Invoke() | Cast():
+                first = EnvConfig(env, e.target)
+                family = self._TARGET_FIRST[type(e)]
+                return (FirstPremise(first, Activation(family, config, (), first)),)
         return ()
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:
@@ -127,28 +147,12 @@ class FJSemantics(LanguageSemantics):
         env = FrozenMap(tuple(zip(recv.params, args)))
         return EnvConfig(env, recv.body)
 
-    def premise_bound(self, config: Config) -> int:
-        match config.expr:
-            case Invoke(_, _, args):
-                return len(args) + 2
-            case New(_, args):
-                return len(args)
-            case FieldAccess(_, _) | Cast(_, _):
-                return 1
-        return 0
-
-    def show_config(self, config):
-        return show_fj(config)
-
-    def show_result(self, result):
-        return show_fj(result)
-
 
 def fj_semantics(ct: ClassTable) -> FJSemantics:
     return FJSemantics(ct)
 
 
-class ImpFJSemantics(LanguageSemantics):
+class ImpFJSemantics(_FJOracle):
     """Imperative FJ: configurations pair a memory with an expression.
 
     The receiver's class is read from the memory right after the receiver
@@ -156,8 +160,8 @@ class ImpFJSemantics(LanguageSemantics):
     the target's class in the final memory.
     """
 
-    def __init__(self, ct: ClassTable):
-        self.ct = ct
+    # rules whose first premise evaluates the target
+    _TARGET_FIRST = {FieldAccess: "fld", Invoke: "invk", FieldAssign: "fld-up"}
 
     def start(self, config: Config) -> Sequence[StartStep]:
         mem, e = config.memory, config.expr
@@ -173,15 +177,10 @@ class ImpFJSemantics(LanguageSemantics):
                     return (Axiom(MemResult(mem2, oid), rule="new"),)
                 first = MemConfig(mem, args[0])
                 return (FirstPremise(first, Activation("new", config, (), first)),)
-            case FieldAccess(target, _):
-                first = MemConfig(mem, target)
-                return (FirstPremise(first, Activation("fld", config, (), first)),)
-            case Invoke(target, _, _):
-                first = MemConfig(mem, target)
-                return (FirstPremise(first, Activation("invk", config, (), first)),)
-            case FieldAssign(target, _, _):
-                first = MemConfig(mem, target)
-                return (FirstPremise(first, Activation("fld-up", config, (), first)),)
+            case FieldAccess() | Invoke() | FieldAssign():
+                first = MemConfig(mem, e.target)
+                family = self._TARGET_FIRST[type(e)]
+                return (FirstPremise(first, Activation(family, config, (), first)),)
         return ()
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:
@@ -242,24 +241,6 @@ class ImpFJSemantics(LanguageSemantics):
                 return (Finished(r, rule="invk"),)
             return (Demand(nxt, a.extend(r, nxt, bindings=cls)),)
         raise ValueError(f"unknown rule family {family!r}")
-
-    def premise_bound(self, config: Config) -> int:
-        match config.expr:
-            case Invoke(_, _, args):
-                return len(args) + 2
-            case New(_, args):
-                return len(args)
-            case FieldAssign(_, _, _):
-                return 2
-            case FieldAccess(_, _):
-                return 1
-        return 0
-
-    def show_config(self, config):
-        return show_fj(config)
-
-    def show_result(self, result):
-        return show_fj(result)
 
 
 def impfj_semantics(ct: ClassTable) -> ImpFJSemantics:

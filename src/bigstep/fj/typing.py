@@ -69,11 +69,12 @@ def min_types(ct: ClassTable, env: TypeEnv, e: FJExpr) -> FrozenSet[str]:
     if isinstance(e, Lambda):
         return frozenset(
             i.name for i in ct.interfaces if lambda_fits(ct, e, i.name))
-    return frozenset({expr_type(ct, env, e)})
+    return frozenset({fj_typecheck(ct, env, e)})
 
 
-def expr_type(ct: ClassTable, env: TypeEnv, e: FJExpr) -> str:
-    """The unique minimal type; lambdas need a target and are rejected."""
+def fj_typecheck(ct: ClassTable, env: TypeEnv, e: FJExpr) -> str:
+    """The unique minimal type of a functional-variant expression, or an
+    error; lambdas need a target and are rejected."""
     match e:
         case Var(name):
             if name not in env:
@@ -82,7 +83,7 @@ def expr_type(ct: ClassTable, env: TypeEnv, e: FJExpr) -> str:
         case Lambda(_, _):
             raise FJTypeError("t-lambda", "lambda without a target type")
         case FieldAccess(target, fname):
-            recv = expr_type(ct, env, target)
+            recv = fj_typecheck(ct, env, target)
             if not ct.is_class(recv):
                 raise FJTypeError("t-field-access",
                                   f"receiver type {recv} is not a class")
@@ -102,7 +103,7 @@ def expr_type(ct: ClassTable, env: TypeEnv, e: FJExpr) -> str:
         case Invoke(target, method, args):
             if isinstance(target, Lambda):
                 raise FJTypeError("t-invk", "lambda receiver has no target type")
-            recv = expr_type(ct, env, target)
+            recv = fj_typecheck(ct, env, target)
             sig = ct.mtype(recv, method)
             if sig is None:
                 raise FJTypeError("t-invk", f"{recv} has no method {method}")
@@ -133,14 +134,9 @@ def check_against(ct: ClassTable, env: TypeEnv, e: FJExpr, expected: str) -> Non
         if not lambda_fits(ct, e, expected):
             raise FJTypeError("t-lambda", f"lambda does not fit {expected}")
         return
-    actual = expr_type(ct, env, e)
+    actual = fj_typecheck(ct, env, e)
     if not ct.subtype(actual, expected):
         raise FJTypeError("t-sub", f"{actual} is not a subtype of {expected}")
-
-
-def fj_typecheck(ct: ClassTable, env: TypeEnv, e: FJExpr) -> str:
-    """Minimal type of a functional-variant expression, or an error."""
-    return expr_type(ct, env, e)
 
 
 def value_has_type(ct: ClassTable, v: FJValue, expected: str) -> bool:

@@ -2,6 +2,7 @@
 
 The inductive semantic relation is the same for every strategy; the
 premise order decides which computations get stuck versus diverge.
+There is one application rule, and ``_APP`` lists its premise orders:
 
 * ``app``      - evaluate the function, check it is an abstraction, then
                  the argument (left-to-right, early error detection);
@@ -34,7 +35,15 @@ from ..oracle import (
 )
 from .syntax import Abs, App, Choice, Expr, Nat, Succ, Var, is_value, show_expr, subst
 
-STRATEGIES = ("app", "app-r", "app-late")
+# Per premise order: the premises before the body (``fn-value``
+# evaluates premise 1's result, the function's value, again), then the
+# premise whose result must be an abstraction, then the argument's premise.
+_APP = {
+    "app": (("fn", "arg"), 1, 2),
+    "app-r": (("arg", "fn"), 2, 1),
+    "app-late": (("fn", "arg", "fn-value"), 3, 2),
+}
+STRATEGIES = tuple(_APP)
 
 
 class LambdaSemantics(LanguageSemantics):
@@ -49,8 +58,8 @@ class LambdaSemantics(LanguageSemantics):
         if is_value(config):
             steps.append(Axiom(config, rule="val"))
         match config:
-            case App(fn, arg):
-                first = arg if self.strategy == "app-r" else fn
+            case App(_, _):
+                first = getattr(config, _APP[self.strategy][0][0])
                 steps.append(FirstPremise(
                     first, Activation(self.strategy, config, (), first)))
             case Succ(arg):
@@ -66,55 +75,36 @@ class LambdaSemantics(LanguageSemantics):
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:
         family = a.rule_family
-        i = a.index  # premise that just finished
-        conclusion: Expr = a.conclusion_config
         if family == "succ":
             if isinstance(r, Nat):
                 return (Finished(Nat(r.value + 1), rule="succ"),)
             return ()
         if family == "choice":
             return (Finished(r, rule="choice"),)
-        if family == "app":
-            if i == 1:
-                if isinstance(r, Abs):
-                    return (Demand(conclusion.arg, a.extend(r, conclusion.arg)),)
-                return ()
-            if i == 2:
-                fn_val = a.completed[0].result
-                body = subst(fn_val.body, r, fn_val.param)
-                return (Demand(body, a.extend(r, body)),)
-            return (Finished(r, rule="app"),)
-        if family == "app-r":
-            if i == 1:
-                return (Demand(conclusion.fn, a.extend(r, conclusion.fn)),)
-            if i == 2:
-                if isinstance(r, Abs):
-                    body = subst(r.body, a.completed[0].result, r.param)
-                    return (Demand(body, a.extend(r, body)),)
-                return ()
-            return (Finished(r, rule="app-r"),)
-        if family == "app-late":
-            if i == 1:
-                return (Demand(conclusion.arg, a.extend(r, conclusion.arg)),)
-            if i == 2:
-                fn_val = a.completed[0].result
-                # the function value is itself re-evaluated as premise 3
-                return (Demand(fn_val, a.extend(r, fn_val)),)
-            if i == 3:
-                if isinstance(r, Abs):
-                    body = subst(r.body, a.completed[1].result, r.param)
-                    return (Demand(body, a.extend(r, body)),)
-                return ()
-            return (Finished(r, rule="app-late"),)
-        raise ValueError(f"unknown rule family {family!r}")
+        app = _APP.get(family)
+        if app is None:
+            raise ValueError(f"unknown rule family {family!r}")
+        order, check, arg = app
+        i = len(a.completed) + 1  # a.index, the premise that just finished
+        if i == check and not isinstance(r, Abs):
+            return ()
+        n = len(order)
+        if i < n:
+            nxt = (a.completed[0].result if order[i] == "fn-value"
+                   else getattr(a.conclusion_config, order[i]))
+        elif i == n:
+            fn = r if i == check else a.completed[check - 1].result
+            value = r if i == arg else a.completed[arg - 1].result
+            nxt = subst(fn.body, value, fn.param)
+        else:
+            return (Finished(r, rule=family),)
+        return (Demand(nxt, a.extend(r, nxt)),)
 
     def premise_bound(self, config: Config) -> int:
         match config:
             case App(_, _):
-                return 4 if self.strategy == "app-late" else 3
-            case Succ(_):
-                return 1
-            case Choice(_, _):
+                return len(_APP[self.strategy][0]) + 1
+            case Succ(_) | Choice(_, _):
                 return 1
         return 0
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .oracle import (
     Activation,
@@ -401,8 +401,8 @@ def _outcome_key(o: Outcome):
 
 
 def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
-         history: Optional[List[PartialEvalTree]] = None,
-         validate: bool = False) -> Tuple[Outcome, ...]:
+         on_tree: Optional[Callable[[PartialEvalTree], None]] = None
+         ) -> Tuple[Outcome, ...]:
     """Explore ``config`` level by level, one transition per level.
 
     Fuel bounds the number of transitions along any single branch.  With
@@ -412,8 +412,8 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
     fuel runs out on diverging siblings.  Paths are never compared: an
     oracle that gives two distinct answers for the same rule gets two
     branches, and outcomes are merged by ``_outcome_key`` only.
-    ``history``, if given, receives every tree taken.  Trees are folded
-    from paths only for outcomes, ``history`` and ``validate``.
+    ``on_tree``, if given, is called on every tree taken.  Trees are
+    folded from paths only for outcomes and ``on_tree``.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -423,8 +423,6 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
         outcomes.setdefault(None if first else _outcome_key(o), o)
 
     frontier = [(_fresh(config),)]
-    if history is not None:
-        history.append(initial_tree(config))
     steps = 0
     while frontier and steps < fuel:
         nxt = []
@@ -437,12 +435,10 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
                 done = isinstance(s, PartialEvalTree)
                 if done:
                     tree = s
-                elif history is not None or validate or cert is not None:
+                elif on_tree is not None or cert is not None:
                     tree = _fold(s)
-                if history is not None:
-                    history.append(tree)
-                if validate:
-                    _validate(tree)
+                if on_tree is not None:
+                    on_tree(tree)
                 if done:
                     emit(Converged(s.res.value, s, steps + 1))
                 elif cert is not None:
@@ -464,8 +460,8 @@ def run_first(sem: LanguageSemantics, config: Config, fuel: int) -> Outcome:
 def run_history(sem: LanguageSemantics, config: Config, fuel: int
                 ) -> Tuple[List[PartialEvalTree], Outcome]:
     """First-successor run keeping the whole transition sequence."""
-    history: List[PartialEvalTree] = []
-    outcome = _run(sem, config, fuel, first=True, history=history)[0]
+    history = [initial_tree(config)]
+    outcome = _run(sem, config, fuel, first=True, on_tree=history.append)[0]
     return history, outcome
 
 
@@ -477,7 +473,8 @@ def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
     gives two distinct answers for the same rule gets two branches;
     outcomes are merged by ``_outcome_key`` only.
     """
-    return _run(sem, config, fuel, first=False, validate=validate)
+    return _run(sem, config, fuel, first=False,
+                on_tree=_validate if validate else None)
 
 
 def run(sem: LanguageSemantics, config: Config, fuel: int,

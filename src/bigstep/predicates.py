@@ -21,9 +21,10 @@ genuine counterexample pinpointing the rule instance and clause.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Callable, FrozenSet, List, Mapping, Optional
 
 from .oracle import Config, LanguageSemantics, ResultVal
 from .pet import (
@@ -79,25 +80,18 @@ class AuditOutcome:
 class AuditReport:
     violations: List[Violation] = field(default_factory=list)
     inconclusive: List[Config] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=dict)
+    stats: Counter[str] = field(default_factory=Counter)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
     def merge(self, other: "AuditReport") -> "AuditReport":
-        merged = AuditReport(
+        return AuditReport(
             self.violations + other.violations,
             self.inconclusive + other.inconclusive,
-            dict(self.stats),
+            self.stats + other.stats,
         )
-        for k, v in other.stats.items():
-            merged.stats[k] = merged.stats.get(k, 0) + v
-        return merged
-
-
-def _bump(stats: Dict[str, int], key: str) -> None:
-    stats[key] = stats.get(key, 0) + 1
 
 
 def _preservation_violation(pred: IndexedPredicate, config: Config,
@@ -159,19 +153,19 @@ def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
     for config in corpus:
         if not pred.satisfies(config):
             raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
-        _bump(report.stats, "configs")
+        report.stats["configs"] += 1
         decided = True
         outcomes = run_exhaustive(sem, config, fuel)
         for o in outcomes:
             if isinstance(o, Stuck):
-                _bump(report.stats, "stuck")
+                report.stats["stuck"] += 1
                 report.violations.append(_stuck_violation(pred, o))
             elif isinstance(o, Converged):
-                _bump(report.stats, "converged")
+                report.stats["converged"] += 1
             elif isinstance(o, Diverges):
-                _bump(report.stats, "diverges")
+                report.stats["diverges"] += 1
             else:
-                _bump(report.stats, "timeout")
+                report.stats["timeout"] += 1
                 decided = False
         violation = _preservation_violation(pred, config, outcomes)
         if violation is not None:
@@ -188,16 +182,16 @@ def soundness_may_audit(sem: LanguageSemantics, pred: IndexedPredicate,
     for config in corpus:
         if not pred.satisfies(config):
             raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
-        _bump(report.stats, "configs")
+        report.stats["configs"] += 1
         outcomes = run_exhaustive(sem, config, fuel)
         if any(isinstance(o, (Converged, Diverges)) for o in outcomes):
-            _bump(report.stats, "progressing")
+            report.stats["progressing"] += 1
             continue
         if any(isinstance(o, OutOfFuel) for o in outcomes):
-            _bump(report.stats, "timeout")
+            report.stats["timeout"] += 1
             report.inconclusive.append(config)
             continue
-        _bump(report.stats, "all-stuck")
+        report.stats["all-stuck"] += 1
         report.violations.append(Violation(Condition.MAY_PROGRESS, config))
     return report
 

@@ -174,6 +174,14 @@ def test_env_fuel_default(capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [("eval", "0"), ("corules", "--goal", "(1:2)*=2")])
+def test_non_integer_env_fuel_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("BSM_FUEL", "abc")
+    code, docs, err = run_cli(capsys, *argv)
+    assert (code, docs) == (1, [])
+    assert err.strip() == "BSM_FUEL must be an integer"
+
+
 def test_nonpositive_fuel_rejected(capsys):
     code, _, err = run_cli(capsys, "eval", "--lang", "lambda", "--fuel", "0", "1")
     assert code == 1 and "positive" in err

@@ -325,6 +325,12 @@ def test_show_result_of_each_extension():
     assert dsem.show_result(Ok(Nat(3))) == "3"
     fn, n = IDENTITY_APP.fn, IDENTITY_APP.arg
     assert tsem.show_result(FinTrace((IDENTITY_APP, fn, n, n), n)) == \
-        "<(\\x:nat. x) 3 \\x:nat. x 3 3, 3>"
+        "<(\\x:nat. x) 3 ; \\x:nat. x ; 3 ; 3, 3>"
     assert tsem.show_result(InfTrace((IDENTITY_APP,), (fn, n))) == \
-        "(\\x:nat. x) 3(\\x:nat. x 3)^w"
+        "(\\x:nat. x) 3 ; (\\x:nat. x ; 3)^w"
+
+
+def test_infinite_trace_with_empty_prefix_renders_only_its_period():
+    tsem = ext.trace_oracle(SEM)
+    fn, n = IDENTITY_APP.fn, IDENTITY_APP.arg
+    assert tsem.show_result(InfTrace((), (fn, n))) == "(\\x:nat. x ; 3)^w"

@@ -253,6 +253,15 @@ def test_pet_invariants_reject_complete_parent_over_unknown():
     assert result is not None
 
 
+def test_validate_checks_every_tree_of_an_exhaustive_run(monkeypatch):
+    monkeypatch.setattr(pet, "check_pet_invariants",
+                        lambda t: ((), "reported by the test"))
+    with pytest.raises(AssertionError, match="reported by the test"):
+        run_exhaustive(SEM, IDENTITY_APP, 20, validate=True)
+    (outcome,) = run_exhaustive(SEM, IDENTITY_APP, 20)
+    assert isinstance(outcome, Converged)
+
+
 def test_premise_bound_is_respected():
     # spot-check the declared bounds against observed runs
     assert SEM.premise_bound(IDENTITY_APP) == 3
