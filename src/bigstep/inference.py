@@ -5,6 +5,13 @@ query: given a judgment, enumerate the finite premise sets of all rules
 concluding it.  All fixpoints are computed on an explicitly materialised
 finite universe of judgments; infinite client systems are handled by
 closing a goal set under premises up to a hard cap.
+
+Both fixpoints query the rules of each universe judgment once and then
+run a worklist over a reverse index from premises to the rules waiting on
+them, in the style of Dowling and Gallier's linear-time Horn-SAT: each
+costs O(|U| + R + P) set operations for R rules with P premises in all.
+``interp_corules`` runs one of each, and ``bounded_coinduction_check``
+runs the least fixpoint plus one query per judgment of the candidate set.
 """
 from __future__ import annotations
 
@@ -85,36 +92,73 @@ def reachable_universe(
     return frozenset(seen)
 
 
+def _rules(sys: InferenceSystem, universe: AbstractSet[Judgment]) -> tuple:
+    """The rules concluding universe judgments, queried once per judgment.
+
+    Returns the ``(conclusion, premises)`` pairs and a map from each
+    premise to the indices of the rules waiting on it.
+    """
+    rules: list = []
+    waiting: dict = {}
+    for j in universe:
+        for premises in sys.premise_candidates(j):
+            for p in premises:
+                waiting.setdefault(p, []).append(len(rules))
+            rules.append((j, premises))
+    return rules, waiting
+
+
 def interp_inductive(
     sys: InferenceSystem, universe: AbstractSet[Judgment]
 ) -> FrozenSet[Judgment]:
-    """Least sys-closed subset of the finite universe."""
+    """Least sys-closed subset of the finite universe.
+
+    Each rule counts its premises not yet derived.  A judgment is derived
+    once; it then decrements the rules waiting on it and fires those that
+    reach zero.
+    """
+    rules, waiting = _rules(sys, universe)
+    missing = [len(premises) for _, premises in rules]
+    todo = [j for j, premises in rules if not premises]
     members: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for j in universe:
-            if j in members:
-                continue
-            if any(premises <= members for premises in sys.premise_candidates(j)):
-                members.add(j)
-                changed = True
+    while todo:
+        j = todo.pop()
+        if j in members:
+            continue
+        members.add(j)
+        for i in waiting.get(j, ()):
+            missing[i] -= 1
+            if missing[i] == 0:
+                todo.append(rules[i][0])
     return frozenset(members)
 
 
 def interp_coinductive(
     sys: InferenceSystem, universe: AbstractSet[Judgment]
 ) -> FrozenSet[Judgment]:
-    """Largest sys-consistent subset of the finite universe."""
-    members = set(universe)
-    changed = True
-    while changed:
-        changed = False
-        for j in list(members):
-            if not any(premises <= members for premises in sys.premise_candidates(j)):
-                members.discard(j)
-                changed = True
-    return frozenset(members)
+    """Largest sys-consistent subset of the finite universe.
+
+    Each judgment counts its live rules; a rule with a premise outside
+    the universe is dead from the start.  Removing a judgment kills the
+    rules waiting on it and removes every conclusion left without one.
+    """
+    rules, waiting = _rules(sys, universe)
+    universe = frozenset(universe)
+    dead = [not premises <= universe for _, premises in rules]
+    live = dict.fromkeys(universe, 0)
+    for (j, _), d in zip(rules, dead):
+        if not d:
+            live[j] += 1
+    removed = [j for j, n in live.items() if n == 0]
+    while removed:
+        for i in waiting.get(removed.pop(), ()):
+            if not dead[i]:
+                dead[i] = True
+                j = rules[i][0]
+                live[j] -= 1
+                if live[j] == 0:
+                    removed.append(j)
+    return frozenset(j for j, n in live.items() if n)
 
 
 def interp_corules(

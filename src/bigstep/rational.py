@@ -56,9 +56,17 @@ class RationalList:
     def tail(self) -> "RationalList":
         if self.is_empty:
             raise ValueError("tail of empty list")
-        if self.prefix:
-            return RationalList(self.prefix[1:], self.period)
-        return RationalList(self.period[1:], self.period)
+        # the tail of a normal word is normal: drop the head of the prefix,
+        # or rotate the (still primitive) period by one
+        prefix, period = self.prefix, self.period
+        if prefix:
+            prefix = prefix[1:]
+        else:
+            period = period[1:] + period[:1]
+        tail = object.__new__(RationalList)
+        object.__setattr__(tail, "prefix", prefix)
+        object.__setattr__(tail, "period", period)
+        return tail
 
     def cons(self, x: Any) -> "RationalList":
         return RationalList((x,) + self.prefix, self.period)

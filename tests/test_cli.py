@@ -118,6 +118,14 @@ def test_corules_demo(capsys):
     assert code == 0
 
 
+def test_corules_over_ten_thousand_judgments(capsys):
+    # quadratic fixpoints took about a minute on this goal
+    goal = "(" + ":".join(map(str, range(100))) + ")*=99"
+    code, docs, _ = run_cli(capsys, "corules", "--goal", goal, "--cap", "20000")
+    assert code == 0
+    assert docs[0]["universe"] == 10000 and docs[0]["corules"] is True
+
+
 def test_parse_error_exit(capsys):
     code, _, err = run_cli(capsys, "eval", "--lang", "lambda", "succ )")
     assert code == 1

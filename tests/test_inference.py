@@ -169,3 +169,27 @@ def test_bounded_coinduction_passes_imply_membership():
         check = bounded_coinduction_check(gis, X, universe)
         if check.passed:
             assert X <= flex
+
+
+def _query_counts(sys, universe):
+    """premise_candidates queries made by each fixpoint over the universe."""
+    counts = []
+    for interp in (interp_inductive, interp_coinductive):
+        asked = []
+        counting = InferenceSystem(
+            lambda j: asked.append(j) or sys.premise_candidates(j))
+        interp(counting, universe)
+        counts.append(len(asked))
+    return counts
+
+
+def test_fixpoints_query_each_judgment_once():
+    period = tuple(range(20))
+    goal = MaxElem(periodic((3,), period), 19)
+    u = reachable_universe(maxelem_rules(), {goal}, 10_000)
+    assert len(u) == 1 + 20 * 20  # the goal, then 20 rotations by 20 values
+    assert max(_query_counts(maxelem_rules(), u)) <= len(u)
+
+    rng = random.Random(31)
+    sys, universe, _ = _random_system(rng, 40)
+    assert max(_query_counts(sys, universe)) <= len(universe)

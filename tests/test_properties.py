@@ -1,8 +1,20 @@
-"""Property tests on random closed lambda terms deeper than the corpus."""
+"""Property tests on random closed lambda terms deeper than the corpus,
+and on random inference systems larger than brute force can check."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bigstep.extensions import InfTrace, divergence_certificate_check, evaluate
+from bigstep.inference import (
+    CoinductionCheck,
+    FiniteRule,
+    GeneralizedIS,
+    InferenceSystem,
+    bounded_coinduction_check,
+    interp_coinductive,
+    interp_corules,
+    interp_inductive,
+    system_from_rules,
+)
 from bigstep.lam import (OMEGA_BODY, lambda_semantics, parse_expr, parse_type,
                          show_expr, show_type)
 from bigstep.lam.corpus import ANNOTATION_ALPHABET, MAX_LITERAL
@@ -190,3 +202,88 @@ def test_traces_are_read_off_the_trees(e):
                 assert value.steps == _preorder_configs(o.tree)
             elif isinstance(o, Diverges):
                 assert value == _cycle_trace(o)
+
+
+# --- worklist fixpoints against reference round-robin loops ---------------
+
+
+def _loop_inductive(sys, universe):
+    members = set()
+    changed = True
+    while changed:
+        changed = False
+        for j in universe:
+            if j in members:
+                continue
+            if any(premises <= members for premises in sys.premise_candidates(j)):
+                members.add(j)
+                changed = True
+    return frozenset(members)
+
+
+def _loop_coinductive(sys, universe):
+    members = set(universe)
+    changed = True
+    while changed:
+        changed = False
+        for j in list(members):
+            if not any(premises <= members for premises in sys.premise_candidates(j)):
+                members.discard(j)
+                changed = True
+    return frozenset(members)
+
+
+def _loop_corules(gis, universe):
+    bound = _loop_inductive(gis.combined(), universe)
+    inner = gis.rules.premise_candidates
+    restricted = InferenceSystem(lambda j: inner(j) if j in bound else frozenset())
+    return _loop_coinductive(restricted, universe)
+
+
+def _loop_bounded_check(gis, X, universe):
+    X = frozenset(X)
+    bound = _loop_inductive(gis.combined(), universe)
+    for j in X:
+        if j not in bound:
+            return CoinductionCheck(False, j, "boundedness")
+    for j in X:
+        if not any(premises <= X for premises in gis.rules.premise_candidates(j)):
+            return CoinductionCheck(False, j, "consistency")
+    return CoinductionCheck(True)
+
+
+@st.composite
+def corule_systems(draw):
+    """Rules and corules over the universe ``0 .. n-1``, 10 <= n <= 60.
+
+    Premises and conclusions range over three more judgments, outside the
+    universe, so some rules can never fire.
+    """
+    n = draw(st.integers(10, 60))
+    judgments = st.integers(0, n + 2)
+
+    def system(premises, count):
+        rule = st.builds(FiniteRule, st.frozensets(judgments, max_size=premises),
+                         judgments)
+        rules = draw(st.lists(rule, min_size=count // 2, max_size=count))
+        return system_from_rules(rules)
+
+    universe = frozenset(range(n))
+    gis = GeneralizedIS(system(3, 2 * n), system(1, n // 2))
+    X = draw(st.frozensets(st.sampled_from(range(n))))
+    return gis, universe, X
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corule_systems())
+def test_worklist_fixpoints_equal_round_robin_loops(case):
+    gis, universe, X = case
+    for sys in (gis.rules, gis.corules, gis.combined()):
+        assert interp_inductive(sys, universe) == _loop_inductive(sys, universe)
+        assert interp_coinductive(sys, universe) == _loop_coinductive(sys, universe)
+    flex = interp_corules(gis, universe)
+    assert flex == _loop_corules(gis, universe)
+    for claim in (X, flex, X | flex):
+        assert (bounded_coinduction_check(gis, claim, universe)
+                == _loop_bounded_check(gis, claim, universe))

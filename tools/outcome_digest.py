@@ -31,6 +31,17 @@ on every seventh closed lambda term plus ``OMEGA`` (fuel 120), and of
 the ``repr``s it covers rule labels, partial activations and the
 extensions' rendering of results.
 
+``fixpoints``, also kept out of ``all``, digests the four fixpoint
+functions of ``inference`` (``interp_inductive`` and
+``interp_coinductive`` of the rules, ``interp_corules``, and
+``bounded_coinduction_check``).  Their inputs are the maxElem goals of
+the benchmark's fixpoint ladder, built here as the workload builds them
+(periods 6 to 20, four seeded periodic and four finite lists each,
+claimed maxima m-1, m and m+1), and 60 seeded random systems of 10 to
+60 judgments with rules, corules and a random claim, whose premises may
+lie outside the universe.  Each set result is digested as the sorted
+``repr``s of its members.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
@@ -38,6 +49,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 from contextlib import redirect_stdout
 
@@ -50,10 +62,15 @@ from bigstep import extensions as ext  # noqa: E402
 from bigstep.fj import (  # noqa: E402
     EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
     enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
+from bigstep.inference import (  # noqa: E402
+    FiniteRule, GeneralizedIS, bounded_coinduction_check, interp_coinductive,
+    interp_corules, interp_inductive, reachable_universe, system_from_rules)
 from bigstep.lam import (  # noqa: E402
     OMEGA, enumerate_terms, lambda_semantics, show_expr)
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
+from bigstep.maxelem import MaxElem, maxelem_gis  # noqa: E402
 from bigstep.pet import OutOfFuel, run_exhaustive, run_first  # noqa: E402
+from bigstep.rational import RationalList  # noqa: E402
 from bigstep.serialize import tree_doc  # noqa: E402
 from bigstep.util import EMPTY_MAP  # noqa: E402
 
@@ -112,6 +129,58 @@ def tag_docs():
                 yield json.dumps(tree_doc(sem, tree))
 
 
+def maxelem_cases(rng):
+    """(goal, claimed set) of each maxElem item of the fixpoint ladder."""
+    for p in range(6, 21, 2):
+        m = p - 1
+        for _ in range(4):
+            rest = list(range(m - 1))
+            rng.shuffle(rest)
+            period = (m, m - 1, *rest)
+            head = rng.choice([x for x in range(m - 1) if x != period[-1]])
+            rest = list(range(m))
+            rng.shuffle(rest)
+            for prefix, period in (((head,), period), ((m, *rest), ())):
+                # every suffix, built from the parts of the word
+                suffixes = ([RationalList(prefix[i:], period)
+                             for i in range(len(prefix))]
+                            + [RationalList(period[i:], period)
+                               for i in range(len(period))])
+                for v in (m - 1, m, m + 1):
+                    yield MaxElem(RationalList(prefix, period), v), frozenset(
+                        MaxElem(s, v) for s in suffixes)
+
+
+def random_case(rng):
+    """(rules and corules, universe, claim) over the judgments 0 .. n-1."""
+    n = rng.randint(10, 60)
+
+    def system(rules, premises):
+        return system_from_rules(
+            FiniteRule(rng.sample(range(n + 3), rng.randint(0, premises)),
+                       rng.randrange(n + 3))
+            for _ in range(rules))
+
+    universe = frozenset(range(n))
+    claim = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    return GeneralizedIS(system(2 * n, 3), system(n // 2, 1)), universe, claim
+
+
+def fixpoint_results():
+    """Sorted ``repr``s of each fixpoint function's result in ``fixpoints``."""
+    rng = random.Random(1)
+    gis = maxelem_gis()
+    cases = [(gis, reachable_universe(gis.combined(), {goal} | claim, 100_000),
+              claim) for goal, claim in maxelem_cases(rng)]
+    cases += [random_case(rng) for _ in range(60)]
+    for gis, universe, claim in cases:
+        for result in (interp_inductive(gis.rules, universe),
+                       interp_coinductive(gis.rules, universe),
+                       interp_corules(gis, universe)):
+            yield repr(sorted(map(repr, result)))
+        yield repr(bounded_coinduction_check(gis, claim, universe))
+
+
 def main() -> None:
     print(f"bigstep from {os.path.dirname(ext.__file__)}", file=sys.stderr)
     terms = enumerate_terms(3) + (OMEGA,)
@@ -136,6 +205,7 @@ def main() -> None:
     d = digest(f"{argv}\n{text}" for argv, text in doc_runs())
     print(f"{'docs':25} {d}")
     print(f"{'tags':25} {digest(tag_docs())}")
+    print(f"{'fixpoints':25} {digest(fixpoint_results())}")
 
 
 if __name__ == "__main__":
