@@ -25,7 +25,7 @@ from bigstep.fj import (
     show_fj,
 )
 from bigstep.pet import Converged, Diverges, run_first
-from bigstep.util import EMPTY_MAP, FrozenMap
+from bigstep.util import EMPTY_MAP
 
 print("=" * 64)
 print("LAMBDAS NEED TARGET TYPES")
@@ -70,7 +70,7 @@ imp = impfj_semantics(IMP_TABLE)
 for src in ("new B(new A())", "new B(new A()).f = new A()",
             "new B(new A()).test()"):
     e = parse_fj_expr(src)
-    t = impfj_typecheck(IMP_TABLE, {}, FrozenMap(), e)
+    t = impfj_typecheck(IMP_TABLE, {}, (), e)
     out = run_first(imp, MemConfig(EMPTY_MEMORY, e), 100)
     assert isinstance(out, Converged)
     print(f"  {src}")

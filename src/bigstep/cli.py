@@ -25,7 +25,7 @@ from .pet import Diverges, run_history
 from .predicates import soundness_may_audit, soundness_must_audit
 from .rational import RationalList
 from .serialize import report_doc, tree_doc, value_doc
-from .util import EMPTY_MAP, FrozenMap
+from .util import EMPTY_MAP
 from .lam import (
     LambdaTypeError,
     lambda_semantics,
@@ -166,7 +166,7 @@ def cmd_typecheck(args) -> int:
         elif args.lang == "fj":
             _emit({"type": fj_typecheck(table, {}, expr)})
         else:
-            _emit({"type": impfj_typecheck(table, {}, FrozenMap(), expr)})
+            _emit({"type": impfj_typecheck(table, {}, (), expr)})
     except (LambdaTypeError, FJTypeError) as err:
         _emit({"error": str(err)})
         return EXIT_WRONG
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     p.add_argument("input")
     p.set_defaults(fn=cmd_typecheck)
 
-    p = sub.add_parser("soundness", help="run a soundness audit")
+    soundness = p = sub.add_parser("soundness", help="run a soundness audit")
     _add_common(p)
     p.add_argument("--fuel", type=int, default=fuel_default)
     p.add_argument("--flavor", choices=("must", "may"), default="must")
@@ -303,6 +303,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_corules)
 
     args = top.parse_args(argv)
+    if getattr(args, "fixture", "default") != "default" and args.lang != "lambda":
+        soundness.error("--fixture applies only to --lang lambda")
     for name in ("fuel", "max_steps", "depth", "cap"):
         if getattr(args, name, 1) <= 0:
             print(f"{name.replace('_', '-')} must be positive", file=sys.stderr)

@@ -48,7 +48,7 @@ from .pet import (
     run_exhaustive,
     run_first,
 )
-from .rational import normalize_word
+from .rational import RationalList
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +83,9 @@ class FinTrace:
     result: Any
 
 
-@dataclass(frozen=True, slots=True)
-class InfTrace:
-    prefix: Tuple[Config, ...]
-    period: Tuple[Config, ...]
-
-    def __post_init__(self):
-        p, q = normalize_word(self.prefix, self.period)
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "period", q)
+@dataclass(frozen=True)
+class InfTrace(RationalList):
+    """A rational word of configurations: ``prefix . period^omega``."""
 
 
 TraceResult = Union[FinTrace, InfTrace]

@@ -17,6 +17,7 @@ from itertools import product
 
 from ..util import EMPTY_MAP
 from .syntax import (
+    EMPTY_MEMORY,
     Cast,
     EnvConfig,
     FieldAccess,
@@ -29,7 +30,6 @@ from .syntax import (
 )
 from .table import ClassDecl, ClassTable, InterfaceDecl, MethodDef
 from .typing import FJTypeError, fj_typecheck, impfj_typecheck
-from ..util import FrozenMap
 
 IDENTITY_LAMBDA = Lambda(("x",), Var("x"))
 
@@ -171,12 +171,10 @@ def enumerate_impfj(ct: ClassTable, depth: int) -> tuple:
 
 
 def impfj_typed_corpus(ct: ClassTable, depth: int) -> tuple:
-    from .syntax import EMPTY_MEMORY
-
     out = []
     for e in enumerate_impfj(ct, depth):
         try:
-            impfj_typecheck(ct, {}, FrozenMap(), e)
+            impfj_typecheck(ct, {}, (), e)
         except FJTypeError:
             continue
         out.append(MemConfig(EMPTY_MEMORY, e))

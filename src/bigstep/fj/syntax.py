@@ -1,16 +1,18 @@
 """Expressions, values, configurations and memory for the FJ calculi.
 
 Two variants share the expression core: the functional one adds lambdas
-and upcasts and evaluates in a variable environment, the imperative one
-adds field assignment and object identifiers and threads a memory of
-object states through premises.
+and upcasts and evaluates in a variable environment (a ``FrozenMap`` from
+names to values), the imperative one adds field assignment and object
+identifiers and threads a memory of object states through premises.
+Ids are allocated densely from 0, so a memory is the tuple of its object
+states indexed by id, and allocation appends.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from ..util import EMPTY_MAP, FrozenMap
+from ..util import FrozenMap
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,32 +93,30 @@ class ObjState:
     fields: Tuple[int, ...]  # object identifiers
 
 
-@dataclass(frozen=True)
-class Memory:
-    """Immutable store of object states with a deterministic id counter."""
+class Memory(tuple):
+    """Immutable store of object states; an object's id is its index."""
 
-    next_id: int = 0
-    cells: FrozenMap = EMPTY_MAP
+    __slots__ = ()
 
     def allocate(self, state: ObjState) -> Tuple["Memory", int]:
-        oid = self.next_id
-        return Memory(oid + 1, self.cells.set(oid, state)), oid
+        return Memory(self + (state,)), len(self)
 
     def get(self, oid: int) -> Optional[ObjState]:
-        return self.cells.get(oid)
+        # a bare index would wrap a negative id
+        return self[oid] if 0 <= oid < len(self) else None
 
     def update_field(self, oid: int, index: int, new_oid: int) -> "Memory":
-        state = self.cells[oid]
+        state = self[oid]
         fields = state.fields[:index] + (new_oid,) + state.fields[index + 1:]
-        return Memory(self.next_id, self.cells.set(oid, ObjState(state.cls, fields)))
+        return Memory(self[:oid] + (ObjState(state.cls, fields),) + self[oid + 1:])
 
     @property
     def domain(self) -> frozenset:
-        return frozenset(self.cells.keys())
+        return frozenset(range(len(self)))
 
     def __repr__(self):
         inner = ", ".join(
-            f"{oid}->{st.cls}{st.fields}" for oid, st in self.cells.items())
+            f"{oid}->{st.cls}{st.fields}" for oid, st in enumerate(self))
         return f"{{{inner}}}"
 
 

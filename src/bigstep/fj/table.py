@@ -45,12 +45,6 @@ class ClassTable:
         object.__setattr__(self, "_class", {c.name: c for c in self.classes})
         object.__setattr__(self, "_iface", {i.name: i for i in self.interfaces})
 
-    def class_decl(self, name: str) -> Optional[ClassDecl]:
-        return self._class.get(name)
-
-    def interface_decl(self, name: str) -> Optional[InterfaceDecl]:
-        return self._iface.get(name)
-
     def is_class(self, name: str) -> bool:
         return name in self._class
 

@@ -12,7 +12,6 @@ from itertools import product
 from typing import Dict, FrozenSet, Tuple
 
 from ..predicates import IndexedPredicate
-from ..util import FrozenMap
 from .syntax import (
     Cast,
     EnvConfig,
@@ -242,7 +241,7 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
             env["this"] = c.name
             try:
                 if imperative:
-                    actual = impfj_typecheck(ct, env, FrozenMap(), m.body)
+                    actual = impfj_typecheck(ct, env, (), m.body)
                     if not ct.subtype(actual, m.return_type):
                         raise FJTypeError(
                             "t-sub", f"{actual} not below {m.return_type}")
@@ -295,18 +294,17 @@ def fj_indexed_predicate(ct: ClassTable) -> IndexedPredicate:
 # imperative variant
 
 
-def impfj_typecheck(ct: ClassTable, env: TypeEnv, sigma: FrozenMap, e: FJExpr) -> str:
-    """Minimal type of an imperative expression under a type assignment."""
+def impfj_typecheck(ct: ClassTable, env: TypeEnv, sigma: tuple, e: FJExpr) -> str:
+    """Minimal type of an imperative expression; ``sigma[oid]`` is oid's class."""
     match e:
         case Var(name):
             if name not in env:
                 raise FJTypeError("t-var", f"unbound variable {name}")
             return env[name]
         case ObjIdRef(oid):
-            cls = sigma.get(oid)
-            if cls is None:
+            if not 0 <= oid < len(sigma):
                 raise FJTypeError("t-oid", f"unassigned object id {oid}")
-            return cls
+            return sigma[oid]
         case FieldAccess(target, fname):
             recv = impfj_typecheck(ct, env, sigma, target)
             idx = ct.field_index(recv, fname)
@@ -350,28 +348,26 @@ def impfj_typecheck(ct: ClassTable, env: TypeEnv, sigma: FrozenMap, e: FJExpr) -
     raise FJTypeError("t-expr", f"unsupported expression {show_fj(e)}")
 
 
-def memory_sigma(memory: Memory) -> FrozenMap:
-    """The canonical type assignment of a memory: exact classes."""
-    return FrozenMap((oid, st.cls) for oid, st in memory.cells.items())
+def memory_sigma(memory: Memory) -> Tuple[str, ...]:
+    """The canonical type assignment of a memory: exact classes by id."""
+    return tuple(st.cls for st in memory)
 
 
 def memory_well_typed(ct: ClassTable, memory: Memory) -> bool:
     """Every object state matches its class and references allocated ids."""
-    dom = memory.domain
-    for _, st in memory.cells.items():
+    for st in memory:
         fields = ct.fields(st.cls)
         if fields is None or len(fields) != len(st.fields):
             return False
         for oid, (ftype, _) in zip(st.fields, fields):
-            if oid not in dom:
-                return False
-            if not ct.subtype(memory.get(oid).cls, ftype):
+            target = memory.get(oid)
+            if target is None or not ct.subtype(target.cls, ftype):
                 return False
     return True
 
 
-def sigma_extends(base: FrozenMap, bigger: FrozenMap) -> bool:
-    return all(bigger.get(oid) == cls for oid, cls in base.items())
+def sigma_extends(base: Tuple[str, ...], bigger: Tuple[str, ...]) -> bool:
+    return bigger[:len(base)] == base
 
 
 def impfj_indexed_predicate(ct: ClassTable) -> IndexedPredicate:

@@ -68,9 +68,6 @@ class RationalList:
         object.__setattr__(tail, "period", period)
         return tail
 
-    def cons(self, x: Any) -> "RationalList":
-        return RationalList((x,) + self.prefix, self.period)
-
     def take(self, n: int) -> Tuple[Any, ...]:
         out = []
         cur = self

@@ -1,4 +1,5 @@
-"""Small immutable containers shared across the package."""
+"""Small immutable helpers: ``FrozenMap``, the variable environments of
+functional FJ, and structural deduplication."""
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Tuple
@@ -20,11 +21,6 @@ class FrozenMap:
         object.__setattr__(self, "_items", pairs)
         object.__setattr__(self, "_dict", d)
         object.__setattr__(self, "_hash", hash(frozenset(pairs)))
-
-    def set(self, key: Any, value: Any) -> "FrozenMap":
-        d = dict(self._dict)
-        d[key] = value
-        return FrozenMap(d.items())
 
     def get(self, key: Any, default: Any = None) -> Any:
         return self._dict.get(key, default)

@@ -251,6 +251,8 @@ def test_too_deep_input_exits_with_usage_error(capsys):
     ["step", "--fuel", "3", "0"],
     ["typecheck", "--fuel", "3", "0"],
     ["corules", "--demo", "maxelem", "--goal", "(1:2)*=2"],
+    ["soundness", "--lang", "fj", "--fixture", "fool"],
+    ["soundness", "--lang", "impfj", "--fixture", "dropped-succ"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:

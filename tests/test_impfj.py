@@ -19,6 +19,7 @@ from bigstep.fj import (
     memory_sigma,
     memory_well_typed,
     parse_fj_expr,
+    show_fj,
 )
 from bigstep.extensions import divergence_certificate_check
 from bigstep.pet import Converged, Diverges, Stuck, run_exhaustive, run_first
@@ -46,8 +47,7 @@ def test_allocation_is_deterministic():
     assert isinstance(out, Converged)
     # argument allocates id 0, then the B object takes id 1
     assert out.result == MemResult(
-        Memory(2, FrozenMap({0: ObjState("A", ()), 1: ObjState("B", (0,))}.items())),
-        1)
+        Memory((ObjState("A", ()), ObjState("B", (0,)))), 1)
 
 
 def test_assignment_updates_and_returns_new_id():
@@ -58,7 +58,7 @@ def test_assignment_updates_and_returns_new_id():
     assert out.result.oid == 2
     assert mem.get(1) == ObjState("B", (2,))
     assert mem.get(2) == ObjState("A", ())
-    assert mem.next_id == 3
+    assert len(mem) == 3
 
 
 def test_update_then_read_through_method():
@@ -73,6 +73,16 @@ def test_field_read_golden():
     out = _run("new B(new A()).f")
     assert isinstance(out, Converged)
     assert out.result.oid == 0
+
+
+def test_memory_lists_ids_in_numeric_order():
+    # twelve objects: a store sorted by key repr listed 10 and 11 before 2
+    mem = EMPTY_MEMORY
+    for _ in range(12):
+        mem, _ = mem.allocate(ObjState("A", ()))
+    store = "{" + ", ".join(f"{oid}->A()" for oid in range(12)) + "}"
+    assert repr(mem) == store
+    assert show_fj(MemResult(mem, 11)) == f"<{store}, #11>"
 
 
 def test_obj_axiom_and_stuck_var():
@@ -140,7 +150,7 @@ def test_memory_well_typedness():
     mem, a = EMPTY_MEMORY.allocate(ObjState("A", ()))
     mem, b = mem.allocate(ObjState("B", (a,)))
     assert memory_well_typed(IMP_TABLE, mem)
-    assert memory_sigma(mem) == FrozenMap({a: "A", b: "B"}.items())
+    assert memory_sigma(mem) == ("A", "B")
     bad, _ = mem.allocate(ObjState("B", (99,)))  # dangling reference
     assert not memory_well_typed(IMP_TABLE, bad)
 

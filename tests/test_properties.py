@@ -4,6 +4,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bigstep.extensions import InfTrace, divergence_certificate_check, evaluate
+from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, Memory, ObjState, memory_sigma,
+                        memory_well_typed)
+from bigstep.fj.typing import sigma_extends
 from bigstep.inference import (
     CoinductionCheck,
     FiniteRule,
@@ -34,6 +37,7 @@ from bigstep.pet import (
     run_exhaustive,
     step,
 )
+from bigstep.rational import RationalList
 
 SEMS = [lambda_semantics(s) for s in STRATEGIES]
 FUEL = 60
@@ -287,3 +291,57 @@ def test_worklist_fixpoints_equal_round_robin_loops(case):
     for claim in (X, flex, X | flex):
         assert (bounded_coinduction_check(gis, claim, universe)
                 == _loop_bounded_check(gis, claim, universe))
+
+
+# --- the imperative-FJ store against a dict model --------------------------
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["A", "B", "write"]),
+                          st.integers(0, 99), st.integers(0, 99)), max_size=30))
+def test_store_agrees_with_a_dict_model(ops):
+    """Allocate ``A``s, ``B``s whose field ``f`` holds an ``A``, and write
+    ``f``; the store and a dict from ids to states stay equal."""
+    mem, model, next_id = EMPTY_MEMORY, {}, 0
+    for op, i, j in ops:
+        a_ids = [oid for oid, s in model.items() if s.cls == "A"]
+        b_ids = [oid for oid, s in model.items() if s.cls == "B"]
+        before = mem
+        if op == "write" and a_ids and b_ids:
+            oid, target = b_ids[i % len(b_ids)], a_ids[j % len(a_ids)]
+            mem = mem.update_field(oid, 0, target)
+            model[oid] = ObjState("B", (target,))
+        elif op != "write":
+            state = (ObjState("B", (a_ids[i % len(a_ids)],))
+                     if op == "B" and a_ids else ObjState("A", ()))
+            mem, oid = mem.allocate(state)
+            assert oid == next_id
+            model[oid], next_id = state, next_id + 1
+        assert len(mem) == len(model)
+        assert all(mem.get(oid) == s for oid, s in model.items())
+        assert mem.get(-1) is None and mem.get(len(mem)) is None
+        assert repr(mem) == "{" + ", ".join(
+            f"{oid}->{s.cls}{s.fields}" for oid, s in sorted(model.items())) + "}"
+        assert memory_well_typed(IMP_TABLE, mem)
+        # with an A last, a wrapping -1 would find an A and pass
+        for ref in (-1, len(mem) + 2):
+            dangling = Memory(mem + (ObjState("B", (ref,)), ObjState("A", ())))
+            assert not memory_well_typed(IMP_TABLE, dangling)
+        assert sigma_extends(memory_sigma(before), memory_sigma(mem))
+
+
+# --- infinite traces are rational lists ------------------------------------
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6),
+       st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       st.integers(1, 3), st.booleans())
+def test_inf_trace_normalises_as_a_rational_list(prefix, period, repeats, rolls):
+    period = tuple(period) * repeats  # not primitive when repeats > 1
+    prefix = tuple(prefix) + (period[-1],) * rolls  # ends in the period's last
+    trace, word = InfTrace(prefix, period), RationalList(prefix, period)
+    assert (trace.prefix, trace.period) == (word.prefix, word.period)
+    n = len(prefix) + 2 * len(period)
+    assert trace.take(n) == word.take(n)
+    assert trace != word and word != trace

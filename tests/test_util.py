@@ -16,5 +16,5 @@ def test_frozen_map_equality_ignores_insertion_order():
 
 
 def test_frozen_map_items_sorted_by_key_repr():
-    m = FrozenMap([("b", 1), ("a", 2)]).set("c", 0)
+    m = FrozenMap([("b", 1), ("a", 2), ("c", 0)])
     assert m.items() == (("a", 2), ("b", 1), ("c", 0))

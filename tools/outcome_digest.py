@@ -42,6 +42,17 @@ claimed maxima m-1, m and m+1), and 60 seeded random systems of 10 to
 lie outside the universe.  Each set result is digested as the sorted
 ``repr``s of its members.
 
+``objdocs``, also kept out of ``all`` and ``docs`` so that both stay
+comparable with earlier trees, digests ``bsm eval`` as ``docs`` does, on
+the object calculi: ``--lang fj`` on every seventh FJ term of depth <= 3
+over ``INTEROP_TABLE`` (fuel 150) and ``--lang impfj`` on every
+imperative-FJ term of depth <= 3 over ``IMP_TABLE`` (fuel 200), 6,590
+runs.  Each input is printed with ``show_fj``, and the script asserts
+that it parses back to its term.  The 12 FJ terms that are casts of a
+field access or call are left out: ``show_fj`` prints ``<T>e.f`` for
+them, which parses as a field access on a cast.  ``objdoc_runs`` yields
+the runs one by one.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
@@ -61,7 +72,9 @@ from bigstep import cli  # noqa: E402
 from bigstep import extensions as ext  # noqa: E402
 from bigstep.fj import (  # noqa: E402
     EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
-    enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
+    enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics,
+    parse_fj_expr, show_fj)
+from bigstep.fj.syntax import Cast, FieldAccess, Invoke  # noqa: E402
 from bigstep.inference import (  # noqa: E402
     FiniteRule, GeneralizedIS, bounded_coinduction_check, interp_coinductive,
     interp_corules, interp_inductive, reachable_universe, system_from_rules)
@@ -88,17 +101,42 @@ def digest(reprs) -> str:
     return h.hexdigest()
 
 
-def doc_runs():
-    """(argv, exit code and stdout) of each ``bsm eval`` run in ``docs``."""
-    for e in enumerate_terms(3)[::7] + (OMEGA,):
+def _eval_runs(options, texts):
+    """(argv, exit code and stdout) of ``bsm eval`` with ``options`` in
+    every mode, with and without ``--exhaustive``, on each input text."""
+    for text in texts:
         for mode in ("plain",) + MODES:
             for flags in ((), ("--exhaustive",)):
-                argv = ["eval", "--fuel", str(FUEL), "--mode", mode, *flags,
-                        show_expr(e)]
+                argv = ["eval", *options, "--mode", mode, *flags, text]
                 out = io.StringIO()
                 with redirect_stdout(out):
                     code = cli.main(argv)
                 yield argv, f"{code}\n{out.getvalue()}"
+
+
+def doc_runs():
+    """(argv, exit code and stdout) of each ``bsm eval`` run in ``docs``."""
+    terms = enumerate_terms(3)[::7] + (OMEGA,)
+    return _eval_runs(["--fuel", str(FUEL)], map(show_expr, terms))
+
+
+def _cast_of_postfix(e) -> bool:
+    """``show_fj`` prints ``<T>e.f`` for a cast of a field access or call,
+    and that text parses as a field access or call on a cast."""
+    return isinstance(e, Cast) and isinstance(e.target, (FieldAccess, Invoke))
+
+
+def objdoc_runs():
+    """(argv, exit code and stdout) of each ``bsm eval`` run in ``objdocs``."""
+    for lang, table, fuel, exprs in (
+            ("fj", "interop", FJ_FUEL, enumerate_fj(INTEROP_TABLE, 3)[::7]),
+            ("impfj", "imp", IMPFJ_FUEL, enumerate_impfj(IMP_TABLE, 3))):
+        exprs = [e for e in exprs if not _cast_of_postfix(e)]
+        texts = [show_fj(e) for e in exprs]
+        for e, text in zip(exprs, texts):
+            assert parse_fj_expr(text) == e, text
+        yield from _eval_runs(
+            ["--lang", lang, "--table", table, "--fuel", str(fuel)], texts)
 
 
 def object_corpora():
@@ -206,6 +244,8 @@ def main() -> None:
     print(f"{'docs':25} {d}")
     print(f"{'tags':25} {digest(tag_docs())}")
     print(f"{'fixpoints':25} {digest(fixpoint_results())}")
+    d = digest(f"{argv}\n{text}" for argv, text in objdoc_runs())
+    print(f"{'objdocs':25} {d}")
 
 
 if __name__ == "__main__":
