@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Optional, Tuple, Union
 
+from .node import node
 from .oracle import (
     Activation,
     Axiom,
@@ -51,7 +52,7 @@ from .pet import (
 from .rational import RationalList
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Ok:
     value: Any
 
@@ -77,13 +78,12 @@ STUCK_TRACE = _Mark("stuck")
 TIMEOUT = _Mark("timeout")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FinTrace:
     steps: Tuple[Config, ...]
     result: Any
 
 
-@dataclass(frozen=True)
 class InfTrace(RationalList):
     """A rational word of configurations: ``prefix . period^omega``."""
 

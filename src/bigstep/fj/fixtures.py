@@ -85,6 +85,24 @@ TABLES = {
 }
 
 
+def _news(ct: ClassTable, classes: tuple, below: tuple, k: int):
+    """``New`` of each class with one or two fields over arguments from
+    ``below``, at least one of them from ``below[k:]``."""
+    for c in classes:
+        arity = len(ct.fields(c) or ())
+        if arity == 0 or arity > 2:
+            continue
+        for idx in product(range(len(below)), repeat=arity):
+            if max(idx) >= k:
+                yield New(c, tuple(below[i] for i in idx))
+
+
+# Each level of the enumerators below is ``below``, the level under it,
+# followed by the terms of the new greatest depth.  The terms of ``below``
+# before ``k`` are those of the level under that, so a term whose children
+# all come before ``k`` is already in ``below`` and is skipped.
+
+
 def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
     """Closed functional-variant expressions of bounded depth."""
     classes = tuple(c.name for c in ct.classes)
@@ -95,33 +113,30 @@ def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
                     for s in ct.interface_methods(i.name)}
 
     def level(d: int) -> tuple:
+        """(the terms of depth at most ``d``, how many have depth below ``d``)."""
         if d <= 1:
             return tuple(New(c, ()) for c in classes
-                         if not ct.fields(c)) + (IDENTITY_LAMBDA,)
-        below = level(d - 1)
+                         if not ct.fields(c)) + (IDENTITY_LAMBDA,), 0
+        below, k = level(d - 1)
         out = list(below)
-        for c in classes:
-            arity = len(ct.fields(c) or ())
-            if arity == 0 or arity > 2:
-                continue
-            for combo in product(below, repeat=arity):
-                out.append(New(c, combo))
-        for e in below:
-            for t in types:
-                out.append(Cast(t, e))
+        out.extend(_news(ct, classes, below, k))
+        for i, e in enumerate(below):
+            fresh = i >= k
+            if fresh:
+                out.extend(Cast(t, e) for t in types)
             if isinstance(e, Lambda):
                 continue
-            for fname in field_names:
-                out.append(FieldAccess(e, fname))
+            if fresh:
+                out.extend(FieldAccess(e, fname) for fname in field_names)
             for mname, arity in method_sigs:
-                if arity == 0:
+                if arity == 0 and fresh:
                     out.append(Invoke(e, mname, ()))
                 elif arity == 1:
-                    for arg in below:
+                    for arg in below if fresh else below[k:]:
                         out.append(Invoke(e, mname, (arg,)))
-        return tuple(dict.fromkeys(out))
+        return tuple(out), len(below)
 
-    return level(depth)
+    return level(depth)[0]
 
 
 def fj_typed_corpus(ct: ClassTable, depth: int) -> tuple:
@@ -143,31 +158,29 @@ def enumerate_impfj(ct: ClassTable, depth: int) -> tuple:
     field_names = {n for c in classes for _, n in (ct.fields(c) or ())}
 
     def level(d: int) -> tuple:
+        """(the terms of depth at most ``d``, how many have depth below ``d``)."""
         if d <= 1:
-            return tuple(New(c, ()) for c in classes if not ct.fields(c))
-        below = level(d - 1)
+            return tuple(New(c, ()) for c in classes if not ct.fields(c)), 0
+        below, k = level(d - 1)
         out = list(below)
-        for c in classes:
-            arity = len(ct.fields(c) or ())
-            if arity == 0 or arity > 2:
-                continue
-            for combo in product(below, repeat=arity):
-                out.append(New(c, combo))
-        for e in below:
-            for fname in field_names:
-                out.append(FieldAccess(e, fname))
-            for e2 in below:
+        out.extend(_news(ct, classes, below, k))
+        for i, e in enumerate(below):
+            fresh = i >= k
+            args = below if fresh else below[k:]
+            if fresh:
+                out.extend(FieldAccess(e, fname) for fname in field_names)
+            for e2 in args:
                 for fname in field_names:
                     out.append(FieldAssign(e, fname, e2))
             for mname, arity in method_sigs:
-                if arity == 0:
+                if arity == 0 and fresh:
                     out.append(Invoke(e, mname, ()))
                 elif arity == 1:
-                    for arg in below:
+                    for arg in args:
                         out.append(Invoke(e, mname, (arg,)))
-        return tuple(dict.fromkeys(out))
+        return tuple(out), len(below)
 
-    return level(depth)
+    return level(depth)[0]
 
 
 def impfj_typed_corpus(ct: ClassTable, depth: int) -> tuple:

@@ -9,56 +9,56 @@ states indexed by id, and allocation appends.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+from ..node import node
 from ..util import FrozenMap
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FieldAccess:
     target: "FJExpr"
     field: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class New:
     cls: str
     args: Tuple["FJExpr", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Invoke:
     target: "FJExpr"
     method: str
     args: Tuple["FJExpr", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Lambda:
     params: Tuple[str, ...]
     body: "FJExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Cast:
     type: str
     target: "FJExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FieldAssign:
     target: "FJExpr"
     field: str
     value: "FJExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ObjIdRef:
     oid: int
 
@@ -66,13 +66,13 @@ class ObjIdRef:
 FJExpr = Union[Var, FieldAccess, New, Invoke, Lambda, Cast, FieldAssign, ObjIdRef]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ObjVal:
     cls: str
     fields: Tuple["FJValue", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LamVal:
     params: Tuple[str, ...]
     body: FJExpr
@@ -81,13 +81,13 @@ class LamVal:
 FJValue = Union[ObjVal, LamVal]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EnvConfig:
     env: FrozenMap  # name -> FJValue
     expr: FJExpr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ObjState:
     cls: str
     fields: Tuple[int, ...]  # object identifiers
@@ -123,13 +123,13 @@ class Memory(tuple):
 EMPTY_MEMORY = Memory()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class MemConfig:
     memory: Memory
     expr: FJExpr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class MemResult:
     memory: Memory
     oid: int

@@ -1,39 +1,40 @@
 """Terms of the lambda-calculus with naturals, successor and choice."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, FrozenSet, Union
 
+from ..node import node
 
-@dataclass(frozen=True, slots=True)
+
+@node
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Nat:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Abs:
     param: str
     annotation: Any  # LType
     body: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App:
     fn: "Expr"
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Succ:
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Choice:
     left: "Expr"
     right: "Expr"

@@ -8,29 +8,29 @@ contractive types (every cycle crosses an arrow) are admitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Union
 
+from ..node import node
 from .syntax import Abs, App, Choice, Expr, Nat, Succ, Var
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TNat:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TVar:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TArrow:
     dom: "LType"
     cod: "LType"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TRec:
     var: str
     body: "LType"

@@ -7,14 +7,14 @@ goal-reachable universes finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet
 
 from .inference import GeneralizedIS, InferenceSystem
+from .node import node
 from .rational import RationalList
 
 
-@dataclass(frozen=True)
+@node
 class MaxElem:
     lst: RationalList
     value: int

@@ -1,0 +1,51 @@
+"""Immutable nodes: terms, types, configurations and oracle answers.
+
+``@node`` turns a class that declares its fields as annotations, with
+optional trailing defaults as in a dataclass, into a tuple subclass:
+
+* construction takes the same positional and keyword arguments;
+* fields are read-only attributes backed by C-level getters, and
+  ``__match_args__`` lists them, so class patterns keep working;
+* equality is structural but type-strict: a node equals only a node of
+  the same class, never a plain tuple or a node of another class with the
+  same fields;
+* the hash is the tuple hash of the fields, computed in C;
+* every node is truthy, even one without fields;
+* ``repr`` is ``Name(field=value, ...)`` unless the class defines its own.
+
+Methods and properties of the class body are kept.
+"""
+from __future__ import annotations
+
+from collections import namedtuple
+
+
+class Node(tuple):
+    """The base of every ``@node`` class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    # defining ``__eq__`` drops the inherited hash
+    __hash__ = tuple.__hash__
+
+    def __bool__(self):
+        return True
+
+
+def node(cls: type) -> type:
+    """The ``Node`` subclass with ``cls``'s name, fields and methods."""
+    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    fields = tuple(ns.get("__annotations__", ()))
+    defaults = [ns.pop(f) for f in fields if f in ns]
+    ns["__slots__"] = ()
+    return type(cls.__name__, (Node, namedtuple(cls.__name__, fields, defaults=defaults)),
+                ns)
+
+
+__all__ = ["Node", "node"]

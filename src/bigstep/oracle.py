@@ -20,8 +20,9 @@ how stuck computations arise.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Sequence, Tuple, Union
+
+from .node import node
 
 Config = Any  # opaque, hashable, structurally comparable
 ResultVal = Any
@@ -29,13 +30,13 @@ ResultVal = Any
 _KEEP = object()  # default of ``Activation.extend``: keep the old bindings
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BsJudgment:
     config: Config
     result: ResultVal
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Activation:
     """A rule partially applied to its first premises.
 
@@ -74,13 +75,13 @@ class Activation:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Axiom:
     result: ResultVal
     rule: str = "axiom"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FirstPremise:
     config: Config
     activation: Activation
@@ -89,13 +90,13 @@ class FirstPremise:
 StartStep = Union[Axiom, FirstPremise]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Finished:
     result: ResultVal
     rule: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Demand:
     config: Config
     activation: Activation

@@ -29,6 +29,7 @@ from enum import Enum
 from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
+from .node import node
 from .oracle import (
     Activation,
     Axiom,
@@ -52,7 +53,7 @@ class _UnknownType:
 UNKNOWN = _UnknownType()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Known:
     value: ResultVal
 
@@ -70,7 +71,7 @@ class _StartTag:
 START = _StartTag()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CompletedRule:
     rule: str
 
@@ -138,7 +139,7 @@ class StuckKind(Enum):
     NO_CONTINUATION = "no-continuation"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class StuckInfo:
     kind: StuckKind
     config: Config
@@ -293,7 +294,7 @@ def tree_leq(t1: PartialEvalTree, t2: PartialEvalTree) -> bool:
     return all(tree_leq(a, b) for a, b in zip(t1.children, t2.children))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PathEntry:
     config: Config
     rule_family: Optional[str]  # None on the fresh frontier node

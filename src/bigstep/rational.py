@@ -7,7 +7,7 @@ denoted infinite words.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Tuple
 
 
@@ -26,17 +26,32 @@ def normalize_word(prefix: Tuple[Any, ...], period: Tuple[Any, ...]) -> tuple:
     return prefix, period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalList:
-    """An eventually periodic list; finite when the period is empty."""
+    """An eventually periodic list; finite when the period is empty.
+
+    Equality is type-strict and the hash is computed once, at construction.
+    """
 
     prefix: Tuple[Any, ...]
     period: Tuple[Any, ...] = ()
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        p, q = normalize_word(self.prefix, self.period)
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "period", q)
+        self._set(*normalize_word(self.prefix, self.period))
+
+    def _set(self, prefix: tuple, period: tuple) -> None:
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "_hash", hash((prefix, period)))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(self) is type(other) and self._hash == other._hash
+            and self.prefix == other.prefix and self.period == other.period)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_empty(self) -> bool:
@@ -64,8 +79,7 @@ class RationalList:
         else:
             period = period[1:] + period[:1]
         tail = object.__new__(RationalList)
-        object.__setattr__(tail, "prefix", prefix)
-        object.__setattr__(tail, "period", period)
+        tail._set(prefix, period)
         return tail
 
     def take(self, n: int) -> Tuple[Any, ...]:
