@@ -173,6 +173,9 @@ def show_fj(e) -> str:
         case Lambda(params, body):
             return f"\\{' '.join(params)}. {show_fj(body)}"
         case Cast(type_, target):
+            # ``<T>e.f`` is a field access on a cast: parenthesize postfix targets
+            if isinstance(target, (FieldAccess, Invoke)):
+                return f"<{type_}>({show_fj(target)})"
             return f"<{type_}>{_recv(target)}"
         case FieldAssign(target, field, value):
             return f"{_recv(target)}.{field} = {show_fj(value)}"

@@ -223,3 +223,15 @@ def test_parse_has_no_arrow_token():
         parse_fj_expr("a => b")
     assert (err.value.line, err.value.column) == (1, 3)
     assert "'='" in str(err.value) and "'=>'" not in str(err.value)
+
+
+def test_parse_show_roundtrip_on_depth3_casts_of_postfix_terms():
+    from bigstep.fj import enumerate_fj, show_fj
+    from bigstep.fj.syntax import Cast, FieldAccess
+
+    # a cast of a field access or call printed as <T>e.f, which parses as
+    # a field access on the cast <T>e
+    e = Cast("A", FieldAccess(New("A", ()), "f"))
+    assert show_fj(e) == "<A>(new A().f)"
+    for e in enumerate_fj(INTEROP_TABLE, 3):
+        assert parse_fj_expr(show_fj(e)) == e

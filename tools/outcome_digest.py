@@ -46,12 +46,10 @@ lie outside the universe.  Each set result is digested as the sorted
 comparable with earlier trees, digests ``bsm eval`` as ``docs`` does, on
 the object calculi: ``--lang fj`` on every seventh FJ term of depth <= 3
 over ``INTEROP_TABLE`` (fuel 150) and ``--lang impfj`` on every
-imperative-FJ term of depth <= 3 over ``IMP_TABLE`` (fuel 200), 6,590
+imperative-FJ term of depth <= 3 over ``IMP_TABLE`` (fuel 200), 6,710
 runs.  Each input is printed with ``show_fj``, and the script asserts
-that it parses back to its term.  The 12 FJ terms that are casts of a
-field access or call are left out: ``show_fj`` prints ``<T>e.f`` for
-them, which parses as a field access on a cast.  ``objdoc_runs`` yields
-the runs one by one.
+that it parses back to its term.  ``objdoc_runs`` yields the runs one by
+one.
 
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
@@ -74,7 +72,6 @@ from bigstep.fj import (  # noqa: E402
     EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
     enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics,
     parse_fj_expr, show_fj)
-from bigstep.fj.syntax import Cast, FieldAccess, Invoke  # noqa: E402
 from bigstep.inference import (  # noqa: E402
     FiniteRule, GeneralizedIS, bounded_coinduction_check, interp_coinductive,
     interp_corules, interp_inductive, reachable_universe, system_from_rules)
@@ -120,18 +117,11 @@ def doc_runs():
     return _eval_runs(["--fuel", str(FUEL)], map(show_expr, terms))
 
 
-def _cast_of_postfix(e) -> bool:
-    """``show_fj`` prints ``<T>e.f`` for a cast of a field access or call,
-    and that text parses as a field access or call on a cast."""
-    return isinstance(e, Cast) and isinstance(e.target, (FieldAccess, Invoke))
-
-
 def objdoc_runs():
     """(argv, exit code and stdout) of each ``bsm eval`` run in ``objdocs``."""
     for lang, table, fuel, exprs in (
             ("fj", "interop", FJ_FUEL, enumerate_fj(INTEROP_TABLE, 3)[::7]),
             ("impfj", "imp", IMPFJ_FUEL, enumerate_impfj(IMP_TABLE, 3))):
-        exprs = [e for e in exprs if not _cast_of_postfix(e)]
         texts = [show_fj(e) for e in exprs]
         for e, text in zip(exprs, texts):
             assert parse_fj_expr(text) == e, text
