@@ -120,6 +120,7 @@ def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
         below, k = level(d - 1)
         out = list(below)
         out.extend(_news(ct, classes, below, k))
+        singles = tuple((e,) for e in below)  # argument tuples, shared
         for i, e in enumerate(below):
             fresh = i >= k
             if fresh:
@@ -132,8 +133,8 @@ def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
                 if arity == 0 and fresh:
                     out.append(Invoke(e, mname, ()))
                 elif arity == 1:
-                    for arg in below if fresh else below[k:]:
-                        out.append(Invoke(e, mname, (arg,)))
+                    for args in singles[0 if fresh else k:]:
+                        out.append(Invoke(e, mname, args))
         return tuple(out), len(below)
 
     return level(depth)[0]
@@ -147,7 +148,7 @@ def fj_typed_corpus(ct: ClassTable, depth: int) -> tuple:
         except FJTypeError:
             continue
         out.append(EnvConfig(EMPTY_MAP, e))
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
 
 
 def enumerate_impfj(ct: ClassTable, depth: int) -> tuple:
@@ -164,20 +165,21 @@ def enumerate_impfj(ct: ClassTable, depth: int) -> tuple:
         below, k = level(d - 1)
         out = list(below)
         out.extend(_news(ct, classes, below, k))
+        singles = tuple((e,) for e in below)  # argument tuples, shared
         for i, e in enumerate(below):
             fresh = i >= k
-            args = below if fresh else below[k:]
+            start = 0 if fresh else k
             if fresh:
                 out.extend(FieldAccess(e, fname) for fname in field_names)
-            for e2 in args:
+            for e2 in below[start:]:
                 for fname in field_names:
                     out.append(FieldAssign(e, fname, e2))
             for mname, arity in method_sigs:
                 if arity == 0 and fresh:
                     out.append(Invoke(e, mname, ()))
                 elif arity == 1:
-                    for arg in args:
-                        out.append(Invoke(e, mname, (arg,)))
+                    for args in singles[start:]:
+                        out.append(Invoke(e, mname, args))
         return tuple(out), len(below)
 
     return level(depth)[0]
@@ -191,4 +193,4 @@ def impfj_typed_corpus(ct: ClassTable, depth: int) -> tuple:
         except FJTypeError:
             continue
         out.append(MemConfig(EMPTY_MEMORY, e))
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
