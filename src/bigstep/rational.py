@@ -26,16 +26,16 @@ def normalize_word(prefix: Tuple[Any, ...], period: Tuple[Any, ...]) -> tuple:
     return prefix, period
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RationalList:
     """An eventually periodic list; finite when the period is empty.
 
-    Equality is type-strict and the hash is computed once, at construction.
+    The hash is computed once, at construction.
     """
 
     prefix: Tuple[Any, ...]
     period: Tuple[Any, ...] = ()
-    _hash: int = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._set(*normalize_word(self.prefix, self.period))
@@ -44,11 +44,6 @@ class RationalList:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "_hash", hash((prefix, period)))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(self) is type(other) and self._hash == other._hash
-            and self.prefix == other.prefix and self.period == other.period)
 
     def __hash__(self):
         return self._hash
