@@ -123,6 +123,7 @@ def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
         singles = tuple((e,) for e in below)  # argument tuples, shared
         for i, e in enumerate(below):
             fresh = i >= k
+            start = 0 if fresh else k
             if fresh:
                 out.extend(Cast(t, e) for t in types)
             if isinstance(e, Lambda):
@@ -133,7 +134,7 @@ def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
                 if arity == 0 and fresh:
                     out.append(Invoke(e, mname, ()))
                 elif arity == 1:
-                    for args in singles[0 if fresh else k:]:
+                    for args in singles[start:]:
                         out.append(Invoke(e, mname, args))
         return tuple(out), len(below)
 
