@@ -93,31 +93,69 @@ def subst(e: Expr, v: Expr, x: str) -> Expr:
 
 
 def show_expr(e: Expr) -> str:
-    """Surface syntax; parses back to the same term."""
-    def atom(t: Expr) -> str:
-        s = show_expr(t)
-        if isinstance(t, (Var, Nat)):
-            return s
-        return f"({s})"
+    """Surface syntax; parses back to the same term.
 
-    match e:
-        case Var(name):
-            return name
-        case Nat(value):
-            return str(value)
-        case Abs(param, ann, body):
-            return f"\\{param}:{show_type(ann)}. {show_expr(body)}"
-        case App(fn, arg):
+    Iterative, so no depth of ``e`` reaches the recursion limit: ``todo``
+    is a stack of subterms still to render and of literal pieces, popped
+    in output order, and the pieces are joined once.  A subterm in atom
+    position is parenthesized unless it is a variable or a numeral.
+    """
+    out = []
+    todo = [e]
+    push, emit = todo.append, out.append
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is str:
+            emit(t)
+        elif cls is Succ:
+            arg = t.arg
+            if type(arg) is Nat or type(arg) is Var:
+                emit("succ ")
+                push(arg)
+            else:
+                emit("succ (")
+                push(")")
+                push(arg)
+        elif cls is Nat:
+            emit(str(t.value))
+        elif cls is Var:
+            emit(t.name)
+        elif cls is App:
             # application is left-associative; lambdas and choices need parens
-            fs = show_expr(fn) if isinstance(fn, App) else atom(fn)
-            return f"{fs} {atom(arg)}"
-        case Succ(arg):
-            return f"succ {atom(arg)}"
-        case Choice(left, right):
-            ls = show_expr(left) if not isinstance(left, (Abs, Choice)) else atom(left)
-            rs = show_expr(right) if not isinstance(right, (Abs, Choice)) else atom(right)
-            return f"{ls} (+) {rs}"
-    raise TypeError(e)
+            fn, arg = t
+            if type(arg) is Nat or type(arg) is Var:
+                push(arg)
+                push(" ")
+            else:
+                push(")")
+                push(arg)
+                push(" (")
+            if type(fn) is App or type(fn) is Nat or type(fn) is Var:
+                push(fn)
+            else:
+                emit("(")
+                push(")")
+                push(fn)
+        elif cls is Abs:
+            emit(f"\\{t.param}:{show_type(t.annotation)}. ")
+            push(t.body)
+        elif cls is Choice:
+            left, right = t
+            if type(right) is Abs or type(right) is Choice:
+                push(")")
+                push(right)
+                push(" (+) (")
+            else:
+                push(right)
+                push(" (+) ")
+            if type(left) is Abs or type(left) is Choice:
+                emit("(")
+                push(")")
+            push(left)
+        else:
+            raise TypeError(t)
+    return "".join(out)
 
 
 # ``types`` imports the term classes above, so it is imported only once

@@ -20,14 +20,14 @@ Runs do not rebuild trees.  A live computation is held as its active
 path, a stack of frames from the root to the incomplete node the next
 transition refines, so a transition touches only the top frame; trees
 are folded from the path where an outcome, a history or ``step`` needs
-one.
+one.  A first-successor run mutates one list of frames in place;
+exhaustive branches share their frames as persistent tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .node import node
 from .oracle import (
@@ -152,22 +152,26 @@ class _Frame:
     """One node of the active path: a live judgment ``config => ?``.
 
     ``children`` are the completed premises; on every frame but the top,
-    the pending premise is the next frame up.  ``chash`` is the hash of
-    ``config``, computed once when the frame is pushed, for the cycle
-    check.
+    the pending premise is the next frame up.  A first-successor run owns
+    its frames and mutates them in place: it re-tags the top frame and
+    appends to ``children`` (a new tuple each time, so folded trees never
+    change).  Exhaustive frames are shared between branches and never
+    mutated; ``chash`` is the hash of their ``config``, computed once when
+    the frame is pushed, for the cycle scan.  First-successor frames leave
+    it ``None``.
     """
 
     __slots__ = ("config", "tag", "children", "chash")
 
     def __init__(self, config: Config, tag: Union[_StartTag, Activation],
-                 children: Tuple[PartialEvalTree, ...], chash: int):
+                 children: Tuple[PartialEvalTree, ...], chash: Optional[int] = None):
         self.config = config
         self.tag = tag
         self.children = children
         self.chash = chash
 
 
-# A live computation is its active path: a tuple of frames, root first.
+# An exhaustive branch is its active path: a tuple of frames, root first.
 Path = Tuple[_Frame, ...]
 
 
@@ -175,7 +179,7 @@ def _fresh(config: Config) -> _Frame:
     return _Frame(config, START, (), hash(config))
 
 
-def _fold(path: Path) -> PartialEvalTree:
+def _fold(path: Sequence[_Frame]) -> PartialEvalTree:
     """The partial evaluation tree whose active path is ``path``."""
     tree = None
     for f in reversed(path):
@@ -194,15 +198,14 @@ def _unfold(t: PartialEvalTree) -> Path:
                  for i, e in enumerate(path))
 
 
-def _expand(sem: LanguageSemantics, path: Path
-            ) -> Tuple[Iterable[tuple], Optional[StuckInfo]]:
-    """(successor, certificate or None) pairs of ``path``, or its stuck info.
+def _answers(sem: LanguageSemantics, top: _Frame
+             ) -> Tuple[tuple, Optional[StuckInfo]]:
+    """The oracle's answers about the top frame, or its stuck info.
 
-    A successor is the next active path or, once the root completes, the
-    complete tree.  The oracle is queried about the top frame and every
-    answer checked at once; the pairs are built lazily, one at a time.
+    Every answer is checked against the oracle contract at once: the
+    activation a start rule or a demand hands back must extend the
+    queried one, and no demand may exceed the premise bound.
     """
-    top = path[-1]
     config = top.config
     if top.tag is START:
         answers = dedup(sem.start(config))
@@ -213,46 +216,60 @@ def _expand(sem: LanguageSemantics, path: Path
                                              or s.activation.pending != s.config):
                 raise OracleContractError(
                     f"start activation malformed for {config!r}")
-    else:
-        act: Activation = top.tag
-        result = top.children[-1].res.value
-        answers = dedup(sem.advance(act, result))
-        if not answers:
-            return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
-                                 act.rule_family, len(top.children), result)
-        expected = act.completed + (BsJudgment(act.pending, result),)
-        for c in answers:
-            if isinstance(c, Finished):
-                continue
-            nxt = c.activation
-            if (nxt.completed != expected
-                    or nxt.conclusion_config != act.conclusion_config
-                    or nxt.pending != c.config):
-                raise OracleContractError(
-                    f"advance activation malformed for {config!r}")
-            if len(top.children) + 1 > sem.premise_bound(config):
-                raise OracleContractError(
-                    f"premise bound exceeded for {config!r}")
-    return _successors(path, answers), None
+        return answers, None
+    act: Activation = top.tag
+    result = top.children[-1].res.value
+    answers = dedup(sem.advance(act, result))
+    if not answers:
+        return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
+                             act.rule_family, len(top.children), result)
+    expected = act.completed + (BsJudgment(act.pending, result),)
+    for c in answers:
+        if isinstance(c, Finished):
+            continue
+        nxt = c.activation
+        if (nxt.completed != expected
+                or nxt.conclusion_config != act.conclusion_config
+                or nxt.pending != c.config):
+            raise OracleContractError(
+                f"advance activation malformed for {config!r}")
+        if len(top.children) + 1 > sem.premise_bound(config):
+            raise OracleContractError(
+                f"premise bound exceeded for {config!r}")
+    return answers, None
+
+
+def _completed(top: _Frame, answer: Union[Axiom, Finished]) -> PartialEvalTree:
+    """The tree of ``top`` completed by ``answer``."""
+    rule = answer.rule if answer.rule is not None else top.tag.rule_family
+    return PartialEvalTree(top.config, Known(answer.result), CompletedRule(rule),
+                           top.children)
+
+
+def _certificate(cycle: Sequence[_Frame], entry: Config) -> "DivergenceCertificate":
+    """The witness of a demand of ``entry`` by the last of ``cycle``, whose
+    first frame began with ``entry``."""
+    # each frame's pending premise follows its completed ones
+    return DivergenceCertificate(tuple(
+        (g.config, g.tag.rule_family, len(g.children) + 1) for g in cycle), entry)
 
 
 def _successors(path: Path, answers: tuple):
-    """One transition of the top frame per answer.
+    """(successor, certificate or None) pairs of ``path``, one per answer.
 
-    A completion pops the top frame and hands its tree to the frame below;
-    a demand re-tags the top frame and pushes a fresh one.  A demand closes
-    a cycle if the demanded configuration is already on the path: every
-    frame began fresh with its configuration, so the demand replays that
-    frame's whole trajectory, a genuine loop.  Configurations are compared
-    only where their cached hashes agree.
+    A successor is the next active path or, once the root completes, the
+    complete tree.  A completion pops the top frame and hands its tree to
+    the frame below; a demand re-tags the top frame and pushes a fresh
+    one.  A demand closes a cycle if the demanded configuration is
+    already on the path: every frame began fresh with its configuration,
+    so the demand replays that frame's whole trajectory, a genuine loop.
+    Configurations are compared only where their cached hashes agree.
     """
     top = path[-1]
     below = path[:-1]
     for a in answers:
         if isinstance(a, (Axiom, Finished)):
-            rule = a.rule if a.rule is not None else top.tag.rule_family
-            done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
-                                   top.children)
+            done = _completed(top, a)
             if below:
                 f = below[-1]
                 yield below[:-1] + (_Frame(f.config, f.tag, f.children + (done,),
@@ -267,10 +284,7 @@ def _successors(path: Path, answers: tuple):
         for i in range(len(path) - 1, -1, -1):
             f = path[i]
             if f.chash == fresh.chash and f.config == fresh.config:
-                # each frame's pending premise follows its completed ones
-                cert = DivergenceCertificate(tuple(
-                    (g.config, g.tag.rule_family, len(g.children) + 1)
-                    for g in succ[i:-1]), fresh.config)
+                cert = _certificate(succ[i:-1], fresh.config)
                 break
         yield succ, cert
 
@@ -279,8 +293,10 @@ def step(sem: LanguageSemantics, t: PartialEvalTree) -> Tuple[PartialEvalTree, .
     """One-step successors of ``t``; empty iff ``t`` is irreducible."""
     if t.is_complete:
         return ()
-    succs, _ = _expand(sem, _unfold(t))
-    return tuple(s if isinstance(s, PartialEvalTree) else _fold(s) for s, _ in succs)
+    path = _unfold(t)
+    answers, _ = _answers(sem, path[-1])
+    return tuple(s if isinstance(s, PartialEvalTree) else _fold(s)
+                 for s, _ in _successors(path, answers))
 
 
 def tree_leq(t1: PartialEvalTree, t2: PartialEvalTree) -> bool:
@@ -401,45 +417,102 @@ def _outcome_key(o: Outcome):
     return type(o), tree.skeleton()
 
 
-def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
-         on_tree: Optional[Callable[[PartialEvalTree], None]] = None
-         ) -> Tuple[Outcome, ...]:
-    """Explore ``config`` level by level, one transition per level.
+def _first(sem: LanguageSemantics, config: Config, fuel: int,
+           on_tree: Optional[Callable[[PartialEvalTree], None]] = None
+           ) -> Outcome:
+    """Follow the first successor at every step, at most ``fuel`` steps.
 
-    Fuel bounds the number of transitions along any single branch.  With
-    ``first`` only the first successor of each path is kept, so there is
-    one branch and one outcome.  Otherwise each successor is a branch and
-    all branches advance together, so converging branches are found before
-    fuel runs out on diverging siblings.  Paths are never compared: an
-    oracle that gives two distinct answers for the same rule gets two
-    branches, and outcomes are merged by ``_outcome_key`` only.
-    ``on_tree``, if given, is called on every tree taken.  Trees are
-    folded from paths only for outcomes and ``on_tree``.
+    The run owns its active path, a list of frames mutated in place, and
+    ``index`` maps each configuration on it to its position, so the cycle
+    check is one dict probe; a configuration leaves ``index`` when its
+    frame completes.  ``on_tree``, if given, is called on every tree
+    taken.  Trees are folded from the path only for the outcome and
+    ``on_tree``.
+    """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    stack = [_Frame(config, START, ())]
+    index = {config: 0}
+    for steps in range(fuel):
+        top = stack[-1]
+        answers, stuck = _answers(sem, top)
+        if stuck is not None:
+            return Stuck(_fold(stack), stuck.kind, steps, stuck)
+        a = answers[0]
+        if isinstance(a, (Axiom, Finished)):
+            done = _completed(top, a)
+            stack.pop()
+            del index[top.config]
+            if not stack:
+                if on_tree is not None:
+                    on_tree(done)
+                return Converged(a.result, done, steps + 1)
+            stack[-1].children += (done,)
+        else:
+            top.tag = a.activation
+            stack.append(_Frame(a.config, START, ()))
+            i = index.setdefault(a.config, len(stack) - 1)
+            if i < len(stack) - 1:
+                tree = _fold(stack)
+                if on_tree is not None:
+                    on_tree(tree)
+                return Diverges(_certificate(stack[i:-1], a.config), tree)
+        if on_tree is not None:
+            on_tree(_fold(stack))
+    return OutOfFuel(_fold(stack))
+
+
+def run_first(sem: LanguageSemantics, config: Config, fuel: int) -> Outcome:
+    """Follow the first successor at every step."""
+    return _first(sem, config, fuel)
+
+
+def run_history(sem: LanguageSemantics, config: Config, fuel: int
+                ) -> Tuple[List[PartialEvalTree], Outcome]:
+    """First-successor run keeping the whole transition sequence."""
+    history = [initial_tree(config)]
+    outcome = _first(sem, config, fuel, on_tree=history.append)
+    return history, outcome
+
+
+def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
+                   validate: bool = False) -> Tuple[Outcome, ...]:
+    """Breadth-first exploration of every nondeterministic branch.
+
+    Level by level, one transition per level: each successor is a branch
+    and all branches advance together, so converging branches are found
+    before fuel runs out on diverging siblings.  Fuel bounds the number of
+    transitions along any single branch.  Branches share their frames as
+    persistent tuples.  Paths are never compared: each distinct oracle
+    answer opens its own branch, so an oracle that gives two distinct
+    answers for the same rule gets two branches, and outcomes are merged
+    by ``_outcome_key`` only.  Trees are folded from paths only for
+    outcomes and, with ``validate``, to check every tree taken.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     outcomes: dict = {}
 
     def emit(o: Outcome) -> None:
-        outcomes.setdefault(None if first else _outcome_key(o), o)
+        outcomes.setdefault(_outcome_key(o), o)
 
     frontier = [(_fresh(config),)]
     steps = 0
     while frontier and steps < fuel:
         nxt = []
         for path in frontier:
-            succs, stuck = _expand(sem, path)
+            answers, stuck = _answers(sem, path[-1])
             if stuck is not None:
                 emit(Stuck(_fold(path), stuck.kind, steps, stuck))
                 continue
-            for s, cert in islice(succs, 1) if first else succs:
+            for s, cert in _successors(path, answers):
                 done = isinstance(s, PartialEvalTree)
                 if done:
                     tree = s
-                elif on_tree is not None or cert is not None:
+                elif validate or cert is not None:
                     tree = _fold(s)
-                if on_tree is not None:
-                    on_tree(tree)
+                if validate:
+                    _validate(tree)
                 if done:
                     emit(Converged(s.res.value, s, steps + 1))
                 elif cert is not None:
@@ -451,31 +524,6 @@ def _run(sem: LanguageSemantics, config: Config, fuel: int, first: bool,
     for path in frontier:
         emit(OutOfFuel(_fold(path)))
     return tuple(outcomes.values())
-
-
-def run_first(sem: LanguageSemantics, config: Config, fuel: int) -> Outcome:
-    """Follow the first successor at every step."""
-    return _run(sem, config, fuel, first=True)[0]
-
-
-def run_history(sem: LanguageSemantics, config: Config, fuel: int
-                ) -> Tuple[List[PartialEvalTree], Outcome]:
-    """First-successor run keeping the whole transition sequence."""
-    history = [initial_tree(config)]
-    outcome = _run(sem, config, fuel, first=True, on_tree=history.append)[0]
-    return history, outcome
-
-
-def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
-                   validate: bool = False) -> Tuple[Outcome, ...]:
-    """Breadth-first exploration of every nondeterministic branch.
-
-    Each distinct oracle answer opens its own branch, so an oracle that
-    gives two distinct answers for the same rule gets two branches;
-    outcomes are merged by ``_outcome_key`` only.
-    """
-    return _run(sem, config, fuel, first=False,
-                on_tree=_validate if validate else None)
 
 
 def run(sem: LanguageSemantics, config: Config, fuel: int,

@@ -1,0 +1,231 @@
+"""The first-successor loop against a copy of the tuple-path loop it
+replaced, and regression tests for its configuration index."""
+from itertools import islice
+
+import pytest
+
+from bigstep.extensions import divergence_certificate_check
+from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig,
+                        MemConfig, enumerate_fj, enumerate_impfj, fj_semantics,
+                        impfj_semantics)
+from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics, parse_expr
+from bigstep.lam.corpus import SELF_APPLY
+from bigstep.lam.semantics import STRATEGIES
+from bigstep.lam.syntax import Abs, App, Nat, Succ, Var
+from bigstep.lam.types import NAT
+from bigstep.oracle import Axiom, BsJudgment, Finished, OracleContractError
+from bigstep.pet import (
+    START,
+    UNKNOWN,
+    CompletedRule,
+    Converged,
+    DivergenceCertificate,
+    Diverges,
+    Known,
+    OutOfFuel,
+    PartialEvalTree,
+    Stuck,
+    StuckInfo,
+    StuckKind,
+    initial_tree,
+    run_first,
+    run_history,
+)
+from bigstep.util import EMPTY_MAP, dedup
+
+FUEL = 120
+
+
+# --- the tuple-path first-successor loop, as it was before the stack ------
+
+class _Frame:
+    __slots__ = ("config", "tag", "children", "chash")
+
+    def __init__(self, config, tag, children, chash):
+        self.config = config
+        self.tag = tag
+        self.children = children
+        self.chash = chash
+
+
+def _fresh(config):
+    return _Frame(config, START, (), hash(config))
+
+
+def _fold(path):
+    tree = None
+    for f in reversed(path):
+        children = f.children if tree is None else f.children + (tree,)
+        tree = PartialEvalTree(f.config, UNKNOWN, f.tag, children)
+    return tree
+
+
+def _expand(sem, path):
+    top = path[-1]
+    config = top.config
+    if top.tag is START:
+        answers = dedup(sem.start(config))
+        if not answers:
+            return (), StuckInfo(StuckKind.NO_RULE, config)
+        for s in answers:
+            if not isinstance(s, Axiom) and (s.activation.completed
+                                             or s.activation.pending != s.config):
+                raise OracleContractError(
+                    f"start activation malformed for {config!r}")
+    else:
+        act = top.tag
+        result = top.children[-1].res.value
+        answers = dedup(sem.advance(act, result))
+        if not answers:
+            return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
+                                 act.rule_family, len(top.children), result)
+        expected = act.completed + (BsJudgment(act.pending, result),)
+        for c in answers:
+            if isinstance(c, Finished):
+                continue
+            nxt = c.activation
+            if (nxt.completed != expected
+                    or nxt.conclusion_config != act.conclusion_config
+                    or nxt.pending != c.config):
+                raise OracleContractError(
+                    f"advance activation malformed for {config!r}")
+            if len(top.children) + 1 > sem.premise_bound(config):
+                raise OracleContractError(
+                    f"premise bound exceeded for {config!r}")
+    return _successors(path, answers), None
+
+
+def _successors(path, answers):
+    top = path[-1]
+    below = path[:-1]
+    for a in answers:
+        if isinstance(a, (Axiom, Finished)):
+            rule = a.rule if a.rule is not None else top.tag.rule_family
+            done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
+                                   top.children)
+            if below:
+                f = below[-1]
+                yield below[:-1] + (_Frame(f.config, f.tag, f.children + (done,),
+                                           f.chash),), None
+            else:
+                yield done, None
+            continue
+        fresh = _fresh(a.config)
+        succ = below + (_Frame(top.config, a.activation, top.children, top.chash),
+                        fresh)
+        cert = None
+        for i in range(len(path) - 1, -1, -1):
+            f = path[i]
+            if f.chash == fresh.chash and f.config == fresh.config:
+                cert = DivergenceCertificate(tuple(
+                    (g.config, g.tag.rule_family, len(g.children) + 1)
+                    for g in succ[i:-1]), fresh.config)
+                break
+        yield succ, cert
+
+
+def _reference_first(sem, config, fuel, on_tree=None):
+    frontier = [(_fresh(config),)]
+    steps = 0
+    while frontier and steps < fuel:
+        nxt = []
+        for path in frontier:
+            succs, stuck = _expand(sem, path)
+            if stuck is not None:
+                return Stuck(_fold(path), stuck.kind, steps, stuck)
+            for s, cert in islice(succs, 1):
+                done = isinstance(s, PartialEvalTree)
+                tree = s if done else _fold(s)
+                if on_tree is not None:
+                    on_tree(tree)
+                if done:
+                    return Converged(s.res.value, s, steps + 1)
+                if cert is not None:
+                    return Diverges(cert, tree)
+                nxt.append(s)
+        frontier = nxt
+        steps += 1
+    return OutOfFuel(_fold(frontier[0]))
+
+
+def _reference_history(sem, config, fuel):
+    history = [initial_tree(config)]
+    return history, _reference_first(sem, config, fuel, history.append)
+
+
+# --- differential tests -----------------------------------------------------
+
+def _assert_same_outcome(new, old):
+    assert repr(new) == repr(old)
+    assert getattr(new, "steps", None) == getattr(old, "steps", None)
+    assert getattr(new, "certificate", None) == getattr(old, "certificate", None)
+
+
+def _check_corpus(sem, configs, fuel):
+    for c in configs:
+        _assert_same_outcome(run_first(sem, c, fuel),
+                             _reference_first(sem, c, fuel))
+        history, outcome = run_history(sem, c, fuel)
+        ref_history, ref_outcome = _reference_history(sem, c, fuel)
+        _assert_same_outcome(outcome, ref_outcome)
+        assert len(history) == len(ref_history)
+        for t, ref in zip(history, ref_history):
+            assert t == ref and repr(t) == repr(ref)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_first_runs_equal_the_tuple_path_loop_on_lambda_terms(strategy):
+    _check_corpus(lambda_semantics(strategy), enumerate_terms(3) + (OMEGA,), FUEL)
+
+
+def test_first_runs_equal_the_tuple_path_loop_on_fj_terms():
+    _check_corpus(fj_semantics(INTEROP_TABLE),
+                  [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)],
+                  150)
+
+
+def test_first_runs_equal_the_tuple_path_loop_on_impfj_terms():
+    _check_corpus(impfj_semantics(IMP_TABLE),
+                  [MemConfig(EMPTY_MEMORY, e) for e in enumerate_impfj(IMP_TABLE, 3)],
+                  200)
+
+
+# --- the configuration index ------------------------------------------------
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("text, result", [("(\\x:nat. succ 0) (succ 0)", 1),
+                                          ("(\\x:nat. succ (succ 0)) (succ 0)", 2)])
+def test_a_configuration_demanded_again_after_it_completed_is_no_cycle(
+        strategy, text, result):
+    # ``succ 0`` is demanded as the argument and completes; the body demands
+    # it again, at the argument's depth or one deeper: it must have left the
+    # index when it completed
+    sem = lambda_semantics(strategy)
+    e = parse_expr(text)
+    out = run_first(sem, e, FUEL)
+    assert isinstance(out, Converged) and out.result == Nat(result)
+    _assert_same_outcome(out, _reference_first(sem, e, FUEL))
+
+
+def _three_cycle():
+    """``W W`` for ``W = \\x. (\\y. (\\z. x x) 0) 0``: ``W W`` demands
+    ``(\\y. ...) 0``, which demands ``(\\z. W W) 0``, which demands ``W W``."""
+    body = App(Abs("y", NAT, App(Abs("z", NAT, App(Var("x"), Var("x"))), Nat(0))),
+               Nat(0))
+    w = Abs("x", SELF_APPLY, body)
+    return App(w, w)
+
+
+@pytest.mark.parametrize("loop, entries", [(OMEGA, 1), (_three_cycle(), 3)])
+def test_a_cycle_on_top_of_a_deep_stack_is_found(loop, entries):
+    sem = lambda_semantics()
+    e = loop
+    for _ in range(2000):
+        e = Succ(e)
+    out = run_first(sem, e, 10_000)
+    assert isinstance(out, Diverges)
+    assert len(out.certificate.witness) == entries
+    assert out.certificate.witness[0] == (loop, "app", 3)
+    assert out.certificate.entry == loop
+    assert out.certificate == _reference_first(sem, e, 10_000).certificate
+    assert divergence_certificate_check(sem, out.certificate, FUEL).passed
