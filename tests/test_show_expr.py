@@ -58,17 +58,6 @@ def test_iterative_show_equals_the_recursive_one_on_the_deep_ladders():
             assert show_expr(ladder(n)) == _recursive_show(ladder(n))
 
 
-def test_mixed_nesting_renders_as_before():
-    # choices and lambdas in every position of an application and a choice
-    parts = (Nat(1), Var("y"), IDENTITY, Succ(Nat(0)), App(Var("y"), Nat(2)),
-             Choice(Nat(0), Nat(1)))
-    for a in parts:
-        for b in parts:
-            for e in (App(a, b), Choice(a, b), Succ(App(a, b)),
-                      Abs("y", NAT, Choice(a, b)), App(App(a, b), Choice(b, a))):
-                assert show_expr(e) == _recursive_show(e)
-
-
 def test_a_deep_spine_renders_without_recursion():
     text = show_expr(_ladder(10_000, Succ, Nat(0)))
     assert text == "succ (" * 9_999 + "succ 0" + ")" * 9_999
