@@ -20,14 +20,18 @@ Runs do not rebuild trees.  A live computation is held as its active
 path, a stack of frames from the root to the incomplete node the next
 transition refines, so a transition touches only the top frame; trees
 are folded from the path where an outcome, a history or ``step`` needs
-one.  A first-successor run mutates one list of frames in place;
-exhaustive branches share their frames as persistent tuples.
+one.  One depth-first walk, ``_explore``, serves every run: it mutates
+one list of frames in place and undoes each transition when it
+backtracks.  The first branch it ends is the first-successor run;
+``run_exhaustive`` takes every end, and ``step`` every end after one
+transition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .node import node
 from .oracle import (
@@ -102,9 +106,25 @@ class PartialEvalTree:
         return self.res is not UNKNOWN
 
     def skeleton(self) -> tuple:
-        """Config/result shape, forgetting rule annotations."""
-        res = "?" if self.res is UNKNOWN else ("!", self.res.value)
-        return (self.config, res, tuple(ch.skeleton() for ch in self.children))
+        """Config/result shape, forgetting rule annotations.
+
+        Built without recursion: ``order`` lists each node before its
+        subtrees, the last child's first, so read backwards each node
+        finds its children's skeletons on top of ``done``, in order.
+        """
+        order, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            order.append(t)
+            todo += t.children
+        done = []
+        for t in reversed(order):
+            cut = len(done) - len(t.children)
+            kids = tuple(done[cut:])
+            del done[cut:]
+            done.append((t.config, "?" if t.res is UNKNOWN else ("!", t.res.value),
+                         kids))
+        return done[0]
 
     def positions(self):
         yield (), self
@@ -152,31 +172,23 @@ class _Frame:
     """One node of the active path: a live judgment ``config => ?``.
 
     ``children`` are the completed premises; on every frame but the top,
-    the pending premise is the next frame up.  A first-successor run owns
-    its frames and mutates them in place: it re-tags the top frame and
-    appends to ``children`` (a new tuple each time, so folded trees never
-    change).  Exhaustive frames are shared between branches and never
-    mutated; ``chash`` is the hash of their ``config``, computed once when
-    the frame is pushed, for the cycle scan.  First-successor frames leave
-    it ``None``.
+    the pending premise is the next frame up.  A run owns its frames and
+    mutates them in place: it re-tags a frame and appends to or drops
+    from its ``children`` (a new tuple each time, so folded trees never
+    change).  ``chash`` is the hash of ``config``, computed once, when the
+    frame is built.  ``shadow`` is the position of the next lower frame on
+    the path whose ``chash`` is the same, or ``None``; the run sets it
+    when it pushes the frame.
     """
 
-    __slots__ = ("config", "tag", "children", "chash")
+    __slots__ = ("config", "tag", "children", "chash", "shadow")
 
     def __init__(self, config: Config, tag: Union[_StartTag, Activation],
-                 children: Tuple[PartialEvalTree, ...], chash: Optional[int] = None):
+                 children: Tuple[PartialEvalTree, ...]):
         self.config = config
         self.tag = tag
         self.children = children
-        self.chash = chash
-
-
-# An exhaustive branch is its active path: a tuple of frames, root first.
-Path = Tuple[_Frame, ...]
-
-
-def _fresh(config: Config) -> _Frame:
-    return _Frame(config, START, (), hash(config))
+        self.chash = hash(config)
 
 
 def _fold(path: Sequence[_Frame]) -> PartialEvalTree:
@@ -188,14 +200,13 @@ def _fold(path: Sequence[_Frame]) -> PartialEvalTree:
     return tree
 
 
-def _unfold(t: PartialEvalTree) -> Path:
+def _unfold(t: PartialEvalTree) -> List[_Frame]:
     """The active path of the incomplete tree ``t``, as frames."""
     path = active_path(t)
     top = len(path) - 1
-    return tuple(_Frame(e.config, e.node.tag,
-                        e.node.children if i == top else e.node.children[:-1],
-                        hash(e.config))
-                 for i, e in enumerate(path))
+    return [_Frame(e.config, e.node.tag,
+                   e.node.children if i == top else e.node.children[:-1])
+            for i, e in enumerate(path)]
 
 
 def _answers(sem: LanguageSemantics, top: _Frame
@@ -237,66 +248,6 @@ def _answers(sem: LanguageSemantics, top: _Frame
             raise OracleContractError(
                 f"premise bound exceeded for {config!r}")
     return answers, None
-
-
-def _completed(top: _Frame, answer: Union[Axiom, Finished]) -> PartialEvalTree:
-    """The tree of ``top`` completed by ``answer``."""
-    rule = answer.rule if answer.rule is not None else top.tag.rule_family
-    return PartialEvalTree(top.config, Known(answer.result), CompletedRule(rule),
-                           top.children)
-
-
-def _certificate(cycle: Sequence[_Frame], entry: Config) -> "DivergenceCertificate":
-    """The witness of a demand of ``entry`` by the last of ``cycle``, whose
-    first frame began with ``entry``."""
-    # each frame's pending premise follows its completed ones
-    return DivergenceCertificate(tuple(
-        (g.config, g.tag.rule_family, len(g.children) + 1) for g in cycle), entry)
-
-
-def _successors(path: Path, answers: tuple):
-    """(successor, certificate or None) pairs of ``path``, one per answer.
-
-    A successor is the next active path or, once the root completes, the
-    complete tree.  A completion pops the top frame and hands its tree to
-    the frame below; a demand re-tags the top frame and pushes a fresh
-    one.  A demand closes a cycle if the demanded configuration is
-    already on the path: every frame began fresh with its configuration,
-    so the demand replays that frame's whole trajectory, a genuine loop.
-    Configurations are compared only where their cached hashes agree.
-    """
-    top = path[-1]
-    below = path[:-1]
-    for a in answers:
-        if isinstance(a, (Axiom, Finished)):
-            done = _completed(top, a)
-            if below:
-                f = below[-1]
-                yield below[:-1] + (_Frame(f.config, f.tag, f.children + (done,),
-                                           f.chash),), None
-            else:
-                yield done, None
-            continue
-        fresh = _fresh(a.config)
-        succ = below + (_Frame(top.config, a.activation, top.children, top.chash),
-                        fresh)
-        cert = None
-        for i in range(len(path) - 1, -1, -1):
-            f = path[i]
-            if f.chash == fresh.chash and f.config == fresh.config:
-                cert = _certificate(succ[i:-1], fresh.config)
-                break
-        yield succ, cert
-
-
-def step(sem: LanguageSemantics, t: PartialEvalTree) -> Tuple[PartialEvalTree, ...]:
-    """One-step successors of ``t``; empty iff ``t`` is irreducible."""
-    if t.is_complete:
-        return ()
-    path = _unfold(t)
-    answers, _ = _answers(sem, path[-1])
-    return tuple(s if isinstance(s, PartialEvalTree) else _fold(s)
-                 for s, _ in _successors(path, answers))
 
 
 def tree_leq(t1: PartialEvalTree, t2: PartialEvalTree) -> bool:
@@ -417,112 +368,155 @@ def _outcome_key(o: Outcome):
     return type(o), tree.skeleton()
 
 
-def _first(sem: LanguageSemantics, config: Config, fuel: int,
-           on_tree: Optional[Callable[[PartialEvalTree], None]] = None
-           ) -> Outcome:
-    """Follow the first successor at every step, at most ``fuel`` steps.
+# the answers that complete the queried frame
+_COMPLETIONS = (Axiom, Finished)
 
-    The run owns its active path, a list of frames mutated in place, and
-    ``index`` maps each configuration on it to its position, so the cycle
-    check is one dict probe; a configuration leaves ``index`` when its
-    frame completes.  ``on_tree``, if given, is called on every tree
-    taken.  Trees are folded from the path only for the outcome and
-    ``on_tree``.
+
+def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
+             on_tree: Optional[Callable[[PartialEvalTree], None]] = None
+             ) -> Iterator[Tuple[int, Outcome]]:
+    """Every branch from the active path ``path``, depth first.
+
+    Yields one ``(steps, outcome)`` pair per branch end, taking the
+    oracle's answers in order, so the first pair ends the first-successor
+    run; ``steps`` counts the transitions before the branch's last oracle
+    query, or is ``fuel``, which bounds the transitions of every branch.
+    ``on_tree``, if given, is called on every tree taken; trees are folded
+    from the path only for it and the outcomes.
+
+    The walk owns ``path`` and its frames and mutates them in place,
+    undoing each transition when it backtracks: a completion pops the top
+    frame and appends its tree to the new top's ``children``, and its undo
+    drops that child and pushes the frame back; a demand re-tags the top
+    frame and pushes a fresh one, and its undo pops the fresh frame and
+    restores the tag.  A demand closes a cycle if the demanded
+    configuration is already on the path: every frame began fresh with
+    its configuration, so the demand replays that frame's whole
+    trajectory, a genuine loop.  ``index`` maps a hash to the position of
+    the deepest frame with it (``None`` once none is left), the
+    ``shadow``s chain the lower ones, and configurations are compared
+    only along that chain.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    stack = [_Frame(config, START, ())]
-    index = {config: 0}
-    for steps in range(fuel):
-        top = stack[-1]
-        answers, stuck = _answers(sem, top)
-        if stuck is not None:
-            return Stuck(_fold(stack), stuck.kind, steps, stuck)
-        a = answers[0]
-        if isinstance(a, (Axiom, Finished)):
-            done = _completed(top, a)
-            stack.pop()
-            del index[top.config]
-            if not stack:
-                if on_tree is not None:
-                    on_tree(done)
-                return Converged(a.result, done, steps + 1)
-            stack[-1].children += (done,)
+    index: dict = {}
+    for i, f in enumerate(path):
+        f.shadow = index.get(f.chash)
+        index[f.chash] = i
+    # per transition of the current branch: (answers, position of the
+    # answer taken, the frame queried, its tag when queried)
+    taken: list = []
+    end = None
+    while True:
+        a = None
+        if end is None:
+            steps = len(taken)
+            top = path[-1]
+            if steps == fuel:
+                yield steps, OutOfFuel(_fold(path))
+            else:
+                answers, stuck = _answers(sem, top)
+                if stuck is None:
+                    taken.append((answers, 0, top, top.tag))
+                    a = answers[0]
+                else:
+                    yield steps, Stuck(_fold(path), stuck.kind, steps, stuck)
+        # after an end, undo transitions until one has an answer left
+        while a is None:
+            if not taken:
+                return
+            answers, i, top, tag = taken[-1]
+            if isinstance(answers[i], _COMPLETIONS):
+                if path:
+                    path[-1].children = path[-1].children[:-1]
+                index[top.chash] = len(path)
+                path.append(top)
+            else:
+                fresh = path.pop()
+                index[fresh.chash] = fresh.shadow
+                top.tag = tag
+            i += 1
+            if i < len(answers):
+                taken[-1] = (answers, i, top, tag)
+                a = answers[i]
+            else:
+                taken.pop()
+        steps = len(taken) - 1
+        end = None
+        if isinstance(a, _COMPLETIONS):
+            rule = a.rule if a.rule is not None else top.tag.rule_family
+            done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
+                                   top.children)
+            path.pop()
+            index[top.chash] = top.shadow
+            if path:
+                path[-1].children += (done,)
+            else:
+                end = Converged(a.result, done, steps + 1)
         else:
             top.tag = a.activation
-            stack.append(_Frame(a.config, START, ()))
-            i = index.setdefault(a.config, len(stack) - 1)
-            if i < len(stack) - 1:
-                tree = _fold(stack)
-                if on_tree is not None:
-                    on_tree(tree)
-                return Diverges(_certificate(stack[i:-1], a.config), tree)
+            config = a.config
+            fresh = _Frame(config, START, ())
+            j = fresh.shadow = index.get(fresh.chash)
+            while j is not None and path[j].config != config:
+                j = path[j].shadow
+            index[fresh.chash] = len(path)
+            path.append(fresh)
+            if j is not None:
+                # each frame's pending premise follows its completed ones
+                end = Diverges(DivergenceCertificate(tuple(
+                    (g.config, g.tag.rule_family, len(g.children) + 1)
+                    for g in path[j:-1]), config), _fold(path))
         if on_tree is not None:
-            on_tree(_fold(stack))
-    return OutOfFuel(_fold(stack))
+            on_tree(_fold(path) if end is None else end.tree)
+        if end is not None:
+            yield steps, end
+
+
+def step(sem: LanguageSemantics, t: PartialEvalTree) -> Tuple[PartialEvalTree, ...]:
+    """One-step successors of ``t``; empty iff ``t`` is irreducible."""
+    if t.is_complete:
+        return ()
+    return tuple(o.frontier if isinstance(o, OutOfFuel) else o.tree
+                 for _, o in _explore(sem, _unfold(t), 1)
+                 if not isinstance(o, Stuck))
 
 
 def run_first(sem: LanguageSemantics, config: Config, fuel: int) -> Outcome:
-    """Follow the first successor at every step."""
-    return _first(sem, config, fuel)
+    """Follow the first successor at every step, at most ``fuel`` steps."""
+    return next(_explore(sem, [_Frame(config, START, ())], fuel))[1]
 
 
 def run_history(sem: LanguageSemantics, config: Config, fuel: int
                 ) -> Tuple[List[PartialEvalTree], Outcome]:
-    """First-successor run keeping the whole transition sequence."""
+    """First-successor run keeping the whole transition sequence.
+
+    The walk is dropped at its first end, so no other answer ever builds
+    a tree.
+    """
     history = [initial_tree(config)]
-    outcome = _first(sem, config, fuel, on_tree=history.append)
+    _, outcome = next(_explore(sem, [_Frame(config, START, ())], fuel,
+                               history.append))
     return history, outcome
 
 
 def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
                    validate: bool = False) -> Tuple[Outcome, ...]:
-    """Breadth-first exploration of every nondeterministic branch.
+    """Every nondeterministic branch, each at most ``fuel`` transitions.
 
-    Level by level, one transition per level: each successor is a branch
-    and all branches advance together, so converging branches are found
-    before fuel runs out on diverging siblings.  Fuel bounds the number of
-    transitions along any single branch.  Branches share their frames as
-    persistent tuples.  Paths are never compared: each distinct oracle
-    answer opens its own branch, so an oracle that gives two distinct
-    answers for the same rule gets two branches, and outcomes are merged
-    by ``_outcome_key`` only.  Trees are folded from paths only for
-    outcomes and, with ``validate``, to check every tree taken.
+    Paths are never compared: each distinct oracle answer opens its own
+    branch, and outcomes are merged by ``_outcome_key`` only.  Outcomes
+    come in breadth-first order, the first of equal ones kept: by the
+    transitions before the branch ended, then in answer order, the order
+    a depth-first walk ends branches of equal length in.  With
+    ``validate``, every tree taken is checked.
     """
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
+    ends = sorted(_explore(sem, [_Frame(config, START, ())], fuel,
+                           _validate if validate else None),
+                  key=itemgetter(0))
     outcomes: dict = {}
-
-    def emit(o: Outcome) -> None:
+    for _, o in ends:
         outcomes.setdefault(_outcome_key(o), o)
-
-    frontier = [(_fresh(config),)]
-    steps = 0
-    while frontier and steps < fuel:
-        nxt = []
-        for path in frontier:
-            answers, stuck = _answers(sem, path[-1])
-            if stuck is not None:
-                emit(Stuck(_fold(path), stuck.kind, steps, stuck))
-                continue
-            for s, cert in _successors(path, answers):
-                done = isinstance(s, PartialEvalTree)
-                if done:
-                    tree = s
-                elif validate or cert is not None:
-                    tree = _fold(s)
-                if validate:
-                    _validate(tree)
-                if done:
-                    emit(Converged(s.res.value, s, steps + 1))
-                elif cert is not None:
-                    emit(Diverges(cert, tree))
-                else:
-                    nxt.append(s)
-        frontier = nxt
-        steps += 1
-    for path in frontier:
-        emit(OutOfFuel(_fold(path)))
     return tuple(outcomes.values())
 
 

@@ -1,5 +1,12 @@
-"""The first-successor loop against a copy of the tuple-path loop it
-replaced, and regression tests for its configuration index."""
+"""The depth-first explorer against copies of the loops it replaced.
+
+The references below are the tuple-path runs as they were before the
+explorer: persistent tuple paths, ``_expand`` and ``_successors`` with a
+linear cycle scan, and ``_fold``.  ``run_first`` and ``run_history`` are
+checked against the first-successor loop, ``run_exhaustive`` against the
+breadth-first loop that merges outcomes by type and skeleton, and
+``step`` against the folded successors.  Regression tests cover the
+cycle index."""
 from itertools import islice
 
 import pytest
@@ -13,7 +20,8 @@ from bigstep.lam.corpus import SELF_APPLY
 from bigstep.lam.semantics import STRATEGIES
 from bigstep.lam.syntax import Abs, App, Nat, Succ, Var
 from bigstep.lam.types import NAT
-from bigstep.oracle import Axiom, BsJudgment, Finished, OracleContractError
+from bigstep.oracle import (Activation, Axiom, BsJudgment, Finished, FirstPremise,
+                            LanguageSemantics, OracleContractError)
 from bigstep.pet import (
     START,
     UNKNOWN,
@@ -27,11 +35,15 @@ from bigstep.pet import (
     Stuck,
     StuckInfo,
     StuckKind,
+    active_path,
     initial_tree,
+    run_exhaustive,
     run_first,
     run_history,
+    step,
 )
 from bigstep.util import EMPTY_MAP, dedup
+from test_pet import _Collide, _CollidingChain
 
 FUEL = 120
 
@@ -153,6 +165,57 @@ def _reference_history(sem, config, fuel):
     return history, _reference_first(sem, config, fuel, history.append)
 
 
+def _skeleton(t):
+    res = "?" if t.res is UNKNOWN else ("!", t.res.value)
+    return (t.config, res, tuple(_skeleton(c) for c in t.children))
+
+
+def _reference_exhaustive(sem, config, fuel):
+    outcomes = {}
+
+    def emit(o):
+        tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
+        outcomes.setdefault((type(o), _skeleton(tree)), o)
+
+    frontier = [(_fresh(config),)]
+    steps = 0
+    while frontier and steps < fuel:
+        nxt = []
+        for path in frontier:
+            succs, stuck = _expand(sem, path)
+            if stuck is not None:
+                emit(Stuck(_fold(path), stuck.kind, steps, stuck))
+                continue
+            for s, cert in succs:
+                if isinstance(s, PartialEvalTree):
+                    emit(Converged(s.res.value, s, steps + 1))
+                elif cert is not None:
+                    emit(Diverges(cert, _fold(s)))
+                else:
+                    nxt.append(s)
+        frontier = nxt
+        steps += 1
+    for path in frontier:
+        emit(OutOfFuel(_fold(path)))
+    return tuple(outcomes.values())
+
+
+def _unfold(t):
+    path = active_path(t)
+    top = len(path) - 1
+    return tuple(_Frame(e.config, e.node.tag,
+                        e.node.children if i == top else e.node.children[:-1],
+                        hash(e.config))
+                 for i, e in enumerate(path))
+
+
+def _reference_step(sem, t):
+    if t.is_complete:
+        return ()
+    succs, _ = _expand(sem, _unfold(t))
+    return tuple(s if isinstance(s, PartialEvalTree) else _fold(s) for s, _ in succs)
+
+
 # --- differential tests -----------------------------------------------------
 
 def _assert_same_outcome(new, old):
@@ -188,6 +251,89 @@ def test_first_runs_equal_the_tuple_path_loop_on_impfj_terms():
     _check_corpus(impfj_semantics(IMP_TABLE),
                   [MemConfig(EMPTY_MEMORY, e) for e in enumerate_impfj(IMP_TABLE, 3)],
                   200)
+
+
+def _check_exhaustive(sem, configs, fuel):
+    for c in configs:
+        new = run_exhaustive(sem, c, fuel)
+        ref = _reference_exhaustive(sem, c, fuel)
+        assert len(new) == len(ref)
+        for n, r in zip(new, ref):
+            _assert_same_outcome(n, r)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_exhaustive_runs_equal_the_breadth_first_loop_on_lambda_terms(strategy):
+    _check_exhaustive(lambda_semantics(strategy), enumerate_terms(3) + (OMEGA,),
+                      FUEL)
+
+
+def test_exhaustive_runs_equal_the_breadth_first_loop_on_fj_terms():
+    _check_exhaustive(fj_semantics(INTEROP_TABLE),
+                      [EnvConfig(EMPTY_MAP, e)
+                       for e in enumerate_fj(INTEROP_TABLE, 3)], 150)
+
+
+def test_exhaustive_runs_equal_the_breadth_first_loop_on_impfj_terms():
+    _check_exhaustive(impfj_semantics(IMP_TABLE),
+                      [MemConfig(EMPTY_MEMORY, e)
+                       for e in enumerate_impfj(IMP_TABLE, 3)], 200)
+
+
+@pytest.mark.parametrize("n", [30, -1])
+def test_exhaustive_runs_equal_the_breadth_first_loop_on_colliding_hashes(n):
+    # every configuration hashes to 0, so one shadow chain holds the path
+    _check_exhaustive(_CollidingChain(), [_Collide(n)], 100)
+
+
+class _StopOrLoop(LanguageSemantics):
+    """``n`` is an axiom or demands itself, and ``n > 0`` may also demand
+    ``n - 1``; a finished premise adds one to its result."""
+
+    def start(self, config):
+        answers = (Axiom(0), FirstPremise(config, Activation("loop", config, (), config)))
+        if config > 0:
+            down = config - 1
+            answers += (FirstPremise(down, Activation("down", config, (), down)),)
+        return answers
+
+    def advance(self, activation, result):
+        return (Finished(result + 1),)
+
+    def premise_bound(self, config):
+        return 1
+
+
+def test_exhaustive_runs_find_cycles_through_a_frame_whose_completion_was_undone():
+    # every frame first completes as an axiom; the walk undoes that
+    # completion and then demands the frame's own configuration, which
+    # must close a cycle at once
+    _check_exhaustive(_StopOrLoop(), range(5), 30)
+    outs = run_exhaustive(_StopOrLoop(), 2, 30)
+    assert [o.result if isinstance(o, Converged) else o.certificate.witness
+            for o in outs] == [0, ((2, "loop", 1),), ((1, "loop", 1),), 1,
+                               ((0, "loop", 1),), 2]
+
+
+def _assert_same_successors(sem, t):
+    new, ref = step(sem, t), _reference_step(sem, t)
+    assert new == ref and repr(new) == repr(ref)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_step_equals_the_folded_reference_successors(strategy):
+    sem = lambda_semantics(strategy)
+    cycles = 0
+    for e in enumerate_terms(3) + (OMEGA,):
+        history, outcome = run_history(sem, e, FUEL)
+        for t in history:
+            _assert_same_successors(sem, t)
+        if isinstance(outcome, Diverges):
+            configs = [p.config for p in active_path(outcome.tree)]
+            assert len(set(configs)) < len(configs)
+            _assert_same_successors(sem, outcome.tree)
+            cycles += 1
+    assert cycles
 
 
 # --- the configuration index ------------------------------------------------

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 import pytest
 
 from bigstep import pet
-from bigstep.extensions import divergence_certificate_check, evaluate
+from bigstep.extensions import Ok, divergence_certificate_check, evaluate
 from bigstep.lam import (
     NAT, OMEGA, OMEGA_BODY, enumerate_terms, lambda_semantics, parse_expr, typed_corpus)
 from bigstep.lam.semantics import STRATEGIES
-from bigstep.lam.syntax import Abs, App, Choice, Nat, Var
+from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var
 from bigstep.oracle import Activation, Axiom, Finished, FirstPremise
 from bigstep.oracle import LanguageSemantics
 from bigstep.util import dedup
@@ -429,3 +429,18 @@ def test_exhaustive_runs_hash_no_tree(monkeypatch, strategy):
         run_exhaustive(sem, e, 60)
         for mode in ("div", "trace", "total"):
             evaluate(sem, e, 60, mode, exhaustive=True)
+
+
+def test_exhaustive_runs_take_the_skeleton_of_a_deep_tree():
+    # merging outcomes takes each tree's skeleton, which used to recurse
+    # once per level and fail from about 600 nested ``succ``
+    n = 2000
+    e = Nat(0)
+    for _ in range(n):
+        e = Succ(e)
+    [out] = run_exhaustive(SEM, e, 2 * n + 1)
+    assert isinstance(out, Converged) and out.result == Nat(n)
+    assert out.tree.skeleton()[:2] == (e, ("!", Nat(n)))
+    for mode in ("wrong", "div", "total"):
+        [(_, value)] = evaluate(SEM, e, 2 * n + 1, mode, exhaustive=True)
+        assert value == Ok(Nat(n))

@@ -51,6 +51,14 @@ runs.  Each input is printed with ``show_fj``, and the script asserts
 that it parses back to its term.  ``objdoc_runs`` yields the runs one by
 one.
 
+``steps``, also kept out of ``all``, digests the ``repr`` of
+``step(sem, t)`` for every tree ``t`` of ``run_history`` (fuel 120) on
+every seventh closed lambda term of depth <= 3 plus ``OMEGA``, under
+each premise order.  Two source trees that print the same ``steps``
+digest step every tree of those histories to the same successors,
+including each diverging run's last tree, whose active path repeats a
+configuration.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
@@ -79,7 +87,8 @@ from bigstep.lam import (  # noqa: E402
     OMEGA, enumerate_terms, lambda_semantics, show_expr)
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
 from bigstep.maxelem import MaxElem, maxelem_gis  # noqa: E402
-from bigstep.pet import OutOfFuel, run_exhaustive, run_first  # noqa: E402
+from bigstep.pet import (  # noqa: E402
+    OutOfFuel, run_exhaustive, run_first, run_history, step)
 from bigstep.rational import RationalList  # noqa: E402
 from bigstep.serialize import tree_doc  # noqa: E402
 from bigstep.util import EMPTY_MAP  # noqa: E402
@@ -155,6 +164,17 @@ def tag_docs():
             for o in run_exhaustive(sem, c, fuel):
                 tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
                 yield json.dumps(tree_doc(sem, tree))
+
+
+def step_reprs():
+    """``repr`` of ``step`` of each history tree in ``steps``."""
+    terms = enumerate_terms(3)[::7] + (OMEGA,)
+    for strategy in STRATEGIES:
+        sem = lambda_semantics(strategy)
+        for e in terms:
+            history, _ = run_history(sem, e, FUEL)
+            for t in history:
+                yield repr(step(sem, t))
 
 
 def maxelem_cases(rng):
@@ -236,6 +256,7 @@ def main() -> None:
     print(f"{'fixpoints':25} {digest(fixpoint_results())}")
     d = digest(f"{argv}\n{text}" for argv, text in objdoc_runs())
     print(f"{'objdocs':25} {d}")
+    print(f"{'steps':25} {digest(step_reprs())}")
 
 
 if __name__ == "__main__":
