@@ -1,7 +1,8 @@
 """Semantics-extending constructions over any rule oracle.
 
 Three canonical extensions of a big-step semantics, each a transformer
-producing another rule oracle, plus evaluators on the stepper:
+producing another rule oracle, plus evaluators on the stepper and on a
+result table:
 
 * traces  - results become (finite trace, value) pairs or an eventually
             periodic infinite trace; the trace collects every
@@ -19,18 +20,23 @@ are one transformer, ``LiftedSemantics``, with a different mark.  The
 total semantics combines wrong and divergence so every computation is
 classified; ``evaluate`` runs the base semantics (mode ``plain``, the
 identity extension) or any of the four extensions once and pairs each
-stepper outcome with its extended value.  Divergence is never decided
-by fixpoint here: the finite proof object is a cyclic certificate,
-replayable against the oracle.
+stepper outcome with its extended value; its finite proof of divergence
+is a cyclic certificate, replayable against the oracle.  Exhaustive
+``eval_div`` and ``eval_total`` need no outcomes: they read their value
+sets off a table of results over the base rules, closed by a least
+fixpoint, and decide divergence by the greatest fixpoint of the
+divergence rules on the table's demand edges.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Optional, Tuple, Union
 
 from .node import node
 from .oracle import (
+    COMPLETIONS,
     Activation,
     Axiom,
     BsJudgment,
@@ -39,6 +45,8 @@ from .oracle import (
     Finished,
     FirstPremise,
     LanguageSemantics,
+    checked_advance,
+    checked_start,
 )
 from .pet import (
     Converged,
@@ -306,6 +314,85 @@ def _values(pairs, exhaustive: bool):
     return pairs[0][1]
 
 
+def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark):
+    """The results of ``root`` by a table over the base rules.
+
+    The table maps each configuration met to its base results.  Rule
+    instances are discovered forward from ``root``: ``start`` of every
+    configuration met, and ``advance`` of every activation with every
+    result its pending premise has so far, each asked once; a result new
+    to a configuration wakes the activations pending on it.  This is the
+    least fixpoint of the rules met, so unlike a stepper run it also
+    finds the results that flow back through a cycle.  The table also
+    records whether a dead end was met (a configuration no rule starts,
+    or a premise result no rule accepts) and the demand edges from each
+    conclusion to its pending premises.  Once the worklist is empty, the
+    greatest fixpoint of the divergence rules drops, again and again,
+    every configuration with no demand edge into the survivors: what
+    survives reaches a cycle of demands.
+
+    The value holds ``Ok(r)`` for each result of ``root``, ``INFINITY``
+    if ``root`` survives and ``dead_end`` if a dead end was met.  ``fuel``
+    bounds the oracle queries in all; a query budget spent with work
+    left adds ``TIMEOUT`` to what the partial table already proves.
+    """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    # config -> ({result: None} in discovery order, the (conclusion,
+    # activation) pairs pending on it, the configurations it demands)
+    table = {root: ({}, [], [])}
+    # queries still to ask: (config, None, None) for ``start``, (conclusion,
+    # activation, pending result) for ``advance``
+    todo = deque([(root, None, None)])
+    dead = rejoined = False
+    for _ in range(fuel):
+        if not todo:
+            break
+        config, act, r = todo.popleft()
+        answers = (checked_start(sem, config) if act is None
+                   else checked_advance(sem, config, act, r))
+        if not answers:
+            dead = True
+        found, waiting, demanded = table[config]
+        for a in answers:
+            if isinstance(a, COMPLETIONS):
+                r = a.result
+                if r not in found:
+                    found[r] = None
+                    todo.extend([(c, w, r) for c, w in waiting])
+                continue
+            p, w = a.config, a.activation
+            entry = table.get(p)
+            if entry is None:
+                table[p] = ({}, [(config, w)], [])
+                todo.append((p, None, None))
+            else:
+                rejoined = True
+                entry[1].append((config, w))
+                todo.extend([(config, w, res) for res in entry[0]])
+            demanded.append(p)
+    # greatest fixpoint: per configuration, its demand edges into survivors
+    # (an edge met twice counts twice, on both sides).  Unless a demand
+    # rejoined a configuration met before, the edges form a tree from
+    # ``root``, with no cycle, and nothing survives.
+    live, callers = {root: 0}, {}
+    for c, (_, _, demanded) in (table.items() if rejoined else ()):
+        live[c] = len(demanded)
+        for p in demanded:
+            callers.setdefault(p, []).append(c)
+    drop = [c for c, n in live.items() if not n]
+    while drop:
+        for c in callers.get(drop.pop(), ()):
+            live[c] -= 1
+            if not live[c]:
+                drop.append(c)
+    values = [Ok(r) for r in table[root][0]]
+    for mark, proved in ((INFINITY, live[root]), (dead_end, dead), (TIMEOUT, todo)):
+        if proved:
+            values.append(mark)
+    return frozenset(values)
+
+
 def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
                exhaustive: bool = False):
     """Ok / wrong per the wrong extension; divergence via certificate."""
@@ -314,8 +401,19 @@ def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
 
 def eval_div(sem: LanguageSemantics, config: Config, fuel: int,
              exhaustive: bool = False):
-    """Ok / infinity per the divergence extension; stuckness has no judgment."""
-    return _values(evaluate(sem, config, fuel, "div", exhaustive), exhaustive)
+    """Ok / infinity per the divergence extension; stuckness has no judgment.
+
+    The exhaustive value is read off a result table (``_result_set``), so
+    it is the paper's set of results.  It equals the set of the stepper's
+    outcomes wherever ``run_exhaustive`` neither runs out of fuel nor cuts,
+    at a cycle, a configuration whose results flow back into the cycle:
+    for ``M M`` with ``M = \\x. 0 (+) succ (x x)`` the stepper gives
+    ``{Ok(0), infinity}``, while every natural is a result of ``M M``, so
+    the table spends its budget and adds ``timeout``.
+    """
+    if exhaustive:
+        return _result_set(sem, config, fuel, NO_JUDGMENT)
+    return evaluate(sem, config, fuel, "div")[0][1]
 
 
 def eval_trace(sem: LanguageSemantics, config: Config, fuel: int,
@@ -326,8 +424,15 @@ def eval_trace(sem: LanguageSemantics, config: Config, fuel: int,
 
 def eval_total(sem: LanguageSemantics, config: Config, fuel: int,
                exhaustive: bool = False):
-    """All computations classified: a value, wrong, or infinity."""
-    return _values(evaluate(sem, config, fuel, "total", exhaustive), exhaustive)
+    """All computations classified: a value, wrong, or infinity.
+
+    The exhaustive value is ``eval_div``'s with ``WRONG`` for
+    ``NO_JUDGMENT``: a dead end anywhere below concludes ``wrong`` through
+    every premise above it.
+    """
+    if exhaustive:
+        return _result_set(sem, config, fuel, WRONG)
+    return evaluate(sem, config, fuel, "total")[0][1]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ optional trailing defaults as in a dataclass, into a tuple subclass:
   same fields;
 * the hash is the tuple hash of the fields, computed in C;
 * every node is truthy, even one without fields;
-* ``repr`` is ``Name(field=value, ...)`` unless the class defines its own.
+* ``repr`` is ``Name(field=value, ...)`` unless the class defines its own,
+  and it does not recurse through nested nodes.
 
 Methods and properties of the class body are kept.
 """
@@ -37,6 +38,25 @@ class Node(tuple):
     def __bool__(self):
         return True
 
+    def __repr__(self):
+        # ``todo`` holds the text (a ``str``) and the values still to write,
+        # the next one on top; a node that keeps this repr opens in place
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+            elif type(x).__repr__ is Node.__repr__:
+                out.append(x._open)
+                todo.append(")")
+                labels = x._labels
+                for i in range(len(x) - 1, -1, -1):
+                    v = x[i]
+                    todo += (repr(v) if type(v) is str else v, labels[i])
+            else:
+                out.append(repr(x))
+        return "".join(out)
+
 
 def node(cls: type) -> type:
     """The ``Node`` subclass with ``cls``'s name, fields and methods."""
@@ -44,6 +64,8 @@ def node(cls: type) -> type:
     fields = tuple(ns.get("__annotations__", ()))
     defaults = [ns.pop(f) for f in fields if f in ns]
     ns["__slots__"] = ()
+    ns["_open"] = cls.__name__ + "("
+    ns["_labels"] = tuple(f"{', ' if i else ''}{f}=" for i, f in enumerate(fields))
     return type(cls.__name__, (Node, namedtuple(cls.__name__, fields, defaults=defaults)),
                 ns)
 

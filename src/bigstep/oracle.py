@@ -16,6 +16,10 @@ two queries:
 
 An empty answer is meaningful: no way to start or to continue is exactly
 how stuck computations arise.
+
+``checked_start`` and ``checked_advance`` ask the two queries and check
+every answer against the contract; the stepper and the result table of
+``extensions`` ask through them.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Sequence, Tuple, Union
 
 from .node import node
+from .util import dedup
 
 Config = Any  # opaque, hashable, structurally comparable
 ResultVal = Any
@@ -104,6 +109,9 @@ class Demand:
 
 Continuation = Union[Finished, Demand]
 
+# the answers that conclude the queried configuration
+COMPLETIONS = (Axiom, Finished)
+
 
 class OracleContractError(Exception):
     """An oracle answer violated the activation or premise-bound contract."""
@@ -136,7 +144,47 @@ class LanguageSemantics(ABC):
         return str(result)
 
 
+def checked_start(sem: LanguageSemantics, config: Config) -> Tuple[StartStep, ...]:
+    """The distinct answers of ``sem.start(config)``, checked.
+
+    The activation of every ``FirstPremise`` must have no completed
+    premise and must pend on the demanded configuration.
+    """
+    answers = dedup(sem.start(config))
+    for s in answers:
+        if not isinstance(s, Axiom) and (s.activation.completed
+                                         or s.activation.pending != s.config):
+            raise OracleContractError(f"start activation malformed for {config!r}")
+    return answers
+
+
+def checked_advance(sem: LanguageSemantics, config: Config, act: Activation,
+                    result: ResultVal) -> Tuple[Continuation, ...]:
+    """The distinct answers of ``sem.advance(act, result)``, checked.
+
+    ``config`` is the conclusion of ``act``'s rule instance.  The
+    activation of every ``Demand`` must extend ``act`` by the judgment of
+    its pending premise, keep its conclusion and pend on the demanded
+    configuration, and the demanded premise must not exceed the premise
+    bound of ``config``.
+    """
+    answers = dedup(sem.advance(act, result))
+    expected = act.completed + (BsJudgment(act.pending, result),)
+    for c in answers:
+        if isinstance(c, Finished):
+            continue
+        nxt = c.activation
+        if (nxt.completed != expected
+                or nxt.conclusion_config != act.conclusion_config
+                or nxt.pending != c.config):
+            raise OracleContractError(f"advance activation malformed for {config!r}")
+        if nxt.index > sem.premise_bound(config):
+            raise OracleContractError(f"premise bound exceeded for {config!r}")
+    return answers
+
+
 __all__ = [
+    "COMPLETIONS",
     "Activation",
     "Axiom",
     "BsJudgment",
@@ -149,4 +197,6 @@ __all__ = [
     "OracleContractError",
     "ResultVal",
     "StartStep",
+    "checked_advance",
+    "checked_start",
 ]

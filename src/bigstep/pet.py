@@ -35,16 +35,14 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .node import node
 from .oracle import (
+    COMPLETIONS,
     Activation,
-    Axiom,
-    BsJudgment,
     Config,
-    Finished,
     LanguageSemantics,
-    OracleContractError,
     ResultVal,
+    checked_advance,
+    checked_start,
 )
-from .util import dedup
 
 
 class _UnknownType:
@@ -126,11 +124,20 @@ class PartialEvalTree:
                          kids))
         return done[0]
 
-    def positions(self):
-        yield (), self
-        for i, ch in enumerate(self.children):
-            for pos, node in ch.positions():
-                yield (i,) + pos, node
+    def positions(self) -> Iterator[Tuple[tuple, "PartialEvalTree"]]:
+        """``(position, subtree)`` for every node, in pre-order.
+
+        A position lists the child indices from the root.  Built without
+        recursion: ``todo`` holds the subtrees still to visit, the next
+        one on top.
+        """
+        todo = [((), self)]
+        while todo:
+            pos, t = todo.pop()
+            yield pos, t
+            kids = t.children
+            for i in range(len(kids) - 1, -1, -1):
+                todo.append((pos + (i,), kids[i]))
 
     def __hash__(self):
         return hash((self.config, self.res, self.tag, self.children))
@@ -142,11 +149,29 @@ class PartialEvalTree:
             and self.tag == other.tag and self.children == other.children)
 
     def __repr__(self):
-        res = "?" if self.res is UNKNOWN else repr(self.res.value)
-        if not self.children:
-            return f"<{self.config!r} => {res}>"
-        kids = " ".join(repr(c) for c in self.children)
-        return f"<{self.config!r} => {res} [{kids}]>"
+        """``<config => res>``, or ``<config => res [child child ...]>``.
+
+        Built without recursion: ``todo`` holds the subtrees and the
+        closing text still to write, the next one on top.
+        """
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+                continue
+            res = "?" if t.res is UNKNOWN else repr(t.res.value)
+            out.append(f"<{t.config!r} => {res}")
+            kids = t.children
+            if not kids:
+                out.append(">")
+                continue
+            out.append(" [")
+            todo.append("]>")
+            for i in range(len(kids) - 1, 0, -1):
+                todo += (kids[i], " ")
+            todo.append(kids[0])
+        return "".join(out)
 
 
 def initial_tree(config: Config) -> PartialEvalTree:
@@ -209,56 +234,23 @@ def _unfold(t: PartialEvalTree) -> List[_Frame]:
             for i, e in enumerate(path)]
 
 
-def _answers(sem: LanguageSemantics, top: _Frame
-             ) -> Tuple[tuple, Optional[StuckInfo]]:
-    """The oracle's answers about the top frame, or its stuck info.
-
-    Every answer is checked against the oracle contract at once: the
-    activation a start rule or a demand hands back must extend the
-    queried one, and no demand may exceed the premise bound.
-    """
-    config = top.config
-    if top.tag is START:
-        answers = dedup(sem.start(config))
-        if not answers:
-            return (), StuckInfo(StuckKind.NO_RULE, config)
-        for s in answers:
-            if not isinstance(s, Axiom) and (s.activation.completed
-                                             or s.activation.pending != s.config):
-                raise OracleContractError(
-                    f"start activation malformed for {config!r}")
-        return answers, None
-    act: Activation = top.tag
-    result = top.children[-1].res.value
-    answers = dedup(sem.advance(act, result))
-    if not answers:
-        return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
-                             act.rule_family, len(top.children), result)
-    expected = act.completed + (BsJudgment(act.pending, result),)
-    for c in answers:
-        if isinstance(c, Finished):
-            continue
-        nxt = c.activation
-        if (nxt.completed != expected
-                or nxt.conclusion_config != act.conclusion_config
-                or nxt.pending != c.config):
-            raise OracleContractError(
-                f"advance activation malformed for {config!r}")
-        if len(top.children) + 1 > sem.premise_bound(config):
-            raise OracleContractError(
-                f"premise bound exceeded for {config!r}")
-    return answers, None
-
-
 def tree_leq(t1: PartialEvalTree, t2: PartialEvalTree) -> bool:
-    """Refinement order: ``t2`` adds branches or resolves ``?`` in ``t1``."""
-    if t1.config != t2.config:
-        return False
-    if t1.is_complete:
-        return t1.skeleton() == t2.skeleton()
-    if len(t1.children) > len(t2.children):
-        return False
-    return all(tree_leq(a, b) for a, b in zip(t1.children, t2.children))
+    """Refinement order: ``t2`` adds branches or resolves ``?`` in ``t1``.
+
+    A complete subtree of ``t1`` must reappear in ``t2`` with the same
+    skeleton.  Built without recursion: ``todo`` holds the pairs of
+    subtrees still to compare, each with whether it lies in a complete
+    subtree of ``t1``.
+    """
+    todo = [(t1, t2, False)]
+    while todo:
+        a, b, same = todo.pop()
+        same = same or a.is_complete
+        if (a.config != b.config or len(a.children) > len(b.children)
+                or same and (a.res != b.res or len(a.children) != len(b.children))):
+            return False
+        todo += [(x, y, same) for x, y in zip(a.children, b.children)]
+    return True
 
 
 @node
@@ -368,10 +360,6 @@ def _outcome_key(o: Outcome):
     return type(o), tree.skeleton()
 
 
-# the answers that complete the queried frame
-_COMPLETIONS = (Axiom, Finished)
-
-
 def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
              on_tree: Optional[Callable[[PartialEvalTree], None]] = None
              ) -> Iterator[Tuple[int, Outcome]]:
@@ -415,18 +403,27 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
             if steps == fuel:
                 yield steps, OutOfFuel(_fold(path))
             else:
-                answers, stuck = _answers(sem, top)
-                if stuck is None:
-                    taken.append((answers, 0, top, top.tag))
+                act = top.tag
+                if act is START:
+                    answers = checked_start(sem, top.config)
+                else:
+                    result = top.children[-1].res.value
+                    answers = checked_advance(sem, top.config, act, result)
+                if answers:
+                    taken.append((answers, 0, top, act))
                     a = answers[0]
                 else:
+                    stuck = (StuckInfo(StuckKind.NO_RULE, top.config) if act is START
+                             else StuckInfo(StuckKind.NO_CONTINUATION, top.config,
+                                            act.rule_family, len(top.children),
+                                            result))
                     yield steps, Stuck(_fold(path), stuck.kind, steps, stuck)
         # after an end, undo transitions until one has an answer left
         while a is None:
             if not taken:
                 return
             answers, i, top, tag = taken[-1]
-            if isinstance(answers[i], _COMPLETIONS):
+            if isinstance(answers[i], COMPLETIONS):
                 if path:
                     path[-1].children = path[-1].children[:-1]
                 index[top.chash] = len(path)
@@ -443,7 +440,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
                 taken.pop()
         steps = len(taken) - 1
         end = None
-        if isinstance(a, _COMPLETIONS):
+        if isinstance(a, COMPLETIONS):
             rule = a.rule if a.rule is not None else top.tag.rule_family
             done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
                                    top.children)

@@ -444,3 +444,63 @@ def test_exhaustive_runs_take_the_skeleton_of_a_deep_tree():
     for mode in ("wrong", "div", "total"):
         [(_, value)] = evaluate(SEM, e, 2 * n + 1, mode, exhaustive=True)
         assert value == Ok(Nat(n))
+
+
+def _spine(n, leaf):
+    e = leaf
+    for _ in range(n):
+        e = Succ(e)
+    return e
+
+
+def _positions_reference(t):
+    """The pre-order positions as a recursive generator."""
+    yield (), t
+    for i, ch in enumerate(t.children):
+        for pos, node in _positions_reference(ch):
+            yield (i,) + pos, node
+
+
+def _repr_reference(t):
+    """The tree ``repr`` as a recursive function."""
+    res = "?" if t.res is UNKNOWN else repr(t.res.value)
+    if not t.children:
+        return f"<{t.config!r} => {res}>"
+    kids = " ".join(_repr_reference(c) for c in t.children)
+    return f"<{t.config!r} => {res} [{kids}]>"
+
+
+def test_positions_and_repr_equal_recursive_references():
+    for e in enumerate_terms(3) + (OMEGA,):
+        for o in run_exhaustive(SEM, e, 120):
+            tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
+            assert list(tree.positions()) == list(_positions_reference(tree))
+            assert repr(tree) == _repr_reference(tree)
+
+
+def test_deep_diverging_outcome_prints():
+    # the tree repr, and the repr of the terms in it, recursed once per
+    # level and raised ``RecursionError`` on this outcome
+    e = _spine(2000, OMEGA)
+    out = run_first(SEM, e, 10_000)
+    assert isinstance(out, Diverges)
+    text = repr(out)
+    assert text.startswith("Diverges(certificate=DivergenceCertificate(")
+    assert f"tree=<{e!r} => ? [<" in text
+
+
+def test_validation_is_fast_on_a_deep_spine():
+    # ``positions`` re-yielded every node through each ancestor, so
+    # validation was cubic in depth: this took minutes
+    n = 600
+    [out] = run_exhaustive(SEM, _spine(n, Nat(0)), 2 * n + 1, validate=True)
+    assert isinstance(out, Converged) and out.result == Nat(n)
+
+
+def test_tree_leq_on_a_deep_history():
+    # ``tree_leq`` recursed once per level and raised ``RecursionError``
+    history, out = run_history(SEM, _spine(600, Nat(0)), 2000)
+    assert isinstance(out, Converged)
+    before, last = history[-2:]
+    assert tree_leq(before, last) and tree_leq(last, last)
+    assert not tree_leq(last, before)

@@ -1,0 +1,132 @@
+"""Exhaustive ``eval_div`` and ``eval_total`` read off a result table over
+the base rules: they agree with the stepper's outcomes wherever the
+stepper neither runs out of fuel nor cuts a cycle that converges."""
+import time
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from bigstep import extensions as ext
+from bigstep.extensions import INFINITY, NO_JUDGMENT, TIMEOUT, WRONG, Ok
+from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
+                        enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
+from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics, parse_expr
+from bigstep.lam.semantics import STRATEGIES
+from bigstep.lam.syntax import App, Choice, Nat, Succ
+from bigstep.oracle import OracleContractError
+from bigstep.pet import OutOfFuel, run_exhaustive
+from bigstep.util import EMPTY_MAP
+
+from test_oracle_contract import BrokenAdvance, UnboundedPremises
+from test_properties import closed_terms
+
+EVALUATORS = (("div", ext.eval_div), ("total", ext.eval_total))
+
+
+def _stepper_values(sem, config, fuel, mode):
+    return frozenset(v for _, v in ext.evaluate(sem, config, fuel, mode,
+                                                exhaustive=True))
+
+
+def _assert_table_equals_stepper(sem, configs, fuel):
+    for c in configs:
+        for mode, evaluator in EVALUATORS:
+            assert evaluator(sem, c, fuel, exhaustive=True) == \
+                _stepper_values(sem, c, fuel, mode), (mode, c)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_table_equals_stepper_on_lambda_depth3(strategy):
+    sem = lambda_semantics(strategy)
+    _assert_table_equals_stepper(sem, enumerate_terms(3) + (OMEGA,), 120)
+
+
+def test_table_equals_stepper_on_fj_depth3():
+    sem = fj_semantics(INTEROP_TABLE)
+    _assert_table_equals_stepper(
+        sem, [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)], 150)
+
+
+def test_table_equals_stepper_on_impfj_depth3():
+    sem = impfj_semantics(IMP_TABLE)
+    _assert_table_equals_stepper(
+        sem, [MemConfig(EMPTY_MEMORY, e) for e in enumerate_impfj(IMP_TABLE, 3)], 200)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([4, 5]).flatmap(closed_terms))
+def test_table_equals_stepper_on_deeper_random_terms(e):
+    fuel = 100
+    for strategy in STRATEGIES:
+        sem = lambda_semantics(strategy)
+        assume(not any(isinstance(o, OutOfFuel) for o in run_exhaustive(sem, e, fuel)))
+        _assert_table_equals_stepper(sem, [e], fuel)
+
+
+def test_table_values_on_loops_and_dead_ends():
+    sem = lambda_semantics()
+    stuck = parse_expr("0 0")
+    cases = [
+        (OMEGA, {INFINITY}),
+        (Choice(OMEGA, Nat(0)), {INFINITY, Ok(Nat(0))}),
+        (App(OMEGA, stuck), {INFINITY}),
+        (App(Nat(0), OMEGA), {"dead"}),
+        (stuck, {"dead"}),
+        (Choice(stuck, Choice(OMEGA, Nat(1))), {"dead", INFINITY, Ok(Nat(1))}),
+    ]
+    for e, expected in cases:
+        for mark, (_, evaluator) in zip((NO_JUDGMENT, WRONG), EVALUATORS):
+            want = frozenset(mark if v == "dead" else v for v in expected)
+            assert evaluator(sem, e, 100, exhaustive=True) == want, e
+
+
+def test_results_that_flow_back_through_a_cycle():
+    # M M with M = \x. 0 (+) succ (x x): the stepper cuts the branch where
+    # M M recurs under itself, but every natural is a result of M M, so
+    # the table finds 0, 1, 2, ... until its query budget is spent
+    sem = lambda_semantics()
+    m = parse_expr("\\x:rec t. t -> nat. 0 (+) succ (x x)")
+    mm = App(m, m)
+    assert _stepper_values(sem, mm, 120, "div") == {Ok(Nat(0)), INFINITY}
+    for _, evaluator in EVALUATORS:
+        values = evaluator(sem, mm, 120, exhaustive=True)
+        assert {Ok(Nat(0)), Ok(Nat(1)), INFINITY, TIMEOUT} <= values
+        assert NO_JUDGMENT not in values and WRONG not in values
+
+
+@pytest.mark.parametrize("oracle, reason", [(BrokenAdvance, "malformed"),
+                                            (UnboundedPremises, "premise bound")])
+@pytest.mark.parametrize("evaluator", [ext.eval_div, ext.eval_total])
+def test_table_checks_the_oracle_contract(oracle, reason, evaluator):
+    # the table asks the base oracle, so the malformed ``completed`` of
+    # ``BrokenAdvance`` is caught where it is answered
+    with pytest.raises(OracleContractError, match=reason):
+        evaluator(oracle(), "root", 10, exhaustive=True)
+
+
+@pytest.mark.parametrize("evaluator", [ext.eval_div, ext.eval_total])
+def test_table_rejects_zero_fuel(evaluator):
+    with pytest.raises(ValueError):
+        evaluator(lambda_semantics(), Nat(0), 0, exhaustive=True)
+
+
+def test_fuel_bounds_the_queries_in_all():
+    # succ^5 0 takes 11 transitions, one oracle query each
+    sem = lambda_semantics()
+    e = Nat(0)
+    for _ in range(5):
+        e = Succ(e)
+    assert ext.eval_div(sem, e, 11, exhaustive=True) == {Ok(Nat(5))}
+    assert ext.eval_div(sem, e, 10, exhaustive=True) == {TIMEOUT}
+
+
+def test_nested_choice_e12_is_fast():
+    e = Nat(0)
+    for _ in range(12):
+        e = Choice(e, Succ(e))
+    t0 = time.perf_counter()
+    values = ext.eval_div(lambda_semantics(), e, 400, exhaustive=True)
+    assert time.perf_counter() - t0 < 1.0
+    assert values == {Ok(Nat(k)) for k in range(13)}

@@ -59,6 +59,14 @@ digest step every tree of those histories to the same successors,
 including each diverging run's last tree, whose active path repeats a
 configuration.
 
+``values``, also kept out of ``all``, digests the value sets of
+exhaustive ``eval_div`` and ``eval_total``, each as the sorted ``repr``s
+of its members: on every closed lambda term of depth <= 3 plus
+``OMEGA`` under each premise order (fuel 120), and on the FJ and
+imperative-FJ corpora above.  Those values are read off a result table
+rather than the stepper, so this digest shows that both give the same
+sets there.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
@@ -177,6 +185,17 @@ def step_reprs():
                 yield repr(step(sem, t))
 
 
+def value_reprs():
+    """Sorted ``repr``s of each exhaustive value set in ``values``."""
+    runs = [(lambda_semantics(strategy), FUEL, enumerate_terms(3) + (OMEGA,))
+            for strategy in STRATEGIES]
+    runs.extend(object_corpora().values())
+    for sem, fuel, configs in runs:
+        for c in configs:
+            for evaluator in (ext.eval_div, ext.eval_total):
+                yield repr(sorted(map(repr, evaluator(sem, c, fuel, exhaustive=True))))
+
+
 def maxelem_cases(rng):
     """(goal, claimed set) of each maxElem item of the fixpoint ladder."""
     for p in range(6, 21, 2):
@@ -257,6 +276,7 @@ def main() -> None:
     d = digest(f"{argv}\n{text}" for argv, text in objdoc_runs())
     print(f"{'objdocs':25} {d}")
     print(f"{'steps':25} {digest(step_reprs())}")
+    print(f"{'values':25} {digest(value_reprs())}")
 
 
 if __name__ == "__main__":
