@@ -21,11 +21,11 @@ total semantics combines wrong and divergence so every computation is
 classified; ``evaluate`` runs the base semantics (mode ``plain``, the
 identity extension) or any of the four extensions once and pairs each
 stepper outcome with its extended value; its finite proof of divergence
-is a cyclic certificate, replayable against the oracle.  Exhaustive
-``eval_div`` and ``eval_total`` need no outcomes: they read their value
-sets off a table of results over the base rules, closed by a least
-fixpoint, and decide divergence by the greatest fixpoint of the
-divergence rules on the table's demand edges.
+is a cyclic certificate.  Exhaustive ``eval_div`` and ``eval_total``, and
+the certificate check, read a table of results over the base rules,
+closed by a least fixpoint; divergence is the greatest fixpoint of the
+divergence rules on its demand edges.  ``fuel`` bounds the table's
+queries in all, but the transitions of each branch of a stepper run.
 """
 from __future__ import annotations
 
@@ -287,7 +287,7 @@ def evaluate(sem: LanguageSemantics, config: Config, fuel: int, mode: str,
     ``exhaustive`` one per distinct outcome.  The value is the converged
     result or the mode's reading of the outcome; the outcome keeps the
     evidence the value forgets, such as the divergence certificate behind
-    ``INFINITY``.
+    ``INFINITY``.  Each branch takes at most ``fuel`` transitions.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,27 +314,18 @@ def _values(pairs, exhaustive: bool):
     return pairs[0][1]
 
 
-def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark):
-    """The results of ``root`` by a table over the base rules.
+def _table(sem: LanguageSemantics, root: Config, fuel: int):
+    """A table of results over the base rules, built forward from ``root``.
 
-    The table maps each configuration met to its base results.  Rule
-    instances are discovered forward from ``root``: ``start`` of every
-    configuration met, and ``advance`` of every activation with every
-    result its pending premise has so far, each asked once; a result new
-    to a configuration wakes the activations pending on it.  This is the
-    least fixpoint of the rules met, so unlike a stepper run it also
-    finds the results that flow back through a cycle.  The table also
-    records whether a dead end was met (a configuration no rule starts,
-    or a premise result no rule accepts) and the demand edges from each
-    conclusion to its pending premises.  Once the worklist is empty, the
-    greatest fixpoint of the divergence rules drops, again and again,
-    every configuration with no demand edge into the survivors: what
-    survives reaches a cycle of demands.
-
-    The value holds ``Ok(r)`` for each result of ``root``, ``INFINITY``
-    if ``root`` survives and ``dead_end`` if a dead end was met.  ``fuel``
-    bounds the oracle queries in all; a query budget spent with work
-    left adds ``TIMEOUT`` to what the partial table already proves.
+    It asks ``start`` of every configuration met, and ``advance`` of every
+    activation with every result its pending premise has so far, each
+    once; a result new to a configuration wakes the activations pending
+    on it.  This is the least fixpoint of the rules met, so unlike a
+    stepper run it also finds the results that flow back through a
+    cycle.  ``fuel`` bounds the queries in all.  Returns the table,
+    whether a dead end was met (no rule starts a configuration or
+    accepts a premise result), whether a demand rejoined a configuration
+    met before, and whether queries were left.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -371,10 +362,21 @@ def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark
                 entry[1].append((config, w))
                 todo.extend([(config, w, res) for res in entry[0]])
             demanded.append(p)
-    # greatest fixpoint: per configuration, its demand edges into survivors
-    # (an edge met twice counts twice, on both sides).  Unless a demand
-    # rejoined a configuration met before, the edges form a tree from
-    # ``root``, with no cycle, and nothing survives.
+    return table, dead, rejoined, bool(todo)
+
+
+def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark):
+    """The results of ``root`` read off its ``_table``: ``Ok(r)`` for each
+    result, ``INFINITY`` if ``root`` reaches a cycle of demands,
+    ``dead_end`` if a dead end was met, and ``TIMEOUT`` if the budget ran
+    out with queries left, besides what the partial table proves.
+    """
+    table, dead, rejoined, spent = _table(sem, root, fuel)
+    # greatest fixpoint of the divergence rules: drop, again and again,
+    # every configuration with no demand edge into the survivors, counted
+    # per configuration (an edge met twice counts twice, on both sides).
+    # Unless a demand rejoined a configuration met before, the edges form
+    # a tree from ``root``, with no cycle, and nothing survives.
     live, callers = {root: 0}, {}
     for c, (_, _, demanded) in (table.items() if rejoined else ()):
         live[c] = len(demanded)
@@ -387,7 +389,7 @@ def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark
             if not live[c]:
                 drop.append(c)
     values = [Ok(r) for r in table[root][0]]
-    for mark, proved in ((INFINITY, live[root]), (dead_end, dead), (TIMEOUT, todo)):
+    for mark, proved in ((INFINITY, live[root]), (dead_end, dead), (TIMEOUT, spent)):
         if proved:
             values.append(mark)
     return frozenset(values)
@@ -395,7 +397,10 @@ def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark
 
 def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
                exhaustive: bool = False):
-    """Ok / wrong per the wrong extension; divergence via certificate."""
+    """Ok / wrong per the wrong extension; divergence via certificate.
+
+    Runs the stepper, at most ``fuel`` transitions per branch.
+    """
     return _values(evaluate(sem, config, fuel, "wrong", exhaustive), exhaustive)
 
 
@@ -409,7 +414,8 @@ def eval_div(sem: LanguageSemantics, config: Config, fuel: int,
     at a cycle, a configuration whose results flow back into the cycle:
     for ``M M`` with ``M = \\x. 0 (+) succ (x x)`` the stepper gives
     ``{Ok(0), infinity}``, while every natural is a result of ``M M``, so
-    the table spends its budget and adds ``timeout``.
+    the table spends its budget and adds ``timeout``.  ``fuel`` bounds the
+    table's queries in all, the first strategy's stepper transitions.
     """
     if exhaustive:
         return _result_set(sem, config, fuel, NO_JUDGMENT)
@@ -418,7 +424,10 @@ def eval_div(sem: LanguageSemantics, config: Config, fuel: int,
 
 def eval_trace(sem: LanguageSemantics, config: Config, fuel: int,
                exhaustive: bool = False):
-    """Finite trace with result, or the rational trace induced by a cycle."""
+    """Finite trace with result, or the rational trace induced by a cycle.
+
+    Runs the stepper, at most ``fuel`` transitions per branch.
+    """
     return _values(evaluate(sem, config, fuel, "trace", exhaustive), exhaustive)
 
 
@@ -428,7 +437,8 @@ def eval_total(sem: LanguageSemantics, config: Config, fuel: int,
 
     The exhaustive value is ``eval_div``'s with ``WRONG`` for
     ``NO_JUDGMENT``: a dead end anywhere below concludes ``wrong`` through
-    every premise above it.
+    every premise above it.  ``fuel`` is read as in ``eval_div``: the
+    table's queries in all, the first strategy's stepper transitions.
     """
     if exhaustive:
         return _result_set(sem, config, fuel, WRONG)
@@ -444,37 +454,24 @@ class CertificateCheck:
 def divergence_certificate_check(sem: LanguageSemantics,
                                  cert: DivergenceCertificate,
                                  fuel: int) -> CertificateCheck:
-    """Replay a certificate against the oracle.
+    """Check a certificate against the ``_table`` of its first entry.
 
-    For each witness entry the premises before the marked index must
-    converge and the marked premise must demand the next entry's
-    configuration, cyclically.
+    The entries must be closed under the divergence rules: entry ``(cfg,
+    family, idx)`` needs an activation of ``family`` that concludes ``cfg``
+    and pends at index ``idx`` on the next entry's configuration,
+    cyclically; the table meets one only once its earlier premises have
+    results.  ``fuel`` bounds the table's oracle queries in all.
     """
     witness = cert.witness
     if not witness:
         return CertificateCheck(False, "empty witness")
+    table, _, _, spent = _table(sem, witness[0][0], fuel)
     for k, (cfg, family, idx) in enumerate(witness):
-        if idx < 1:
-            return CertificateCheck(False, f"entry {k}: bad premise index")
         nxt_cfg = witness[(k + 1) % len(witness)][0]
-        cands = [s.activation for s in sem.start(cfg)
-                 if isinstance(s, FirstPremise)]
-        if not cands:
-            return CertificateCheck(False, f"entry {k}: no start rule")
-        for p in range(1, idx):
-            advanced = []
-            for a in cands:
-                for o in run_exhaustive(sem, a.pending, fuel):
-                    if not isinstance(o, Converged):
-                        continue
-                    for c in sem.advance(a, o.result):
-                        if isinstance(c, Demand):
-                            advanced.append(c.activation)
-            cands = list(dict.fromkeys(advanced))
-            if not cands:
-                return CertificateCheck(
-                    False, f"entry {k}: premise {p} does not converge usefully")
-        if not any(a.rule_family == family and a.pending == nxt_cfg for a in cands):
-            return CertificateCheck(
-                False, f"entry {k}: premise {idx} does not demand the next entry")
+        waiting = table[nxt_cfg][1] if nxt_cfg in table else ()
+        if not any(c == cfg and a.rule_family == family and a.index == idx
+                   for c, a in waiting):
+            why = f"the budget of {fuel} queries ran out" if spent else "the table closed"
+            return CertificateCheck(False, f"entry {k}: premise {idx} did not"
+                                           f" demand the next entry before {why}")
     return CertificateCheck(True)

@@ -284,23 +284,25 @@ def check_pet_invariants(t: PartialEvalTree) -> Optional[Tuple[tuple, str]]:
     """None if the structural invariants hold, else (position, reason).
 
     Checks: a ``?`` child forces a ``?`` parent; at most one ``?`` per
-    depth level; the root is complete iff the whole tree is.
+    depth level; the root is complete iff the whole tree is.  ``path``
+    holds a dummy index, then the position of the node at hand.
     """
-    unknown_at_level: dict = {}
-    any_unknown = False
-    for pos, node in t.positions():
+    unknown_levels, path, todo = set(), [], [(0, 0, t)]
+    while todo:
+        level, i, node = todo.pop()
+        path[level:] = (i,)
         if node.res is UNKNOWN:
-            any_unknown = True
-            level = len(pos)
-            if level in unknown_at_level:
-                return pos, "more than one ? at a level"
-            unknown_at_level[level] = pos
-        for i, ch in enumerate(node.children):
+            if level in unknown_levels:
+                return tuple(path[1:]), "more than one ? at a level"
+            unknown_levels.add(level)
+        kids = node.children
+        for i, ch in enumerate(kids):
             if ch.res is UNKNOWN and node.res is not UNKNOWN:
-                return pos + (i,), "? child under complete parent"
-    if t.is_complete and any_unknown:
+                return tuple(path[1:]) + (i,), "? child under complete parent"
+        todo += [(level + 1, i, kids[i]) for i in range(len(kids) - 1, -1, -1)]
+    if t.is_complete and unknown_levels:
         return (), "complete root over incomplete node"
-    if not t.is_complete and not any_unknown:
+    if not t.is_complete and not unknown_levels:
         return (), "? root with no ? node"
     return None
 

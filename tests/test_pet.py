@@ -504,3 +504,30 @@ def test_tree_leq_on_a_deep_history():
     before, last = history[-2:]
     assert tree_leq(before, last) and tree_leq(last, last)
     assert not tree_leq(last, before)
+
+
+def _unknown_spine(n, bottom):
+    """``n`` nested ``?`` nodes, each the only child of the one above,
+    over ``bottom``."""
+    t = bottom
+    for d in range(n):
+        t = PartialEvalTree(Nat(d), UNKNOWN, pet.START, (t,))
+    return t
+
+
+def test_validation_builds_no_position_per_node(monkeypatch):
+    # ``check_pet_invariants`` walked ``positions()``, which copies a
+    # position tuple for every node: quadratic in depth
+    monkeypatch.setattr(PartialEvalTree, "positions",
+                        lambda self: pytest.fail("validation walked positions()"))
+    [out] = run_exhaustive(SEM, _spine(600, Nat(0)), 1201, validate=True)
+    assert isinstance(out, Converged) and out.result == Nat(600)
+    n = 2400
+    leaf = initial_tree(Nat(0))
+    under_done = PartialEvalTree(Nat(1), Known(Nat(1)), pet.CompletedRule("x"), (leaf,))
+    two = PartialEvalTree(Nat(1), UNKNOWN, pet.START, (leaf, leaf))
+    assert check_pet_invariants(_unknown_spine(n, under_done)) == (
+        (0,) * (n + 1), "? child under complete parent")
+    assert check_pet_invariants(_unknown_spine(n, two)) == (
+        (0,) * n + (1,), "more than one ? at a level")
+    assert check_pet_invariants(_unknown_spine(n, leaf)) is None

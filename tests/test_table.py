@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bigstep import extensions as ext
+from bigstep import pet
 from bigstep.extensions import INFINITY, NO_JUDGMENT, TIMEOUT, WRONG, Ok
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
                         enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
@@ -130,3 +131,21 @@ def test_nested_choice_e12_is_fast():
     values = ext.eval_div(lambda_semantics(), e, 400, exhaustive=True)
     assert time.perf_counter() - t0 < 1.0
     assert values == {Ok(Nat(k)) for k in range(13)}
+
+
+def test_two_budgets_on_nested_choice_e6():
+    # ``fuel`` bounds the table's oracle queries in all, but the
+    # transitions of each branch of a stepper run: 30 queries cannot
+    # close the table of e_6, while each of its 64 branches ends within
+    # 30 transitions (e_k = e_{k-1} (+) succ e_{k-1}, as in the
+    # benchmark's ``nested_choice``)
+    sem = lambda_semantics()
+    e = Nat(0)
+    for _ in range(6):
+        e = Choice(e, Succ(e))
+    assert ext.eval_div(sem, e, 30, exhaustive=True) == {TIMEOUT}
+    ends = list(pet._explore(sem, [pet._Frame(e, pet.START, ())], 30))
+    assert len(ends) == 64
+    assert not any(isinstance(o, OutOfFuel) for _, o in ends)
+    outs = run_exhaustive(sem, e, 30)
+    assert {o.result for o in outs} == {Nat(k) for k in range(7)}

@@ -67,6 +67,20 @@ imperative-FJ corpora above.  Those values are read off a result table
 rather than the stepper, so this digest shows that both give the same
 sets there.
 
+``certs``, also kept out of ``all``, digests the verdicts of
+``divergence_certificate_check`` at fuel 20 on every ``Diverges``
+certificate of ``run_exhaustive`` over three sets of configurations,
+and on eight mutations of each (its first or last entry dropped, rotated
+by one, reversed, doubled, and its first entry's premise index moved by
+one either way or its rule family swapped).  The sets are ``OMEGA``,
+``M M`` with ``M = \\x. 0 (+) succ (x x)`` and the first 400 of every
+fifteenth closed lambda term ``t`` of depth <= 3, each as ``t OMEGA``
+and as ``W W`` with ``W = \\x. t (x x)``, under each premise order
+(fuel 120); the FJ corpus above, where no term diverges; and every
+imperative-FJ term of depth <= 3 over ``IMP_LOOP_TABLE`` in the empty
+memory (fuel 200).  That is 17,334 checks; ``cert_runs`` yields them
+one by one, mutation 0 being the certificate itself.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
@@ -85,18 +99,21 @@ if os.environ.get("PYTHONHASHSEED") != "0":
 from bigstep import cli  # noqa: E402
 from bigstep import extensions as ext  # noqa: E402
 from bigstep.fj import (  # noqa: E402
-    EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
+    EMPTY_MEMORY, IMP_LOOP_TABLE, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
     enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics,
     parse_fj_expr, show_fj)
 from bigstep.inference import (  # noqa: E402
     FiniteRule, GeneralizedIS, bounded_coinduction_check, interp_coinductive,
     interp_corules, interp_inductive, reachable_universe, system_from_rules)
 from bigstep.lam import (  # noqa: E402
-    OMEGA, enumerate_terms, lambda_semantics, show_expr)
+    OMEGA, enumerate_terms, lambda_semantics, parse_expr, show_expr)
+from bigstep.lam.corpus import SELF_APPLY  # noqa: E402
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
+from bigstep.lam.syntax import Abs, App, Var  # noqa: E402
 from bigstep.maxelem import MaxElem, maxelem_gis  # noqa: E402
 from bigstep.pet import (  # noqa: E402
-    OutOfFuel, run_exhaustive, run_first, run_history, step)
+    Diverges, DivergenceCertificate, OutOfFuel, run_exhaustive, run_first,
+    run_history, step)
 from bigstep.rational import RationalList  # noqa: E402
 from bigstep.serialize import tree_doc  # noqa: E402
 from bigstep.util import EMPTY_MAP  # noqa: E402
@@ -104,6 +121,7 @@ from bigstep.util import EMPTY_MAP  # noqa: E402
 FUEL = 120
 FJ_FUEL = 150
 IMPFJ_FUEL = 200
+CERT_FUEL = 20
 MODES = ("wrong", "div", "trace", "total")
 
 
@@ -196,6 +214,41 @@ def value_reprs():
                 yield repr(sorted(map(repr, evaluator(sem, c, fuel, exhaustive=True))))
 
 
+def _mutations(witness):
+    """The eight mutations of ``witness`` that ``certs`` checks."""
+    (c, f, i), rest = witness[0], witness[1:]
+    other = next((g for _, g, _ in witness if g != f), "no-such-rule")
+    return (rest, witness[:-1], rest + witness[:1], witness[::-1], witness + witness,
+            ((c, f, i + 1),) + rest, ((c, f, i - 1),) + rest, ((c, other, i),) + rest)
+
+
+def cert_runs():
+    """(label, verdict) of each certificate check in ``certs``."""
+    m = parse_expr("\\x:rec t. t -> nat. 0 (+) succ (x x)")
+    terms = enumerate_terms(3)[::15][:400]
+    loops = [Abs("x", SELF_APPLY, App(t, App(Var("x"), Var("x")))) for t in terms]
+    lam = ([OMEGA, App(m, m)] + [App(t, OMEGA) for t in terms]
+           + [App(w, w) for w in loops])
+    runs = [(strategy, lambda_semantics(strategy), FUEL, lam)
+            for strategy in STRATEGIES]
+    fj_sem, fj_fuel, fj_configs = object_corpora()["fj"]
+    runs.append(("fj", fj_sem, fj_fuel, fj_configs))
+    runs.append(("impfj", impfj_semantics(IMP_LOOP_TABLE), IMPFJ_FUEL,
+                 [MemConfig(EMPTY_MEMORY, e)
+                  for e in enumerate_impfj(IMP_LOOP_TABLE, 3)]))
+    for name, sem, fuel, configs in runs:
+        for n, c in enumerate(configs):
+            diverging = [o for o in run_exhaustive(sem, c, fuel)
+                         if isinstance(o, Diverges)]
+            for k, o in enumerate(diverging):
+                cert = o.certificate
+                witnesses = (cert.witness,) + _mutations(cert.witness)
+                for j, w in enumerate(witnesses):
+                    check = ext.divergence_certificate_check(
+                        sem, DivergenceCertificate(w, cert.entry), CERT_FUEL)
+                    yield f"{name} config {n} certificate {k} mutation {j}", check.passed
+
+
 def maxelem_cases(rng):
     """(goal, claimed set) of each maxElem item of the fixpoint ladder."""
     for p in range(6, 21, 2):
@@ -277,6 +330,8 @@ def main() -> None:
     print(f"{'objdocs':25} {d}")
     print(f"{'steps':25} {digest(step_reprs())}")
     print(f"{'values':25} {digest(value_reprs())}")
+    d = digest(f"{label} {passed}" for label, passed in cert_runs())
+    print(f"{'certs':25} {d}")
 
 
 if __name__ == "__main__":
