@@ -314,7 +314,7 @@ def _values(pairs, exhaustive: bool):
     return pairs[0][1]
 
 
-def _table(sem: LanguageSemantics, root: Config, fuel: int):
+def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set] = None):
     """A table of results over the base rules, built forward from ``root``.
 
     It asks ``start`` of every configuration met, and ``advance`` of every
@@ -322,29 +322,31 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int):
     once; a result new to a configuration wakes the activations pending
     on it.  This is the least fixpoint of the rules met, so unlike a
     stepper run it also finds the results that flow back through a
-    cycle.  ``fuel`` bounds the queries in all.  Returns the table,
-    whether a dead end was met (no rule starts a configuration or
-    accepts a premise result), whether a demand rejoined a configuration
-    met before, and whether queries were left.
+    cycle.  ``fuel`` bounds the queries in all; a set ``wanted`` of
+    ``(conclusion, family, index, demanded config)`` loses each demand
+    met, and the table stops once it is empty.  Returns the table,
+    whether a dead end was met (no rule starts a configuration or accepts
+    a premise result), whether a demand rejoined a configuration met
+    before, and whether queries were left.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     # config -> ({result: None} in discovery order, the (conclusion,
-    # activation) pairs pending on it, the configurations it demands)
-    table = {root: ({}, [], [])}
+    # activation) pairs pending on it)
+    table = {root: ({}, [])}
     # queries still to ask: (config, None, None) for ``start``, (conclusion,
     # activation, pending result) for ``advance``
     todo = deque([(root, None, None)])
     dead = rejoined = False
     for _ in range(fuel):
-        if not todo:
+        if not todo or wanted is not None and not wanted:
             break
         config, act, r = todo.popleft()
         answers = (checked_start(sem, config) if act is None
                    else checked_advance(sem, config, act, r))
         if not answers:
             dead = True
-        found, waiting, demanded = table[config]
+        found, waiting = table[config]
         for a in answers:
             if isinstance(a, COMPLETIONS):
                 r = a.result
@@ -355,36 +357,34 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int):
             p, w = a.config, a.activation
             entry = table.get(p)
             if entry is None:
-                table[p] = ({}, [(config, w)], [])
+                table[p] = ({}, [(config, w)])
                 todo.append((p, None, None))
             else:
                 rejoined = True
                 entry[1].append((config, w))
                 todo.extend([(config, w, res) for res in entry[0]])
-            demanded.append(p)
+            if wanted is not None:
+                wanted.discard((config, w.rule_family, w.index, p))
     return table, dead, rejoined, bool(todo)
 
 
 def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark):
     """The results of ``root`` read off its ``_table``: ``Ok(r)`` for each
-    result, ``INFINITY`` if ``root`` reaches a cycle of demands,
+    result, ``INFINITY`` if ``root`` reaches a cycle of pending demands,
     ``dead_end`` if a dead end was met, and ``TIMEOUT`` if the budget ran
     out with queries left, besides what the partial table proves.
     """
     table, dead, rejoined, spent = _table(sem, root, fuel)
-    # greatest fixpoint of the divergence rules: drop, again and again,
-    # every configuration with no demand edge into the survivors, counted
-    # per configuration (an edge met twice counts twice, on both sides).
-    # Unless a demand rejoined a configuration met before, the edges form
-    # a tree from ``root``, with no cycle, and nothing survives.
-    live, callers = {root: 0}, {}
-    for c, (_, _, demanded) in (table.items() if rejoined else ()):
-        live[c] = len(demanded)
-        for p in demanded:
-            callers.setdefault(p, []).append(c)
+    # greatest fixpoint of the divergence rules: drop, again and again, every
+    # configuration with no demand edge into the survivors.  Unless a demand
+    # rejoined one met before, the edges form a tree and nothing survives.
+    live = dict.fromkeys(table if rejoined else (root,), 0)
+    for _, waiting in (table.values() if rejoined else ()):
+        for c, _ in waiting:
+            live[c] += 1
     drop = [c for c, n in live.items() if not n]
     while drop:
-        for c in callers.get(drop.pop(), ()):
+        for c, _ in table[drop.pop()][1]:
             live[c] -= 1
             if not live[c]:
                 drop.append(c)
@@ -460,18 +460,18 @@ def divergence_certificate_check(sem: LanguageSemantics,
     family, idx)`` needs an activation of ``family`` that concludes ``cfg``
     and pends at index ``idx`` on the next entry's configuration,
     cyclically; the table meets one only once its earlier premises have
-    results.  ``fuel`` bounds the table's oracle queries in all.
+    results, and stops once it has met every entry's.  ``fuel`` bounds
+    the table's oracle queries in all.
     """
     witness = cert.witness
     if not witness:
         return CertificateCheck(False, "empty witness")
-    table, _, _, spent = _table(sem, witness[0][0], fuel)
-    for k, (cfg, family, idx) in enumerate(witness):
-        nxt_cfg = witness[(k + 1) % len(witness)][0]
-        waiting = table[nxt_cfg][1] if nxt_cfg in table else ()
-        if not any(c == cfg and a.rule_family == family and a.index == idx
-                   for c, a in waiting):
+    demands = [(*e, nxt[0]) for e, nxt in zip(witness, witness[1:] + witness[:1])]
+    missing = set(demands)
+    _, _, _, spent = _table(sem, witness[0][0], fuel, missing)
+    for k, d in enumerate(demands):
+        if d in missing:
             why = f"the budget of {fuel} queries ran out" if spent else "the table closed"
-            return CertificateCheck(False, f"entry {k}: premise {idx} did not"
+            return CertificateCheck(False, f"entry {k}: premise {d[2]} did not"
                                            f" demand the next entry before {why}")
     return CertificateCheck(True)

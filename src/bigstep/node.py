@@ -8,7 +8,8 @@ optional trailing defaults as in a dataclass, into a tuple subclass:
   ``__match_args__`` lists them, so class patterns keep working;
 * equality is structural but type-strict: a node equals only a node of
   the same class, never a plain tuple or a node of another class with the
-  same fields;
+  same fields; terms too deep for the C compare are compared on an
+  explicit stack;
 * the hash is the tuple hash of the fields, computed in C;
 * every node is truthy, even one without fields;
 * ``repr`` is ``Name(field=value, ...)`` unless the class defines its own,
@@ -27,10 +28,16 @@ class Node(tuple):
     __slots__ = ()
 
     def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
+        try:
+            return type(self) is type(other) and tuple.__eq__(self, other)
+        except RecursionError:
+            return _deep_eq(self, other)
 
     def __ne__(self, other):
-        return type(self) is not type(other) or tuple.__ne__(self, other)
+        try:
+            return type(self) is not type(other) or tuple.__ne__(self, other)
+        except RecursionError:
+            return not _deep_eq(self, other)
 
     # defining ``__eq__`` drops the inherited hash
     __hash__ = tuple.__hash__
@@ -56,6 +63,28 @@ class Node(tuple):
             else:
                 out.append(repr(x))
         return "".join(out)
+
+
+def _deep_eq(a, b) -> bool:
+    """``a == b`` on an explicit stack, for terms too deep for the C compare.
+
+    Nodes and tuples are taken apart here, a node matching only a node of
+    its class and a tuple (such as a ``Memory``) any tuple but a node, in
+    the C compare's order; every other pair is compared with ``==``.
+    """
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if isinstance(x, tuple) and isinstance(y, tuple):
+            if (type(x) is not type(y) and (isinstance(x, Node) or isinstance(y, Node))
+                    or len(x) != len(y)):
+                return False
+            todo += zip(reversed(x), reversed(y))
+        elif not x == y:
+            return False
+    return True
 
 
 def node(cls: type) -> type:

@@ -96,14 +96,30 @@ class AuditReport:
 
 def _preservation_violation(pred: IndexedPredicate, config: Config,
                             outcomes) -> Optional[Violation]:
+    """The first preservation violation on the converged trees, in order.
+
+    ``indices`` holds the indices of every configuration checked so far,
+    each asked once.  The walk is pre-order; ``path`` holds a dummy
+    index, then the position of the node at hand, copied only for the
+    violation reported.
+    """
+    indices = {}
     for o in outcomes:
         if not isinstance(o, Converged):
             continue
-        for pos, node in o.tree.positions():
-            if not pred.satisfies(node.config):
-                return Violation(Condition.PRESERVATION, config,
-                                 detail=("node-config", pos, node.config))
-        for index in pred.indices_of_config(config):
+        path, todo = [], [(0, 0, o.tree)]
+        while todo:
+            level, i, node = todo.pop()
+            path[level:] = (i,)
+            c = node.config
+            if c not in indices:
+                indices[c] = pred.indices_of_config(c)
+                if not indices[c]:
+                    return Violation(Condition.PRESERVATION, config,
+                                     detail=("node-config", tuple(path[1:]), c))
+            kids = node.children
+            todo += [(level + 1, i, kids[i]) for i in range(len(kids) - 1, -1, -1)]
+        for index in indices[config]:
             if not pred.holds_result(o.result, index):
                 return Violation(Condition.PRESERVATION, config,
                                  detail=("root-result", index, o.result))

@@ -16,7 +16,7 @@ from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics, parse_expr
 from bigstep.lam.corpus import SELF_APPLY
 from bigstep.lam.semantics import STRATEGIES
 from bigstep.lam.syntax import Abs, App, Var
-from bigstep.oracle import Demand, FirstPremise
+from bigstep.oracle import Demand, FirstPremise, LanguageSemantics
 from bigstep.pet import (Converged, Diverges, DivergenceCertificate, run_exhaustive,
                          run_first)
 from bigstep.util import EMPTY_MAP
@@ -150,6 +150,39 @@ def test_mm_certificate_needs_eight_queries():
         check = divergence_certificate_check(sem, cert, fuel)
         assert not check.passed
         assert f"the budget of {fuel} queries ran out" in check.reason
+
+
+class CountingOracle(LanguageSemantics):
+    """``base`` with a count of its ``start`` and ``advance`` queries."""
+
+    def __init__(self, base):
+        self.base, self.queries = base, 0
+
+    def start(self, config):
+        self.queries += 1
+        return self.base.start(config)
+
+    def advance(self, a, r):
+        self.queries += 1
+        return self.base.advance(a, r)
+
+    def premise_bound(self, config):
+        return self.base.premise_bound(config)
+
+
+def test_mm_check_stops_once_every_demand_is_met():
+    # the table of M M under app-late has infinitely many results and
+    # never closes; the check stops after the 8 queries that meet every
+    # entry's demand, whatever its budget
+    sem = lambda_semantics("app-late")
+    [cert] = [o.certificate for o in run_exhaustive(sem, App(M, M), 120)
+              if isinstance(o, Diverges)]
+    for fuel in (8, 120, 1000):
+        counted = CountingOracle(sem)
+        assert divergence_certificate_check(counted, cert, fuel).passed
+        assert counted.queries == 8, fuel
+    check = divergence_certificate_check(sem, cert, 7)
+    assert not check.passed and "the budget of 7 queries ran out" in check.reason
 
 
 def test_reason_tells_a_closed_table_from_a_spent_budget():

@@ -3,7 +3,7 @@ oracle answers, and the cached hash of rational lists."""
 import pytest
 
 from bigstep.extensions import FinTrace, InfTrace, Ok
-from bigstep.fj.syntax import EnvConfig, MemConfig, New, ObjIdRef
+from bigstep.fj.syntax import EnvConfig, MemConfig, Memory, New, ObjIdRef, ObjState
 from bigstep.fj.syntax import Var as FJVar
 from bigstep.lam import lambda_semantics
 from bigstep.lam.syntax import Abs, App, Nat, Succ, Var
@@ -108,6 +108,34 @@ def test_deep_spine_hashes_and_runs():
     out = run_first(lambda_semantics(), e, 2 * n + 1)
     assert isinstance(out, Converged)
     assert out.result == Nat(n) and out.steps == 2 * n + 1
+
+
+def _spine(n, leaf=Nat(0)):
+    for _ in range(n):
+        leaf = Succ(leaf)
+    return leaf
+
+
+@pytest.mark.parametrize("n", [600, 5_000, 100_000])
+def test_separately_built_deep_spines_compare(n):
+    # no spine is hashed: hashing a term about 10^6 deep overflows the C
+    # stack; both comparisons raised RecursionError from about depth 500
+    a, b, longer = _spine(n), _spine(n), _spine(n + 1)
+    assert a == b and not a != b
+    assert a != longer and not a == longer and longer != a
+    assert _spine(n, Nat(1)) != a and not _spine(n, Nat(1)) == a
+
+
+def test_deep_comparison_stays_type_strict():
+    assert _spine(600, Var("x")) != _spine(600, FJVar("x"))
+    assert not _spine(600, Var("x")) == _spine(600, FJVar("x"))
+    # a plain tuple and a ``Memory`` inside a node compare element by element
+    state = ObjState("A", (0,))
+    deep = _spine(600)
+    assert FinTrace((state, deep), 0) == FinTrace(Memory((state, _spine(600))), 0)
+    assert FinTrace((state, deep), 0) != FinTrace(Memory((state, _spine(601))), 0)
+    assert _spine(600, (0,)) != _spine(600, Nat(0))
+    assert MemConfig(Memory((state,)), deep) == MemConfig(Memory((state,)), _spine(600))
 
 
 def test_rational_list_hash_is_cached_and_type_strict():

@@ -1,6 +1,12 @@
 """Soundness auditors: preservation, progress, must/may, and their laws."""
+from collections import Counter
+
 import pytest
 
+from bigstep import cli, predicates
+from bigstep.fj import (IMP_TABLE, INTEROP_TABLE, fj_indexed_predicate, fj_semantics,
+                        fj_typed_corpus, impfj_indexed_predicate, impfj_semantics,
+                        impfj_typed_corpus)
 from bigstep.lam import (
     OMEGA,
     fool_predicate,
@@ -11,9 +17,12 @@ from bigstep.lam import (
 )
 from bigstep.lam.corpus import FOOL_TERM
 from bigstep.lam.syntax import Choice, Nat, Succ
+from bigstep.pet import Converged, PartialEvalTree, run_exhaustive
 from bigstep.predicates import (
     AuditOutcome,
     Condition,
+    IndexedPredicate,
+    Violation,
     audit_preservation,
     audit_progress,
     check_progress_implies_may,
@@ -148,3 +157,99 @@ def test_single_configuration_audits_reject_nonpositive_fuel(audit):
     for fuel in (0, -1):
         with pytest.raises(ValueError):
             audit(SEM, PRED, parse_expr("succ 0"), fuel)
+
+
+def _reference_preservation_violation(pred, config, outcomes):
+    """The preservation check as it was: every node of every converged
+    tree through ``positions()``, and the root's indices once per tree."""
+    for o in outcomes:
+        if not isinstance(o, Converged):
+            continue
+        for pos, node in o.tree.positions():
+            if not pred.satisfies(node.config):
+                return Violation(Condition.PRESERVATION, config,
+                                 detail=("node-config", pos, node.config))
+        for index in pred.indices_of_config(config):
+            if not pred.holds_result(o.result, index):
+                return Violation(Condition.PRESERVATION, config,
+                                 detail=("root-result", index, o.result))
+    return None
+
+
+def _picky(pred):
+    """``pred`` that also rejects the configuration ``0`` and the result
+    ``2``, so that preservation fails both inside trees and at roots."""
+    return IndexedPredicate(
+        lambda c: frozenset() if c == Nat(0) else pred.indices_of_config(c),
+        lambda r, i: r != Nat(2) and pred.holds_result(r, i))
+
+
+def audit_sets():
+    """(oracle, predicate, corpus, fuel) of every audit compared below."""
+    picky = _picky(PRED)
+    return [
+        (SEM, PRED, typed_corpus(3), 200),
+        (SEM, picky, [e for e in typed_corpus(3) if picky.satisfies(e)], 200),
+        (fj_semantics(INTEROP_TABLE), fj_indexed_predicate(INTEROP_TABLE),
+         fj_typed_corpus(INTEROP_TABLE, 3), 150),
+        (impfj_semantics(IMP_TABLE), impfj_indexed_predicate(IMP_TABLE),
+         impfj_typed_corpus(IMP_TABLE, 3), 200),
+        (lambda_semantics(drop_succ=True), PRED, [Succ(Nat(2))], 50),
+        (SEM, fool_predicate(), [FOOL_TERM], 50),
+    ]
+
+
+def test_preservation_reports_equal_the_reference(monkeypatch):
+    for sem, pred, corpus, fuel in audit_sets():
+        report = soundness_must_audit(sem, pred, corpus, fuel)
+        single = [audit_preservation(sem, pred, c, fuel) for c in corpus]
+        with monkeypatch.context() as m:
+            m.setattr(predicates, "_preservation_violation",
+                      _reference_preservation_violation)
+            reference = soundness_must_audit(sem, pred, corpus, fuel)
+            assert single == [audit_preservation(sem, pred, c, fuel) for c in corpus]
+        assert report == reference
+    picky_report = soundness_must_audit(*audit_sets()[1])
+    details = {v.detail[0] for v in picky_report.violations}
+    assert details == {"node-config", "root-result"}
+
+
+def test_preservation_asks_each_configuration_once(monkeypatch):
+    monkeypatch.setattr(PartialEvalTree, "positions",
+                        lambda self: pytest.fail("preservation walked positions()"))
+    repeated = 0
+    for sem, pred, corpus, fuel in audit_sets():
+        for config in corpus:
+            asked = Counter()
+
+            def indices(c):
+                asked[c] += 1
+                return pred.indices_of_config(c)
+
+            counted = IndexedPredicate(indices, pred.holds_result)
+            outcomes = run_exhaustive(sem, config, fuel)
+            predicates._preservation_violation(counted, config, outcomes)
+            assert max(asked.values(), default=0) <= 1, config
+            repeated += sum(isinstance(o, Converged) for o in outcomes) > 1
+    assert repeated > 0  # members whose converged trees share their root
+
+
+SOUNDNESS_ARGVS = [
+    [*lang, *fixture, "--flavor", flavor]
+    for lang, fixtures in ((["--lang", "lambda"], ([], ["--fixture", "dropped-succ"],
+                                                    ["--fixture", "fool"])),
+                           (["--lang", "fj"], ([],)), (["--lang", "impfj"], ([],)))
+    for fixture in fixtures for flavor in ("must", "may")]
+
+
+@pytest.mark.parametrize("argv", SOUNDNESS_ARGVS)
+def test_soundness_command_prints_what_the_reference_prints(argv, capsys, monkeypatch):
+    def run():
+        code = cli.main(["soundness", *argv])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    new = run()
+    monkeypatch.setattr(predicates, "_preservation_violation",
+                        _reference_preservation_violation)
+    assert new == run()

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from bigstep import extensions as ext
 from bigstep import pet
-from bigstep.extensions import INFINITY, NO_JUDGMENT, TIMEOUT, WRONG, Ok
+from bigstep.extensions import (INFINITY, NO_JUDGMENT, TIMEOUT, WRONG, CertificateCheck,
+                                 Ok, divergence_certificate_check)
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
                         enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
 from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics, parse_expr
 from bigstep.lam.semantics import STRATEGIES
 from bigstep.lam.syntax import App, Choice, Nat, Succ
-from bigstep.oracle import OracleContractError
-from bigstep.pet import OutOfFuel, run_exhaustive
+from bigstep.oracle import (Activation, Axiom, Demand, FirstPremise, Finished,
+                            LanguageSemantics, OracleContractError)
+from bigstep.pet import DivergenceCertificate, Diverges, OutOfFuel, run_exhaustive
 from bigstep.util import EMPTY_MAP
 
 from test_oracle_contract import BrokenAdvance, UnboundedPremises
@@ -149,3 +151,99 @@ def test_two_budgets_on_nested_choice_e6():
     assert not any(isinstance(o, OutOfFuel) for _, o in ends)
     outs = run_exhaustive(sem, e, 30)
     assert {o.result for o in outs} == {Nat(k) for k in range(7)}
+
+
+class IntRules(LanguageSemantics):
+    """Integer configurations, each with a list of rules ``(family,
+    premises, base)``.  A rule without premises is an axiom concluding
+    ``base``; any other demands its premises in order and concludes
+    ``base`` plus the sum of their results, modulo 3."""
+
+    def __init__(self, rules):
+        self.rules = rules
+
+    def start(self, config):
+        out = []
+        for k, (family, premises, base) in enumerate(self.rules.get(config, ())):
+            if not premises:
+                out.append(Axiom(base, rule=family))
+            else:
+                out.append(FirstPremise(premises[0], Activation(
+                    family, config, (), premises[0], k)))
+        return tuple(out)
+
+    def advance(self, a, r):
+        family, premises, base = self.rules[a.conclusion_config][a.bindings]
+        if a.index < len(premises):
+            nxt = premises[a.index]
+            return (Demand(nxt, a.extend(r, nxt)),)
+        return (Finished((base + r + sum(j.result for j in a.completed)) % 3),)
+
+    def premise_bound(self, config):
+        return max((len(p) for _, p, _ in self.rules.get(config, ())), default=0)
+
+
+@st.composite
+def int_rules(draw):
+    """Up to six configurations; a premise may name any of them, so some
+    demands close cycles, and a configuration may have no rule."""
+    n = draw(st.integers(1, 6))
+    rule = st.tuples(st.sampled_from("ab"), st.lists(st.integers(0, n - 1), max_size=3),
+                     st.integers(0, 2))
+    return {c: draw(st.lists(rule, max_size=3)) for c in range(n)}
+
+
+def _callers_loop(table, root, rejoined):
+    """``INFINITY`` read off ``table`` as before the pending lists were
+    read: a ``callers`` index built from each configuration's demands."""
+    demanded = {c: [] for c in table}
+    for p, (_, waiting) in table.items():
+        for c, _ in waiting:
+            demanded[c].append(p)
+    live, callers = {root: 0}, {}
+    for c, ps in (demanded.items() if rejoined else ()):
+        live[c] = len(ps)
+        for p in ps:
+            callers.setdefault(p, []).append(c)
+    drop = [c for c, n in live.items() if not n]
+    while drop:
+        for c in callers.get(drop.pop(), ()):
+            live[c] -= 1
+            if not live[c]:
+                drop.append(c)
+    return bool(live[root])
+
+
+def _scan_check(sem, cert, fuel):
+    """The certificate check as before the early stop: the whole table,
+    then a scan of the pending list of each entry's next configuration."""
+    witness = cert.witness
+    if not witness:
+        return CertificateCheck(False, "empty witness")
+    table, _, _, spent = ext._table(sem, witness[0][0], fuel)
+    for k, (cfg, family, idx) in enumerate(witness):
+        nxt_cfg = witness[(k + 1) % len(witness)][0]
+        waiting = table[nxt_cfg][1] if nxt_cfg in table else ()
+        if not any(c == cfg and a.rule_family == family and a.index == idx
+                   for c, a in waiting):
+            why = f"the budget of {fuel} queries ran out" if spent else "the table closed"
+            return CertificateCheck(False, f"entry {k}: premise {idx} did not"
+                                           f" demand the next entry before {why}")
+    return CertificateCheck(True)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(int_rules(), st.integers(1, 60),
+       st.lists(st.tuples(st.integers(0, 5), st.sampled_from("ab"), st.integers(0, 4)),
+                min_size=1, max_size=4))
+def test_pending_lists_give_the_callers_loop_and_the_scan(rules, fuel, drawn):
+    sem = IntRules(rules)
+    table, _, rejoined, _ = ext._table(sem, 0, fuel)
+    assert (INFINITY in ext.eval_div(sem, 0, fuel, exhaustive=True)) == \
+        _callers_loop(table, 0, rejoined)
+    certs = [o.certificate for o in run_exhaustive(sem, 0, 30) if isinstance(o, Diverges)]
+    witnesses = [c.witness for c in certs] + [tuple(drawn)]
+    witnesses += [w[1:] + w[:1] for w in witnesses] + [w[::-1] for w in witnesses]
+    for w in witnesses:
+        cert = DivergenceCertificate(w, w[0][0] if w else 0)
+        assert divergence_certificate_check(sem, cert, fuel) == _scan_check(sem, cert, fuel)
