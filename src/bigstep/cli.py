@@ -3,7 +3,8 @@
 Structured documents go to stdout, one JSON object per line; diagnostics
 go to stderr.  Exit codes: 0 converged/passed, 2 wrong or stuck, 3
 divergence, 4 out of fuel or over the corules cap, 5 audit violations,
-1 usage or parse errors or input too deep.
+1 usage or parse errors, an unreadable input file, input too deep, or
+stdout closed before every document was written (as by ``| head``).
 """
 from __future__ import annotations
 
@@ -77,8 +78,13 @@ def _parse_input(parse, text: str):
     except ParseError:
         if not os.path.isfile(text):
             raise
-    with open(text, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"cannot read {text}: {err}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return parse(source)
 
 
 def _emit(doc) -> None:
@@ -310,7 +316,15 @@ def main(argv=None) -> int:
             print(f"{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a reader gone early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the interpreter's
+        # last flush, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("stdout closed early", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE

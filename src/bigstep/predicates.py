@@ -21,6 +21,7 @@ genuine counterexample pinpointing the rule instance and clause.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -157,36 +158,40 @@ def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
     for o in run_exhaustive(sem, config, fuel):
         if isinstance(o, OutOfFuel):
             saw_fuel = True
-        elif isinstance(o, Stuck) and pred.satisfies(o.info.config):
-            return AuditOutcome(False, _stuck_violation(pred, o))
+        elif isinstance(o, Stuck):
+            violation = _stuck_violation(pred, o)
+            if violation.condition is not Condition.PRESERVATION:
+                return AuditOutcome(False, violation)
     return AuditOutcome(True, inconclusive=saw_fuel)
+
+
+def _members(sem: LanguageSemantics, pred: IndexedPredicate, corpus, fuel, report):
+    """Each corpus member with its exhaustive outcomes, counted in ``report``."""
+    for config in corpus:
+        if not pred.satisfies(config):
+            raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
+        report.stats["configs"] += 1
+        yield config, run_exhaustive(sem, config, fuel)
+
+
+_STAT = {Stuck: "stuck", Converged: "converged", Diverges: "diverges", OutOfFuel: "timeout"}
 
 
 def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                          corpus, fuel: int) -> AuditReport:
     """Every stuck outcome on a predicate-satisfying corpus is a violation."""
     report = AuditReport()
-    for config in corpus:
-        if not pred.satisfies(config):
-            raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
-        report.stats["configs"] += 1
-        decided = True
-        outcomes = run_exhaustive(sem, config, fuel)
+    # each configuration is typed once per call, whichever member reaches it
+    pred = IndexedPredicate(functools.cache(pred.indices_of_config), pred.holds_result)
+    for config, outcomes in _members(sem, pred, corpus, fuel, report):
         for o in outcomes:
+            report.stats[_STAT[type(o)]] += 1
             if isinstance(o, Stuck):
-                report.stats["stuck"] += 1
                 report.violations.append(_stuck_violation(pred, o))
-            elif isinstance(o, Converged):
-                report.stats["converged"] += 1
-            elif isinstance(o, Diverges):
-                report.stats["diverges"] += 1
-            else:
-                report.stats["timeout"] += 1
-                decided = False
         violation = _preservation_violation(pred, config, outcomes)
         if violation is not None:
             report.violations.append(violation)
-        if not decided:
+        if any(isinstance(o, OutOfFuel) for o in outcomes):
             report.inconclusive.append(config)
     return report
 
@@ -195,20 +200,15 @@ def soundness_may_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                         corpus, fuel: int) -> AuditReport:
     """Some branch of every corpus member converges or certifiably diverges."""
     report = AuditReport()
-    for config in corpus:
-        if not pred.satisfies(config):
-            raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
-        report.stats["configs"] += 1
-        outcomes = run_exhaustive(sem, config, fuel)
+    for config, outcomes in _members(sem, pred, corpus, fuel, report):
         if any(isinstance(o, (Converged, Diverges)) for o in outcomes):
             report.stats["progressing"] += 1
-            continue
-        if any(isinstance(o, OutOfFuel) for o in outcomes):
+        elif any(isinstance(o, OutOfFuel) for o in outcomes):
             report.stats["timeout"] += 1
             report.inconclusive.append(config)
-            continue
-        report.stats["all-stuck"] += 1
-        report.violations.append(Violation(Condition.MAY_PROGRESS, config))
+        else:
+            report.stats["all-stuck"] += 1
+            report.violations.append(Violation(Condition.MAY_PROGRESS, config))
     return report
 
 

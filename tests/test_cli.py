@@ -1,5 +1,9 @@
 """Command-line interface: documents, exit codes, round trips."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from bigstep.cli import main
 from bigstep.extensions import divergence_certificate_check
 from bigstep.lam import OMEGA, lambda_semantics, parse_expr, show_expr
 from bigstep.pet import DivergenceCertificate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +143,31 @@ def test_file_input(tmp_path, capsys):
     f.write_text("succ (succ 1)")
     code, docs, _ = run_cli(capsys, "eval", "--lang", "lambda", str(f))
     assert code == 0 and docs[0]["result"] == "3"
+
+
+@pytest.mark.parametrize("options", [[], ["--lang", "fj", "--table"]])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, options):
+    f = tmp_path / "binary"
+    f.write_bytes(b"\x7fELF\x80\xff\x00")
+    argv = ["eval", *options, str(f)] + (["new A()"] if options else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {f}: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    deep = "succ (" * 150 + "0" + ")" * 150
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bigstep.cli", "step", "--max-steps", "2000", deep],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.stdout.readline().startswith("{")
+    proc.stdout.close()  # the reader goes away with most documents unwritten
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == "stdout closed early\n"
 
 
 def test_inline_source_is_not_replaced_by_a_file_of_that_name(

@@ -234,6 +234,36 @@ def test_preservation_asks_each_configuration_once(monkeypatch):
     assert repeated > 0  # members whose converged trees share their root
 
 
+def _counted(pred):
+    """``pred`` whose ``indices_of_config`` counts its calls per configuration."""
+    asked = Counter()
+
+    def indices(c):
+        asked[c] += 1
+        return pred.indices_of_config(c)
+
+    return IndexedPredicate(indices, pred.holds_result), asked
+
+
+@pytest.mark.parametrize("sem, pred, corpus, fuel, calls", [
+    (SEM, PRED, typed_corpus(3), 200, 975),
+    (fj_semantics(INTEROP_TABLE), fj_indexed_predicate(INTEROP_TABLE),
+     fj_typed_corpus(INTEROP_TABLE, 3), 300, 32),
+    (impfj_semantics(IMP_TABLE), impfj_indexed_predicate(IMP_TABLE),
+     impfj_typed_corpus(IMP_TABLE, 3), 300, 19),
+], ids=["lambda", "fj", "impfj"])
+def test_must_audit_types_each_configuration_once(sem, pred, corpus, fuel, calls):
+    counted, asked = _counted(pred)
+    assert soundness_must_audit(sem, counted, corpus, fuel).passed
+    assert sum(asked.values()) == len(asked) == calls
+
+
+def test_progress_audit_types_a_stuck_node_once():
+    counted, asked = _counted(fool_predicate())
+    assert not audit_progress(SEM, counted, FOOL_TERM, 50).passed
+    assert asked == {parse_expr("0 0"): 1}
+
+
 SOUNDNESS_ARGVS = [
     [*lang, *fixture, "--flavor", flavor]
     for lang, fixtures in ((["--lang", "lambda"], ([], ["--fixture", "dropped-succ"],

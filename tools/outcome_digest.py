@@ -81,6 +81,17 @@ imperative-FJ term of depth <= 3 over ``IMP_LOOP_TABLE`` in the empty
 memory (fuel 200).  That is 17,334 checks; ``cert_runs`` yields them
 one by one, mutation 0 being the certificate itself.
 
+``audits``, also kept out of ``all``, digests the soundness auditors of
+``predicates``: the ``report_doc`` JSON and the ``repr`` of
+``soundness_must_audit`` and ``soundness_may_audit`` on the typed lambda
+corpus of depth <= 3 under each premise order (fuel 200), on the typed
+FJ corpus over ``INTEROP_TABLE`` and the typed imperative-FJ corpus over
+``IMP_TABLE`` (fuel 300) and on the ``dropped-succ`` and ``fool``
+fixtures of ``bsm soundness`` (fuel 50), and, so that diverging and
+timed-out members are covered too, on ``OMEGA`` and ``0 (+) OMEGA`` at
+fuel 3, 5 and 50; and the ``repr`` of ``audit_progress`` and
+``audit_preservation`` on every seventh member of each of those corpora.
+
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
 """
@@ -100,28 +111,35 @@ from bigstep import cli  # noqa: E402
 from bigstep import extensions as ext  # noqa: E402
 from bigstep.fj import (  # noqa: E402
     EMPTY_MEMORY, IMP_LOOP_TABLE, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
-    enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics,
-    parse_fj_expr, show_fj)
+    enumerate_fj, enumerate_impfj, fj_indexed_predicate, fj_semantics,
+    fj_typed_corpus, impfj_indexed_predicate, impfj_semantics,
+    impfj_typed_corpus, parse_fj_expr, show_fj)
 from bigstep.inference import (  # noqa: E402
     FiniteRule, GeneralizedIS, bounded_coinduction_check, interp_coinductive,
     interp_corules, interp_inductive, reachable_universe, system_from_rules)
 from bigstep.lam import (  # noqa: E402
-    OMEGA, enumerate_terms, lambda_semantics, parse_expr, show_expr)
-from bigstep.lam.corpus import SELF_APPLY  # noqa: E402
+    OMEGA, enumerate_terms, fool_predicate, lambda_semantics,
+    lambda_type_predicate, parse_expr, show_expr, typed_corpus)
+from bigstep.lam.corpus import FOOL_TERM, SELF_APPLY  # noqa: E402
 from bigstep.lam.semantics import STRATEGIES  # noqa: E402
-from bigstep.lam.syntax import Abs, App, Var  # noqa: E402
+from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var  # noqa: E402
 from bigstep.maxelem import MaxElem, maxelem_gis  # noqa: E402
 from bigstep.pet import (  # noqa: E402
     Diverges, DivergenceCertificate, OutOfFuel, run_exhaustive, run_first,
     run_history, step)
+from bigstep.predicates import (  # noqa: E402
+    audit_preservation, audit_progress, soundness_may_audit, soundness_must_audit)
 from bigstep.rational import RationalList  # noqa: E402
-from bigstep.serialize import tree_doc  # noqa: E402
+from bigstep.serialize import report_doc, tree_doc  # noqa: E402
 from bigstep.util import EMPTY_MAP  # noqa: E402
 
 FUEL = 120
 FJ_FUEL = 150
 IMPFJ_FUEL = 200
 CERT_FUEL = 20
+AUDIT_FUEL = 200
+OBJ_AUDIT_FUEL = 300
+FIXTURE_FUEL = 50
 MODES = ("wrong", "div", "trace", "total")
 
 
@@ -249,6 +267,32 @@ def cert_runs():
                     yield f"{name} config {n} certificate {k} mutation {j}", check.passed
 
 
+def audit_reprs():
+    """Report JSON and ``repr`` of each corpus audit, and ``repr`` of each
+    single-configuration audit, in ``audits``."""
+    typed, corpus = lambda_type_predicate(), typed_corpus(3)
+    runs = [(lambda_semantics(strategy), typed, corpus, AUDIT_FUEL, show_expr)
+            for strategy in STRATEGIES]
+    runs += [
+        (fj_semantics(INTEROP_TABLE), fj_indexed_predicate(INTEROP_TABLE),
+         fj_typed_corpus(INTEROP_TABLE, 3), OBJ_AUDIT_FUEL, show_fj),
+        (impfj_semantics(IMP_TABLE), impfj_indexed_predicate(IMP_TABLE),
+         impfj_typed_corpus(IMP_TABLE, 3), OBJ_AUDIT_FUEL, show_fj),
+        (lambda_semantics(drop_succ=True), typed, [Succ(Nat(2))], FIXTURE_FUEL, show_expr),
+        (lambda_semantics(), fool_predicate(), [FOOL_TERM], FIXTURE_FUEL, show_expr),
+    ]
+    runs += [(lambda_semantics(), typed, [OMEGA, Choice(Nat(0), OMEGA)], fuel, show_expr)
+             for fuel in (3, 5, FIXTURE_FUEL)]
+    for sem, pred, corpus, fuel, show in runs:
+        for audit in (soundness_must_audit, soundness_may_audit):
+            report = audit(sem, pred, corpus, fuel)
+            yield json.dumps(report_doc(report, show=show))
+            yield repr(report)
+        for c in corpus[::7]:
+            for audit in (audit_progress, audit_preservation):
+                yield repr(audit(sem, pred, c, fuel))
+
+
 def maxelem_cases(rng):
     """(goal, claimed set) of each maxElem item of the fixpoint ladder."""
     for p in range(6, 21, 2):
@@ -332,6 +376,7 @@ def main() -> None:
     print(f"{'values':25} {digest(value_reprs())}")
     d = digest(f"{label} {passed}" for label, passed in cert_runs())
     print(f"{'certs':25} {d}")
+    print(f"{'audits':25} {digest(audit_reprs())}")
 
 
 if __name__ == "__main__":
