@@ -97,27 +97,23 @@ def _news(ct: ClassTable, classes: tuple, below: tuple, k: int):
                 yield New(c, tuple(below[i] for i in idx))
 
 
-# Each level of the enumerators below is ``below``, the level under it,
-# followed by the terms of the new greatest depth.  The terms of ``below``
-# before ``k`` are those of the level under that, so a term whose children
-# all come before ``k`` is already in ``below`` and is skipped.
+def _enumerate(ct: ClassTable, depth: int, lambdas: tuple, casts: tuple,
+               assignable: bool, method_sigs: set) -> tuple:
+    """Closed expressions of depth at most ``depth`` over one calculus.
 
+    The leaves are the zero-field ``New``s and ``lambdas``; the casts go to
+    ``casts``, fields are assigned when ``assignable``, and methods are
+    invoked by their ``(name, arity)`` in ``method_sigs``.
 
-def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
-    """Closed functional-variant expressions of bounded depth."""
+    Each level is ``below``, the level under it, followed by the terms of
+    the new greatest depth.  The terms of ``below`` before ``k`` are those
+    of the level under that, so a term whose children all come before
+    ``k`` is already in ``below`` and is skipped.
+    """
     classes = tuple(c.name for c in ct.classes)
-    types = ct.all_types()
     field_names = {n for c in classes for _, n in (ct.fields(c) or ())}
-    method_sigs = {(m.name, len(m.params)) for c in ct.classes for m in c.methods}
-    method_sigs |= {(s[0], len(s[1])) for i in ct.interfaces
-                    for s in ct.interface_methods(i.name)}
-
-    def level(d: int) -> tuple:
-        """(the terms of depth at most ``d``, how many have depth below ``d``)."""
-        if d <= 1:
-            return tuple(New(c, ()) for c in classes
-                         if not ct.fields(c)) + (IDENTITY_LAMBDA,), 0
-        below, k = level(d - 1)
+    below, k = tuple(New(c, ()) for c in classes if not ct.fields(c)) + lambdas, 0
+    for _ in range(depth - 1):
         out = list(below)
         out.extend(_news(ct, classes, below, k))
         singles = tuple((e,) for e in below)  # argument tuples, shared
@@ -125,20 +121,31 @@ def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
             fresh = i >= k
             start = 0 if fresh else k
             if fresh:
-                out.extend(Cast(t, e) for t in types)
+                out.extend(Cast(t, e) for t in casts)
             if isinstance(e, Lambda):
                 continue
             if fresh:
                 out.extend(FieldAccess(e, fname) for fname in field_names)
+            if assignable:
+                for e2 in below[start:]:
+                    for fname in field_names:
+                        out.append(FieldAssign(e, fname, e2))
             for mname, arity in method_sigs:
                 if arity == 0 and fresh:
                     out.append(Invoke(e, mname, ()))
                 elif arity == 1:
                     for args in singles[start:]:
                         out.append(Invoke(e, mname, args))
-        return tuple(out), len(below)
+        below, k = tuple(out), len(below)
+    return below
 
-    return level(depth)[0]
+
+def enumerate_fj(ct: ClassTable, depth: int) -> tuple:
+    """Closed functional-variant expressions of bounded depth."""
+    method_sigs = {(m.name, len(m.params)) for c in ct.classes for m in c.methods}
+    method_sigs |= {(s[0], len(s[1])) for i in ct.interfaces
+                    for s in ct.interface_methods(i.name)}
+    return _enumerate(ct, depth, (IDENTITY_LAMBDA,), ct.all_types(), False, method_sigs)
 
 
 def fj_typed_corpus(ct: ClassTable, depth: int) -> tuple:
@@ -154,36 +161,9 @@ def fj_typed_corpus(ct: ClassTable, depth: int) -> tuple:
 
 def enumerate_impfj(ct: ClassTable, depth: int) -> tuple:
     """Closed imperative expressions of bounded depth."""
-    classes = tuple(c.name for c in ct.classes)
     method_sigs = {m for c in ct.classes for m in
                    ((md.name, len(md.params)) for md in c.methods)}
-    field_names = {n for c in classes for _, n in (ct.fields(c) or ())}
-
-    def level(d: int) -> tuple:
-        """(the terms of depth at most ``d``, how many have depth below ``d``)."""
-        if d <= 1:
-            return tuple(New(c, ()) for c in classes if not ct.fields(c)), 0
-        below, k = level(d - 1)
-        out = list(below)
-        out.extend(_news(ct, classes, below, k))
-        singles = tuple((e,) for e in below)  # argument tuples, shared
-        for i, e in enumerate(below):
-            fresh = i >= k
-            start = 0 if fresh else k
-            if fresh:
-                out.extend(FieldAccess(e, fname) for fname in field_names)
-            for e2 in below[start:]:
-                for fname in field_names:
-                    out.append(FieldAssign(e, fname, e2))
-            for mname, arity in method_sigs:
-                if arity == 0 and fresh:
-                    out.append(Invoke(e, mname, ()))
-                elif arity == 1:
-                    for args in singles[start:]:
-                        out.append(Invoke(e, mname, args))
-        return tuple(out), len(below)
-
-    return level(depth)[0]
+    return _enumerate(ct, depth, (), (), True, method_sigs)
 
 
 def impfj_typed_corpus(ct: ClassTable, depth: int) -> tuple:

@@ -10,8 +10,9 @@ Both fixpoints query the rules of each universe judgment once and then
 run a worklist over a reverse index from premises to the rules waiting on
 them, in the style of Dowling and Gallier's linear-time Horn-SAT: each
 costs O(|U| + R + P) set operations for R rules with P premises in all.
-``interp_corules`` runs one of each, and ``bounded_coinduction_check``
-runs the least fixpoint plus one query per judgment of the candidate set.
+``interp_corules`` runs the greatest fixpoint of the rules over the least
+fixpoint of rules and corules, and ``bounded_coinduction_check`` runs the
+least fixpoint plus one query per judgment of the candidate set.
 """
 from __future__ import annotations
 
@@ -166,16 +167,11 @@ def interp_corules(
 ) -> FrozenSet[Judgment]:
     """Interpretation of an inference system with corules.
 
-    Coinductive interpretation of the rules restricted to conclusions that
-    are inductively derivable using rules and corules together.  The
-    universe must be finite and closed under premises of both systems.
+    The greatest rules-consistent subset of the judgments inductively
+    derivable using rules and corules together.  The universe must be
+    finite and closed under premises of both systems.
     """
-    bound = interp_inductive(gis.combined(), universe)
-    inner = gis.rules.premise_candidates
-    restricted = InferenceSystem(
-        lambda j: inner(j) if j in bound else frozenset()
-    )
-    return interp_coinductive(restricted, universe)
+    return interp_coinductive(gis.rules, interp_inductive(gis.combined(), universe))
 
 
 @dataclass(frozen=True)

@@ -139,14 +139,22 @@ class PartialEvalTree:
             for i in range(len(kids) - 1, -1, -1):
                 todo.append((pos + (i,), kids[i]))
 
+    def _nodes(self) -> tuple:
+        """``(config, res, tag, number of children)`` of every node, in
+        pre-order, which fixes the tree.  Built without recursion."""
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            out.append((t.config, t.res, t.tag, len(t.children)))
+            todo += reversed(t.children)
+        return tuple(out)
+
     def __hash__(self):
-        return hash((self.config, self.res, self.tag, self.children))
+        return hash(self._nodes())
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, PartialEvalTree)
-            and self.config == other.config and self.res == other.res
-            and self.tag == other.tag and self.children == other.children)
+            isinstance(other, PartialEvalTree) and self._nodes() == other._nodes())
 
     def __repr__(self):
         """``<config => res>``, or ``<config => res [child child ...]>``.

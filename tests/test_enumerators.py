@@ -2,7 +2,8 @@
 duplicates and give exactly what the deduplicating enumerators gave."""
 from itertools import product
 
-from bigstep.fj import IMP_TABLE, INTEROP_TABLE, enumerate_fj, enumerate_impfj
+from bigstep.fj import (
+    IMP_LOOP_TABLE, IMP_TABLE, INTEROP_TABLE, enumerate_fj, enumerate_impfj)
 from bigstep.fj.fixtures import IDENTITY_LAMBDA
 from bigstep.fj.syntax import Cast, FieldAccess, FieldAssign, Invoke, Lambda, New
 
@@ -91,3 +92,11 @@ def test_impfj_enumeration_equals_the_deduplicated_one():
         terms = enumerate_impfj(IMP_TABLE, depth)
         assert terms == _reference_impfj(IMP_TABLE, depth)
     assert len(terms) == 152_776
+
+
+def test_imp_loop_enumeration_equals_the_deduplicated_one():
+    # the zero-arity ``loop`` of this table is invoked on every receiver
+    for depth in range(1, 4):
+        terms = enumerate_impfj(IMP_LOOP_TABLE, depth)
+        assert terms == _reference_impfj(IMP_LOOP_TABLE, depth)
+    assert len(terms) == 1850

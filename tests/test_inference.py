@@ -3,6 +3,8 @@ import random
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bigstep.inference import (
     FiniteRule,
@@ -17,7 +19,7 @@ from bigstep.inference import (
     system_from_rules,
 )
 from bigstep.maxelem import MaxElem, maxelem_gis, maxelem_rules
-from bigstep.rational import finite, periodic
+from bigstep.rational import RationalList, finite, periodic
 
 L12 = periodic((), (1, 2))
 L21 = periodic((), (2, 1))
@@ -193,3 +195,47 @@ def test_fixpoints_query_each_judgment_once():
     rng = random.Random(31)
     sys, universe, _ = _random_system(rng, 40)
     assert max(_query_counts(sys, universe)) <= len(universe)
+
+
+def _restricted_corules(gis, universe):
+    """The corule interpretation as the gfp, over the whole universe, of
+    the rules answering "no rules" outside the inductive bound."""
+    bound = interp_inductive(gis.combined(), universe)
+    inner = gis.rules.premise_candidates
+    restricted = InferenceSystem(lambda j: inner(j) if j in bound else frozenset())
+    return interp_coinductive(restricted, universe)
+
+
+@st.composite
+def digest_shaped_systems(draw):
+    """``2n`` rules of up to three premises and ``n // 2`` corules of up to
+    one, over the universe ``0 .. n-1`` and three judgments outside it."""
+    n = draw(st.integers(10, 60))
+    judgments = st.integers(0, n + 2)
+
+    def system(premises, count):
+        rule = st.builds(FiniteRule, st.frozensets(judgments, max_size=premises),
+                         judgments)
+        return system_from_rules(draw(st.lists(rule, min_size=count, max_size=count)))
+
+    return GeneralizedIS(system(3, 2 * n), system(1, n // 2)), frozenset(range(n))
+
+
+@st.composite
+def maxelem_goals(draw):
+    """``maxElem`` of a finite or periodic list of naturals below ``m`` with
+    a claimed maximum near ``m``, with its premise-closed universe."""
+    m = draw(st.integers(1, 8))
+    items = st.lists(st.integers(0, m - 1), max_size=m + 1)
+    lst = RationalList(tuple(draw(items)), tuple(draw(items)))
+    goal = MaxElem(lst, draw(st.integers(max(m - 2, 0), m + 1)))
+    gis = maxelem_gis()
+    return gis, reachable_universe(gis.combined(), {goal}, 10_000)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(digest_shaped_systems(), maxelem_goals()))
+def test_corules_equal_the_gfp_of_the_rules_restricted_to_the_bound(case):
+    gis, universe = case
+    assert interp_corules(gis, universe) == _restricted_corules(gis, universe)

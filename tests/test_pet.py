@@ -531,3 +531,39 @@ def test_validation_builds_no_position_per_node(monkeypatch):
     assert check_pet_invariants(_unknown_spine(n, two)) == (
         (0,) * n + (1,), "more than one ? at a level")
     assert check_pet_invariants(_unknown_spine(n, leaf)) is None
+
+
+def test_deep_trees_compare_and_hash():
+    # tree ``==`` and ``hash`` recursed once per level and raised
+    # ``RecursionError`` on these trees
+    n = 600
+    o1, o2 = (run_first(SEM, _spine(n, Nat(0)), 3 * n) for _ in range(2))
+    assert isinstance(o1, Converged) and o1.tree is not o2.tree
+    assert o1.tree == o2.tree and hash(o1.tree) == hash(o2.tree)
+    assert o1 == o2
+    cut = run_first(SEM, _spine(n, Nat(0)), 2 * n)
+    assert isinstance(cut, OutOfFuel) and cut.frontier != o1.tree
+
+
+def _eq_reference(a, b):
+    """The tree ``==`` as a recursive function."""
+    return a is b or (
+        isinstance(b, PartialEvalTree)
+        and a.config == b.config and a.res == b.res and a.tag == b.tag
+        and len(a.children) == len(b.children)
+        and all(_eq_reference(x, y) for x, y in zip(a.children, b.children)))
+
+
+def test_tree_equality_equals_the_recursive_reference():
+    terms = random.Random(5).sample(enumerate_terms(3), 40) + [OMEGA]
+    for e in terms:
+        # two runs build separate trees; the trees of one history are
+        # pairwise unequal, and each equals its twin in the other history
+        (h1, o1), (h2, o2) = (run_history(SEM, e, 30) for _ in range(2))
+        assert o1 == o2
+        for i, a in enumerate(h1):
+            for j, b in enumerate(h2):
+                assert (a == b) is _eq_reference(a, b) is (i == j)
+                if i == j:
+                    assert a is not b and hash(a) == hash(b)
+        assert h1[0] != h1[0].config
