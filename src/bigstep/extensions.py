@@ -343,7 +343,7 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
             break
         config, act, r = todo.popleft()
         answers = (checked_start(sem, config) if act is None
-                   else checked_advance(sem, config, act, r))
+                   else checked_advance(sem, act, r))
         if not answers:
             dead = True
         found, waiting = table[config]

@@ -19,7 +19,8 @@ how stuck computations arise.
 
 ``checked_start`` and ``checked_advance`` ask the two queries and check
 every answer against the contract; the stepper and the result table of
-``extensions`` ask through them.
+``extensions`` ask through them.  An activation keeps the conclusion
+its ``start`` was asked for, so ``checked_advance`` reads it off.
 """
 from __future__ import annotations
 
@@ -147,36 +148,38 @@ class LanguageSemantics(ABC):
 def checked_start(sem: LanguageSemantics, config: Config) -> Tuple[StartStep, ...]:
     """The distinct answers of ``sem.start(config)``, checked.
 
-    The activation of every ``FirstPremise`` must have no completed
-    premise and must pend on the demanded configuration.
+    The activation of every ``FirstPremise`` must conclude ``config``,
+    have no completed premise and pend on the demanded configuration.
     """
     answers = dedup(sem.start(config))
     for s in answers:
-        if not isinstance(s, Axiom) and (s.activation.completed
-                                         or s.activation.pending != s.config):
+        if isinstance(s, Axiom):
+            continue
+        act = s.activation
+        # a tuple compare matches items by identity first, without ``__ne__``
+        if act.completed or (act.conclusion_config, act.pending) != (config, s.config):
             raise OracleContractError(f"start activation malformed for {config!r}")
     return answers
 
 
-def checked_advance(sem: LanguageSemantics, config: Config, act: Activation,
+def checked_advance(sem: LanguageSemantics, act: Activation,
                     result: ResultVal) -> Tuple[Continuation, ...]:
     """The distinct answers of ``sem.advance(act, result)``, checked.
 
-    ``config`` is the conclusion of ``act``'s rule instance.  The
-    activation of every ``Demand`` must extend ``act`` by the judgment of
-    its pending premise, keep its conclusion and pend on the demanded
-    configuration, and the demanded premise must not exceed the premise
-    bound of ``config``.
+    The activation of every ``Demand`` must extend ``act`` by the
+    judgment of its pending premise, keep its conclusion and pend on the
+    demanded configuration, and the demanded premise must not exceed the
+    premise bound of that conclusion.
     """
+    config = act.conclusion_config
     answers = dedup(sem.advance(act, result))
     expected = act.completed + (BsJudgment(act.pending, result),)
     for c in answers:
         if isinstance(c, Finished):
             continue
         nxt = c.activation
-        if (nxt.completed != expected
-                or nxt.conclusion_config != act.conclusion_config
-                or nxt.pending != c.config):
+        if ((nxt.completed, nxt.conclusion_config, nxt.pending)
+                != (expected, config, c.config)):
             raise OracleContractError(f"advance activation malformed for {config!r}")
         if nxt.index > sem.premise_bound(config):
             raise OracleContractError(f"premise bound exceeded for {config!r}")

@@ -108,7 +108,9 @@ class PartialEvalTree:
 
         Built without recursion: ``order`` lists each node before its
         subtrees, the last child's first, so read backwards each node
-        finds its children's skeletons on top of ``done``, in order.
+        finds its children's skeletons on top of ``done``, in order.  It
+        runs at every branch end, where this loop is faster than one over
+        ``walk()``.
         """
         order, todo = [], [self]
         while todo:
@@ -124,30 +126,32 @@ class PartialEvalTree:
                          kids))
         return done[0]
 
-    def positions(self) -> Iterator[Tuple[tuple, "PartialEvalTree"]]:
-        """``(position, subtree)`` for every node, in pre-order.
+    def walk(self) -> Iterator[Tuple[list, "PartialEvalTree"]]:
+        """``(path, subtree)`` for every node, in pre-order.
 
-        A position lists the child indices from the root.  Built without
-        recursion: ``todo`` holds the subtrees still to visit, the next
-        one on top.
+        ``path`` is one list, updated in place: a dummy index, then the
+        child indices from the root, so ``path[1:]`` is the node's
+        position.  Copy it to keep it.  Built without recursion: ``todo``
+        holds the subtrees still to visit, the next one on top.
         """
-        todo = [((), self)]
+        path, todo = [], [(0, 0, self)]
         while todo:
-            pos, t = todo.pop()
-            yield pos, t
+            depth, i, t = todo.pop()
+            path[depth:] = (i,)
+            yield path, t
             kids = t.children
-            for i in range(len(kids) - 1, -1, -1):
-                todo.append((pos + (i,), kids[i]))
+            if kids:
+                todo += [(depth + 1, j, kids[j]) for j in range(len(kids) - 1, -1, -1)]
+
+    def positions(self) -> Iterator[Tuple[tuple, "PartialEvalTree"]]:
+        """``(position, subtree)`` for every node, in pre-order; a position
+        lists the child indices from the root."""
+        return ((tuple(path[1:]), t) for path, t in self.walk())
 
     def _nodes(self) -> tuple:
         """``(config, res, tag, number of children)`` of every node, in
-        pre-order, which fixes the tree.  Built without recursion."""
-        out, todo = [], [self]
-        while todo:
-            t = todo.pop()
-            out.append((t.config, t.res, t.tag, len(t.children)))
-            todo += reversed(t.children)
-        return tuple(out)
+        pre-order, which fixes the tree."""
+        return tuple((t.config, t.res, t.tag, len(t.children)) for _, t in self.walk())
 
     def __hash__(self):
         return hash(self._nodes())
@@ -159,26 +163,17 @@ class PartialEvalTree:
     def __repr__(self):
         """``<config => res>``, or ``<config => res [child child ...]>``.
 
-        Built without recursion: ``todo`` holds the subtrees and the
-        closing text still to write, the next one on top.
+        ``opened`` counts the brackets still open; before each node, all
+        but those of its ancestors close.
         """
-        out, todo = [], [self]
-        while todo:
-            t = todo.pop()
-            if type(t) is str:
-                out.append(t)
-                continue
+        out, opened = [], 0
+        for path, t in self.walk():
+            depth = len(path) - 1
             res = "?" if t.res is UNKNOWN else repr(t.res.value)
-            out.append(f"<{t.config!r} => {res}")
-            kids = t.children
-            if not kids:
-                out.append(">")
-                continue
-            out.append(" [")
-            todo.append("]>")
-            for i in range(len(kids) - 1, 0, -1):
-                todo += (kids[i], " ")
-            todo.append(kids[0])
+            out.append(f"{']>' * (opened - depth)}{' ' if path[-1] else ''}"
+                       f"<{t.config!r} => {res}{' [' if t.children else '>'}")
+            opened = depth + bool(t.children)
+        out.append("]>" * opened)
         return "".join(out)
 
 
@@ -292,22 +287,18 @@ def check_pet_invariants(t: PartialEvalTree) -> Optional[Tuple[tuple, str]]:
     """None if the structural invariants hold, else (position, reason).
 
     Checks: a ``?`` child forces a ``?`` parent; at most one ``?`` per
-    depth level; the root is complete iff the whole tree is.  ``path``
-    holds a dummy index, then the position of the node at hand.
+    depth level; the root is complete iff the whole tree is.
     """
-    unknown_levels, path, todo = set(), [], [(0, 0, t)]
-    while todo:
-        level, i, node = todo.pop()
-        path[level:] = (i,)
+    unknown_levels = set()
+    for path, node in t.walk():
         if node.res is UNKNOWN:
-            if level in unknown_levels:
+            if len(path) in unknown_levels:
                 return tuple(path[1:]), "more than one ? at a level"
-            unknown_levels.add(level)
-        kids = node.children
-        for i, ch in enumerate(kids):
-            if ch.res is UNKNOWN and node.res is not UNKNOWN:
+            unknown_levels.add(len(path))
+            continue
+        for i, ch in enumerate(node.children):
+            if ch.res is UNKNOWN:
                 return tuple(path[1:]) + (i,), "? child under complete parent"
-        todo += [(level + 1, i, kids[i]) for i in range(len(kids) - 1, -1, -1)]
     if t.is_complete and unknown_levels:
         return (), "complete root over incomplete node"
     if not t.is_complete and not unknown_levels:
@@ -418,7 +409,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
                     answers = checked_start(sem, top.config)
                 else:
                     result = top.children[-1].res.value
-                    answers = checked_advance(sem, top.config, act, result)
+                    answers = checked_advance(sem, act, result)
                 if answers:
                     taken.append((answers, 0, top, act))
                     a = answers[0]

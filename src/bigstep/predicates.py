@@ -100,26 +100,20 @@ def _preservation_violation(pred: IndexedPredicate, config: Config,
     """The first preservation violation on the converged trees, in order.
 
     ``indices`` holds the indices of every configuration checked so far,
-    each asked once.  The walk is pre-order; ``path`` holds a dummy
-    index, then the position of the node at hand, copied only for the
-    violation reported.
+    each asked once.  A node's position is built only for the violation
+    reported.
     """
     indices = {}
     for o in outcomes:
         if not isinstance(o, Converged):
             continue
-        path, todo = [], [(0, 0, o.tree)]
-        while todo:
-            level, i, node = todo.pop()
-            path[level:] = (i,)
+        for path, node in o.tree.walk():
             c = node.config
             if c not in indices:
                 indices[c] = pred.indices_of_config(c)
                 if not indices[c]:
                     return Violation(Condition.PRESERVATION, config,
                                      detail=("node-config", tuple(path[1:]), c))
-            kids = node.children
-            todo += [(level + 1, i, kids[i]) for i in range(len(kids) - 1, -1, -1)]
         for index in indices[config]:
             if not pred.holds_result(o.result, index):
                 return Violation(Condition.PRESERVATION, config,

@@ -37,12 +37,21 @@ def _rule_label(tag) -> str:
 
 
 def tree_doc(sem: LanguageSemantics, t: PartialEvalTree) -> Dict[str, Any]:
-    return {
-        "config": sem.show_config(t.config),
-        "result": "?" if not t.is_complete else sem.show_result(t.res.value),
-        "rule": _rule_label(t.tag),
-        "children": [tree_doc(sem, c) for c in t.children],
-    }
+    """The tree as nested documents, built without recursion: ``docs``
+    holds the documents from the root to the node at hand."""
+    docs = []
+    for path, node in t.walk():
+        doc = {
+            "config": sem.show_config(node.config),
+            "result": "?" if not node.is_complete else sem.show_result(node.res.value),
+            "rule": _rule_label(node.tag),
+            "children": [],
+        }
+        del docs[len(path) - 1:]
+        if docs:
+            docs[-1]["children"].append(doc)
+        docs.append(doc)
+    return docs[0]
 
 
 def certificate_doc(sem: LanguageSemantics, cert) -> list:

@@ -88,6 +88,16 @@ def test_typecheck_fj_goldens(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("term, code, doc", [
+    ("new B(new A()).get()", 0, {"type": "A"}),
+    ("new B(new A()).f = new A()", 0, {"type": "A"}),
+    ("new A().get()", 2, {"error": "[t-invk] A has no method get"}),
+    ("new B(new B(new A()))", 2, {"error": "[t-sub] B not below A"}),
+])
+def test_typecheck_impfj_goldens(capsys, term, code, doc):
+    assert run_cli(capsys, "typecheck", "--lang", "impfj", term)[:2] == (code, [doc])
+
+
 def test_eval_fj_and_impfj(capsys):
     code, docs, _ = run_cli(capsys, "eval", "--lang", "fj", "new C(<I>\\x. x)")
     assert code == 0 and docs[0]["result"] == "obj C(\\x. x)"

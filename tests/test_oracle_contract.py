@@ -1,17 +1,19 @@
 """Runtime enforcement of the oracle activation contract."""
 import pytest
 
-from bigstep.extensions import INFINITY, WRONG, Ok, eval_total
+from bigstep.extensions import INFINITY, WRONG, Ok, eval_div, eval_total, evaluate
 from bigstep.lam import enumerate_terms, lambda_semantics
 from bigstep.oracle import (
     Activation,
     Axiom,
+    BsJudgment,
     Demand,
+    Finished,
     FirstPremise,
     LanguageSemantics,
     OracleContractError,
 )
-from bigstep.pet import run_first
+from bigstep.pet import run_exhaustive, run_first
 
 
 class BrokenAdvance(LanguageSemantics):
@@ -77,3 +79,94 @@ def test_extend_keeps_bindings_only_by_default():
     assert a.extend("v", "leaf", bindings=None).bindings is None
     # no string value is reserved to mean "keep"
     assert a.extend("v", "leaf", bindings="___keep___").bindings == "___keep___"
+
+
+class ForeignConclusion(LanguageSemantics):
+    """``start("a")`` answers a rule that concludes ``"b"``, and finishes it
+    with its conclusion."""
+
+    def start(self, config):
+        if config == "v":
+            return (Axiom(1, rule="v"),)
+        return (FirstPremise("v", Activation("r", "b", (), "v")),)
+
+    def advance(self, a, r):
+        return (Finished(a.conclusion_config),)
+
+    def premise_bound(self, config):
+        return 1
+
+
+# every path that asks an oracle: the stepper, first and exhaustive, the
+# result table of exhaustive ``eval_div``, and a lifted oracle
+RUNS = {
+    "run_first": lambda sem: run_first(sem, "a", 10),
+    "run_exhaustive": lambda sem: run_exhaustive(sem, "a", 10),
+    "table": lambda sem: eval_div(sem, "a", 10, exhaustive=True),
+    "lifted": lambda sem: evaluate(sem, "a", 10, "wrong"),
+}
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_start_activation_must_conclude_the_queried_config(run):
+    with pytest.raises(OracleContractError, match="start activation malformed for 'a'"):
+        run(ForeignConclusion())
+
+
+class TwoPremises(LanguageSemantics):
+    """``a`` has one rule, with premises ``v`` and ``v``; ``v`` is an axiom."""
+
+    def start(self, config):
+        if config == "v":
+            return (Axiom(1, rule="v"),)
+        return (FirstPremise("v", self.first(config)),)
+
+    def first(self, config):
+        return Activation("r", config, (), "v")
+
+    def advance(self, a, r):
+        if a.index == 2:
+            return (Finished(r + 1),)
+        return (Demand("v", a.extend(r, "v")),)
+
+    def premise_bound(self, config):
+        return 2
+
+
+class StartWithCompleted(TwoPremises):
+    def first(self, config):
+        return Activation("r", config, (BsJudgment("v", 1),), "v")
+
+
+class StartPendingElsewhere(TwoPremises):
+    def first(self, config):
+        return Activation("r", config, (), "w")
+
+
+class AdvanceForeignConclusion(TwoPremises):
+    def advance(self, a, r):
+        return (Demand("v", Activation(
+            "r", "b", a.completed + (BsJudgment(a.pending, r),), "v")),)
+
+
+class AdvancePendingElsewhere(TwoPremises):
+    def advance(self, a, r):
+        return (Demand("v", a.extend(r, "w")),)
+
+
+def test_two_premise_oracle_keeps_the_contract():
+    assert run_first(TwoPremises(), "a", 10).result == 2
+    assert eval_div(TwoPremises(), "a", 10, exhaustive=True) == {Ok(2)}
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (StartWithCompleted, "start activation malformed for 'a'"),
+    (StartPendingElsewhere, "start activation malformed for 'a'"),
+    (AdvanceForeignConclusion, "advance activation malformed for 'a'"),
+    (AdvancePendingElsewhere, "advance activation malformed for 'a'"),
+])
+@pytest.mark.parametrize("run", [RUNS["run_first"], RUNS["table"]],
+                         ids=["run_first", "table"])
+def test_each_contract_clause_is_enforced(oracle, message, run):
+    with pytest.raises(OracleContractError, match=message):
+        run(oracle())

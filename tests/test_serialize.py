@@ -10,12 +10,14 @@ from bigstep.extensions import (
     FinTrace,
     InfTrace,
     Ok,
+    div_oracle,
+    trace_oracle,
     wrong_oracle,
 )
-from bigstep.lam import OMEGA, lambda_semantics, parse_expr, show_expr
+from bigstep.lam import OMEGA, enumerate_terms, lambda_semantics, parse_expr, show_expr
 from bigstep.lam.syntax import Nat, Succ
-from bigstep.pet import run_first
-from bigstep.serialize import outcome_doc, value_doc
+from bigstep.pet import OutOfFuel, run_exhaustive, run_first
+from bigstep.serialize import _rule_label, outcome_doc, tree_doc, value_doc
 
 SEM = lambda_semantics()
 OMEGA_TEXT = show_expr(OMEGA)
@@ -83,3 +85,38 @@ def test_outcome_doc(outcome, doc):
 @pytest.mark.parametrize("outcome, doc", OUTCOMES)
 def test_value_doc_classifies_outcomes(outcome, doc):
     assert value_doc(SEM, outcome) == doc
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_tree_doc_of_a_deep_tree_nests_without_recursion(n):
+    e = Nat(0)
+    for _ in range(n):
+        e = Succ(e)
+    outcome = run_first(SEM, e, 4 * n)
+    doc, depth = tree_doc(SEM, outcome.tree), 0
+    while doc["children"]:
+        (doc,) = doc["children"]
+        depth += 1
+    assert depth == n
+    assert doc == {"config": "0", "result": "0", "rule": doc["rule"], "children": []}
+
+
+def _tree_doc_reference(sem, t):
+    """``tree_doc`` as a recursive function."""
+    return {
+        "config": sem.show_config(t.config),
+        "result": "?" if not t.is_complete else sem.show_result(t.res.value),
+        "rule": _rule_label(t.tag),
+        "children": [_tree_doc_reference(sem, c) for c in t.children],
+    }
+
+
+@pytest.mark.parametrize("extend", [lambda sem: sem, wrong_oracle,
+                                    lambda sem: div_oracle(sem)[0], trace_oracle],
+                         ids=["base", "wrong", "div", "trace"])
+def test_tree_doc_equals_the_recursive_reference(extend):
+    sem = extend(SEM)
+    for e in enumerate_terms(3)[::7]:
+        for o in run_exhaustive(sem, e, 120):
+            tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
+            assert tree_doc(sem, tree) == _tree_doc_reference(sem, tree)
