@@ -148,8 +148,8 @@ def cmd_eval(args) -> int:
         cert = outcome.certificate if isinstance(outcome, Diverges) else None
         doc = value_doc(sem, value, certificate=cert)
         docs.setdefault(json.dumps(doc), doc)
-    for doc in docs.values():
-        _emit(doc)
+    for text in docs:
+        sys.stdout.write(text + "\n")
     return _exit_for(docs.values())
 
 

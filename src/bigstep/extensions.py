@@ -45,6 +45,7 @@ from .oracle import (
     Finished,
     FirstPremise,
     LanguageSemantics,
+    check_first_premise,
     checked_advance,
     checked_start,
 )
@@ -145,6 +146,7 @@ class _Extension(LanguageSemantics):
             if isinstance(s, Axiom):
                 out.append(Axiom(self.lift(config, (), s.result), rule=s.rule))
             else:
+                check_first_premise(config, s)
                 inner = s.activation
                 out.append(FirstPremise(s.config, Activation(
                     inner.rule_family, inner.conclusion_config, (),
@@ -177,6 +179,9 @@ class _Extension(LanguageSemantics):
 
     def show_config(self, config):
         return self.base.show_config(config)
+
+    def show_configs(self, configs):
+        return self.base.show_configs(configs)
 
 
 class LiftedSemantics(_Extension):
@@ -221,10 +226,11 @@ class TraceSemantics(_Extension):
     def show_result(self, result):
         # neither surface syntax uses ";", so it separates configurations
         if isinstance(result, FinTrace):
-            trace = " ; ".join(map(self.base.show_config, result.steps))
+            trace = " ; ".join(self.base.show_configs(result.steps))
             return f"<{trace}, {self.base.show_result(result.result)}>"
-        pre = "".join(self.base.show_config(c) + " ; " for c in result.prefix)
-        per = " ; ".join(map(self.base.show_config, result.period))
+        shown = self.base.show_configs(result.prefix + result.period)
+        pre = "".join(s + " ; " for s in shown[:len(result.prefix)])
+        per = " ; ".join(shown[len(result.prefix):])
         return f"{pre}({per})^w"
 
 

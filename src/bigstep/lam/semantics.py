@@ -19,7 +19,7 @@ fixture used by the soundness audits.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from ..oracle import (
     Activation,
@@ -112,6 +112,15 @@ class LambdaSemantics(LanguageSemantics):
         return show_expr(config)
 
     show_result = show_config
+
+    def show_configs(self, configs: Sequence[Config]) -> List[str]:
+        """One memo over ``configs``, rendered last first: in a trace, a
+        certificate's witness or a tree's pre-order, a configuration's
+        subterms come after it, so each is rendered once."""
+        shown = {}
+        for c in reversed(configs):
+            shown[id(c)] = show_expr(c, shown)
+        return [shown[id(c)] for c in configs]
 
 
 def lambda_semantics(strategy: str = "app", drop_succ: bool = False) -> LambdaSemantics:

@@ -1,7 +1,7 @@
 """Terms of the lambda-calculus with naturals, successor and choice."""
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Union
+from typing import Any, Dict, FrozenSet, Optional, Union
 
 from ..node import node
 
@@ -92,13 +92,19 @@ def subst(e: Expr, v: Expr, x: str) -> Expr:
     raise TypeError(e)
 
 
-def show_expr(e: Expr) -> str:
+def show_expr(e: Expr, shown: Optional[Dict[int, str]] = None) -> str:
     """Surface syntax; parses back to the same term.
 
     Iterative, so no depth of ``e`` reaches the recursion limit: ``todo``
     is a stack of subterms still to render and of literal pieces, popped
     in output order, and the pieces are joined once.  A subterm in atom
     position is parenthesized unless it is a variable or a numeral.
+
+    ``shown`` maps the ``id`` of subterms already rendered to their
+    strings; a popped subterm found there emits its string whole.  A
+    subterm's string does not depend on its context, since the parent
+    alone adds parentheses.  The caller keeps every keyed subterm alive
+    while ``shown`` is in use, so no ``id`` is reused.
     """
     out = []
     todo = [e]
@@ -108,6 +114,8 @@ def show_expr(e: Expr) -> str:
         cls = type(t)
         if cls is str:
             emit(t)
+        elif shown is not None and id(t) in shown:
+            emit(shown[id(t)])
         elif cls is Succ:
             arg = t.arg
             if type(arg) is Nat or type(arg) is Var:

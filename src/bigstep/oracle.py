@@ -19,13 +19,16 @@ how stuck computations arise.
 
 ``checked_start`` and ``checked_advance`` ask the two queries and check
 every answer against the contract; the stepper and the result table of
-``extensions`` ask through them.  An activation keeps the conclusion
-its ``start`` was asked for, so ``checked_advance`` reads it off.
+``extensions`` ask through them.  The extensions rebuild every base
+activation they lift, so they check each base ``FirstPremise`` with
+``check_first_premise``, the clause ``checked_start`` applies.  An
+activation keeps the conclusion its ``start`` was asked for, so
+``checked_advance`` reads it off.
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence, Tuple, Union
+from typing import Any, List, Sequence, Tuple, Union
 
 from .node import node
 from .util import dedup
@@ -141,6 +144,10 @@ class LanguageSemantics(ABC):
     def show_config(self, config: Config) -> str:
         return str(config)
 
+    def show_configs(self, configs: Sequence[Config]) -> List[str]:
+        """``show_config`` of each of ``configs``, for one document."""
+        return [self.show_config(c) for c in configs]
+
     def show_result(self, result: ResultVal) -> str:
         return str(result)
 
@@ -153,13 +160,19 @@ def checked_start(sem: LanguageSemantics, config: Config) -> Tuple[StartStep, ..
     """
     answers = dedup(sem.start(config))
     for s in answers:
-        if isinstance(s, Axiom):
-            continue
-        act = s.activation
-        # a tuple compare matches items by identity first, without ``__ne__``
-        if act.completed or (act.conclusion_config, act.pending) != (config, s.config):
-            raise OracleContractError(f"start activation malformed for {config!r}")
+        if not isinstance(s, Axiom):
+            check_first_premise(config, s)
     return answers
+
+
+def check_first_premise(config: Config, step: FirstPremise) -> None:
+    """Raise unless the activation of ``step``, a ``start(config)`` answer,
+    concludes ``config``, has no completed premise and pends on the
+    demanded configuration."""
+    act = step.activation
+    # a tuple compare matches items by identity first, without ``__ne__``
+    if act.completed or (act.conclusion_config, act.pending) != (config, step.config):
+        raise OracleContractError(f"start activation malformed for {config!r}")
 
 
 def checked_advance(sem: LanguageSemantics, act: Activation,
@@ -200,6 +213,7 @@ __all__ = [
     "OracleContractError",
     "ResultVal",
     "StartStep",
+    "check_first_premise",
     "checked_advance",
     "checked_start",
 ]

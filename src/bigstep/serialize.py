@@ -39,15 +39,17 @@ def _rule_label(tag) -> str:
 def tree_doc(sem: LanguageSemantics, t: PartialEvalTree) -> Dict[str, Any]:
     """The tree as nested documents, built without recursion: ``docs``
     holds the documents from the root to the node at hand."""
+    nodes = [(len(path), node) for path, node in t.walk()]
+    configs = sem.show_configs([node.config for _, node in nodes])
     docs = []
-    for path, node in t.walk():
+    for (depth, node), config in zip(nodes, configs):
         doc = {
-            "config": sem.show_config(node.config),
+            "config": config,
             "result": "?" if not node.is_complete else sem.show_result(node.res.value),
             "rule": _rule_label(node.tag),
             "children": [],
         }
-        del docs[len(path) - 1:]
+        del docs[depth - 1:]
         if docs:
             docs[-1]["children"].append(doc)
         docs.append(doc)
@@ -55,15 +57,16 @@ def tree_doc(sem: LanguageSemantics, t: PartialEvalTree) -> Dict[str, Any]:
 
 
 def certificate_doc(sem: LanguageSemantics, cert) -> list:
+    configs = sem.show_configs([c for c, _, _ in cert.witness])
     return [
-        {"config": sem.show_config(c), "rule": fam, "premise": idx}
-        for c, fam, idx in cert.witness
+        {"config": config, "rule": fam, "premise": idx}
+        for config, (_, fam, idx) in zip(configs, cert.witness)
     ]
 
 
 def _trace_doc(sem: LanguageSemantics, prefix, period) -> Dict[str, Any]:
-    return {"prefix": [sem.show_config(c) for c in prefix],
-            "period": [sem.show_config(c) for c in period]}
+    configs = sem.show_configs(prefix + period)
+    return {"prefix": configs[:len(prefix)], "period": configs[len(prefix):]}
 
 
 def value_doc(sem: LanguageSemantics, value, certificate=None) -> Dict[str, Any]:

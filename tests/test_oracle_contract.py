@@ -170,3 +170,12 @@ def test_two_premise_oracle_keeps_the_contract():
 def test_each_contract_clause_is_enforced(oracle, message, run):
     with pytest.raises(OracleContractError, match=message):
         run(oracle())
+
+
+@pytest.mark.parametrize("oracle", [StartWithCompleted, StartPendingElsewhere])
+@pytest.mark.parametrize("mode", ["wrong", "div", "trace"])
+def test_extensions_check_the_base_start_activation(oracle, mode):
+    # the lifted activation is rebuilt with no completed premise, so only
+    # the base answer shows the malformed start
+    with pytest.raises(OracleContractError, match="start activation malformed for 'a'"):
+        evaluate(oracle(), "a", 10, mode)

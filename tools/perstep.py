@@ -3,9 +3,11 @@
     PYTHONPATH=src python3 tools/perstep.py
 
 Prints the microseconds per transition of ``run_first`` on ``succ^n 0``
-at n = 60, 300, 3,000 and 10,000, and the seconds that ``run_exhaustive``
-takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
-in the benchmark's ``sweep``).  Each figure is the median of three runs
+at n = 60, 300, 3,000 and 10,000; at n = 60 and 300 also the
+milliseconds that ``value_doc`` takes to render the trace document of
+``eval_trace`` (the render layer); and the seconds that
+``run_exhaustive`` takes on nested choice ``e_9`` (``e_k = e_{k-1} (+)
+succ e_{k-1}``, as in the benchmark's ``sweep``).  Each figure is the median of three runs
 in this one process.  Terms are built without the parser, which fails
 at about 250 nested ``succ (``.  A flat per-step cost is the target of
 ROADMAP aim 1, so the first column should not grow with ``n``.
@@ -13,9 +15,11 @@ ROADMAP aim 1, so the first column should not grow with ``n``.
 import statistics
 import time
 
+from bigstep.extensions import FinTrace, eval_trace
 from bigstep.lam import lambda_semantics
 from bigstep.lam.syntax import Choice, Nat, Succ
 from bigstep.pet import Converged, OutOfFuel, run_exhaustive, run_first
+from bigstep.serialize import value_doc
 
 ROUNDS = 3
 
@@ -51,6 +55,11 @@ def main() -> None:
         assert isinstance(out, Converged) and out.steps == steps, out
         secs = median_seconds(lambda: run_first(sem, e, steps))
         print(f"run_first       {f'succ^{n} 0':<13} {secs / steps * 1e6:8.2f} us/step")
+        if n in (60, 300):
+            trace = eval_trace(sem, e, steps)
+            assert isinstance(trace, FinTrace) and len(trace.steps) == n + 1, trace
+            secs = median_seconds(lambda: value_doc(sem, trace))
+            print(f"value_doc trace {f'succ^{n} 0':<13} {secs * 1e3:8.3f} ms")
     e = nested_choice(9)
     outs = run_exhaustive(sem, e, 100)
     assert {o.result for o in outs} == {Nat(k) for k in range(10)}, outs
