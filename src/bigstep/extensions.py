@@ -45,6 +45,7 @@ from .oracle import (
     Finished,
     FirstPremise,
     LanguageSemantics,
+    check_demand,
     check_first_premise,
     checked_advance,
     checked_start,
@@ -54,6 +55,8 @@ from .pet import (
     Diverges,
     DivergenceCertificate,
     Stuck,
+    StuckInfo,
+    StuckKind,
     active_path,
     run_exhaustive,
     run_first,
@@ -168,6 +171,7 @@ class _Extension(LanguageSemantics):
                 out.append(Finished(self.lift(a.conclusion_config, completed, c.result),
                                     rule=c.rule or inner.rule_family))
             else:
+                check_demand(inner, value, c)
                 nxt = c.activation
                 out.append(Demand(c.config, Activation(
                     nxt.rule_family, nxt.conclusion_config, completed,
@@ -330,10 +334,10 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
     stepper run it also finds the results that flow back through a
     cycle.  ``fuel`` bounds the queries in all; a set ``wanted`` of
     ``(conclusion, family, index, demanded config)`` loses each demand
-    met, and the table stops once it is empty.  Returns the table,
-    whether a dead end was met (no rule starts a configuration or accepts
-    a premise result), whether a demand rejoined a configuration met
-    before, and whether queries were left.
+    met, and the table stops once it is empty.  Returns the table, its
+    dead ends as the stepper attributes them (``pet.StuckInfo``), whether
+    a demand rejoined a configuration met before, and whether queries
+    were left.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -343,7 +347,7 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
     # queries still to ask: (config, None, None) for ``start``, (conclusion,
     # activation, pending result) for ``advance``
     todo = deque([(root, None, None)])
-    dead = rejoined = False
+    dead, rejoined = [], False
     for _ in range(fuel):
         if not todo or wanted is not None and not wanted:
             break
@@ -351,7 +355,9 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
         answers = (checked_start(sem, config) if act is None
                    else checked_advance(sem, act, r))
         if not answers:
-            dead = True
+            dead.append(StuckInfo(StuckKind.NO_RULE, config) if act is None
+                        else StuckInfo(StuckKind.NO_CONTINUATION, config,
+                                       act.rule_family, act.index, r))
         found, waiting = table[config]
         for a in answers:
             if isinstance(a, COMPLETIONS):

@@ -20,8 +20,8 @@ how stuck computations arise.
 ``checked_start`` and ``checked_advance`` ask the two queries and check
 every answer against the contract; the stepper and the result table of
 ``extensions`` ask through them.  The extensions rebuild every base
-activation they lift, so they check each base ``FirstPremise`` with
-``check_first_premise``, the clause ``checked_start`` applies.  An
+activation they lift, so they check each base answer they rebuild with
+``check_first_premise`` or ``check_demand``, as the checked queries do.  An
 activation keeps the conclusion its ``start`` was asked for, so
 ``checked_advance`` reads it off.
 """
@@ -155,8 +155,7 @@ class LanguageSemantics(ABC):
 def checked_start(sem: LanguageSemantics, config: Config) -> Tuple[StartStep, ...]:
     """The distinct answers of ``sem.start(config)``, checked.
 
-    The activation of every ``FirstPremise`` must conclude ``config``,
-    have no completed premise and pend on the demanded configuration.
+    Every ``FirstPremise`` must pass ``check_first_premise``.
     """
     answers = dedup(sem.start(config))
     for s in answers:
@@ -179,24 +178,27 @@ def checked_advance(sem: LanguageSemantics, act: Activation,
                     result: ResultVal) -> Tuple[Continuation, ...]:
     """The distinct answers of ``sem.advance(act, result)``, checked.
 
-    The activation of every ``Demand`` must extend ``act`` by the
-    judgment of its pending premise, keep its conclusion and pend on the
-    demanded configuration, and the demanded premise must not exceed the
-    premise bound of that conclusion.
+    Every ``Demand`` must pass ``check_demand``, and the demanded premise
+    must not exceed the premise bound of its conclusion.
     """
     config = act.conclusion_config
     answers = dedup(sem.advance(act, result))
-    expected = act.completed + (BsJudgment(act.pending, result),)
     for c in answers:
-        if isinstance(c, Finished):
-            continue
-        nxt = c.activation
-        if ((nxt.completed, nxt.conclusion_config, nxt.pending)
-                != (expected, config, c.config)):
-            raise OracleContractError(f"advance activation malformed for {config!r}")
-        if nxt.index > sem.premise_bound(config):
-            raise OracleContractError(f"premise bound exceeded for {config!r}")
+        if isinstance(c, Demand):
+            check_demand(act, result, c)
+            if c.activation.index > sem.premise_bound(config):
+                raise OracleContractError(f"premise bound exceeded for {config!r}")
     return answers
+
+
+def check_demand(act: Activation, result: ResultVal, step: Demand) -> None:
+    """Raise unless the activation of ``step``, an ``advance(act, result)``
+    answer, extends ``act`` by ``act.pending => result``, keeps its
+    conclusion and pends on the demanded configuration."""
+    nxt, config = step.activation, act.conclusion_config
+    expected = (act.completed + (BsJudgment(act.pending, result),), config, step.config)
+    if (nxt.completed, nxt.conclusion_config, nxt.pending) != expected:
+        raise OracleContractError(f"advance activation malformed for {config!r}")
 
 
 __all__ = [
@@ -213,6 +215,7 @@ __all__ = [
     "OracleContractError",
     "ResultVal",
     "StartStep",
+    "check_demand",
     "check_first_premise",
     "checked_advance",
     "checked_start",

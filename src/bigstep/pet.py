@@ -416,8 +416,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
                 else:
                     stuck = (StuckInfo(StuckKind.NO_RULE, top.config) if act is START
                              else StuckInfo(StuckKind.NO_CONTINUATION, top.config,
-                                            act.rule_family, len(top.children),
-                                            result))
+                                            act.rule_family, act.index, result))
                     yield steps, Stuck(_fold(path), stuck.kind, steps, stuck)
         # after an end, undo transitions until one has an answer left
         while a is None:

@@ -1,23 +1,23 @@
 """Indexed predicates and operational soundness auditors.
 
 A predicate over configurations and results, indexed by an opaque index
-set (typically types), is audited against a semantics by exhaustively
-exploring configurations and checking the observable consequences of the
-soundness conditions on every rule instantiation encountered:
+set (typically types), is audited against a semantics on the result
+table of each configuration (``extensions._table``, with its dead ends);
+``audit_preservation`` alone runs the stepper instead:
 
-* preservation - on every converged evaluation tree, each node's
-  configuration satisfies the predicate and the root result satisfies
-  every index of the root configuration;
-* progress - a stuck outcome whose stuck node satisfies the predicate is
-  a counterexample: a dead start witnesses a can-start violation, a dead
-  continuation a can-continue violation;
-* soundness-must - no predicate-satisfying configuration may reach any
-  stuck outcome;
-* soundness-may - every predicate-satisfying configuration has at least
-  one branch that converges or carries a divergence certificate.
+* preservation - each configuration with a result satisfies the
+  predicate and each root result every index of the root;
+* progress - a dead end that satisfies the predicate is a counterexample:
+  a configuration no rule starts violates can-start, a premise result no
+  rule accepts can-continue;
+* soundness-must - no predicate-satisfying configuration meets a dead end;
+* soundness-may - every predicate-satisfying configuration has a result or
+  diverges, by exhaustive ``eval_div``.
 
-A pass is evidence over the explored corpus, not a proof; a fail is a
-genuine counterexample pinpointing the rule instance and clause.
+Unlike the stepper, a table finds the results that flow back through a
+cycle.  ``fuel`` bounds each table's oracle queries; a member whose table
+spends them is inconclusive.  A pass is evidence, not a proof; a fail is
+a counterexample pinpointing the rule instance and clause.
 """
 from __future__ import annotations
 
@@ -27,15 +27,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, FrozenSet, List, Mapping, Optional
 
+from .extensions import NO_JUDGMENT, TIMEOUT, _table, eval_div
 from .oracle import Config, LanguageSemantics, ResultVal
-from .pet import (
-    Converged,
-    Diverges,
-    OutOfFuel,
-    Stuck,
-    StuckKind,
-    run_exhaustive,
-)
+from .pet import Converged, OutOfFuel, StuckInfo, StuckKind, run_exhaustive
 
 
 @dataclass(frozen=True)
@@ -132,10 +126,9 @@ def audit_preservation(sem: LanguageSemantics, pred: IndexedPredicate,
     return AuditOutcome(True, inconclusive=saw_fuel)
 
 
-def _stuck_violation(pred: IndexedPredicate, o: Stuck) -> Optional[Violation]:
-    info = o.info
+def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
     if not pred.satisfies(info.config):
-        # a predicate-satisfying root stepped into a non-satisfying node
+        # a predicate-satisfying root reached a non-satisfying dead end
         return Violation(Condition.PRESERVATION, info.config,
                          info.rule_family, info.premise_index,
                          detail="stuck node escapes the predicate")
@@ -147,57 +140,56 @@ def _stuck_violation(pred: IndexedPredicate, o: Stuck) -> Optional[Violation]:
 
 def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
                    config: Config, fuel: int) -> AuditOutcome:
-    """No stuck outcome whose stuck node satisfies the predicate."""
-    saw_fuel = False
-    for o in run_exhaustive(sem, config, fuel):
-        if isinstance(o, OutOfFuel):
-            saw_fuel = True
-        elif isinstance(o, Stuck):
-            violation = _stuck_violation(pred, o)
-            if violation.condition is not Condition.PRESERVATION:
-                return AuditOutcome(False, violation)
-    return AuditOutcome(True, inconclusive=saw_fuel)
+    """No dead end of the result table satisfies the predicate."""
+    _, dead_ends, _, spent = _table(sem, config, fuel)
+    for info in dead_ends:
+        violation = _stuck_violation(pred, info)
+        if violation.condition is not Condition.PRESERVATION:
+            return AuditOutcome(False, violation)
+    return AuditOutcome(True, inconclusive=spent)
 
 
-def _members(sem: LanguageSemantics, pred: IndexedPredicate, corpus, fuel, report):
-    """Each corpus member with its exhaustive outcomes, counted in ``report``."""
+def _members(pred: IndexedPredicate, corpus, report):
+    """Each corpus member, counted in ``report``."""
     for config in corpus:
         if not pred.satisfies(config):
             raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
         report.stats["configs"] += 1
-        yield config, run_exhaustive(sem, config, fuel)
-
-
-_STAT = {Stuck: "stuck", Converged: "converged", Diverges: "diverges", OutOfFuel: "timeout"}
+        yield config
 
 
 def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                          corpus, fuel: int) -> AuditReport:
-    """Every stuck outcome on a predicate-satisfying corpus is a violation."""
+    """Each dead end of a member's table is a violation, and so is the
+    table's first preservation violation."""
     report = AuditReport()
     # each configuration is typed once per call, whichever member reaches it
     pred = IndexedPredicate(functools.cache(pred.indices_of_config), pred.holds_result)
-    for config, outcomes in _members(sem, pred, corpus, fuel, report):
-        for o in outcomes:
-            report.stats[_STAT[type(o)]] += 1
-            if isinstance(o, Stuck):
-                report.violations.append(_stuck_violation(pred, o))
-        violation = _preservation_violation(pred, config, outcomes)
-        if violation is not None:
-            report.violations.append(violation)
-        if any(isinstance(o, OutOfFuel) for o in outcomes):
+    for config in _members(pred, corpus, report):
+        table, dead_ends, _, spent = _table(sem, config, fuel)
+        results = table[config][0]
+        report.stats += Counter(converged=len(results), stuck=len(dead_ends), timeout=int(spent))
+        report.violations += [_stuck_violation(pred, info) for info in dead_ends]
+        broken = [("node-config", c) for c, (found, _) in table.items()
+                  if found and not pred.satisfies(c)]
+        broken += [("root-result", i, r) for r in results
+                   for i in pred.indices_of_config(config) if not pred.holds_result(r, i)]
+        report.violations += [Violation(Condition.PRESERVATION, config, detail=d)
+                              for d in broken[:1]]
+        if spent:
             report.inconclusive.append(config)
     return report
 
 
 def soundness_may_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                         corpus, fuel: int) -> AuditReport:
-    """Some branch of every corpus member converges or certifiably diverges."""
+    """Every corpus member has a result or diverges, by exhaustive ``eval_div``."""
     report = AuditReport()
-    for config, outcomes in _members(sem, pred, corpus, fuel, report):
-        if any(isinstance(o, (Converged, Diverges)) for o in outcomes):
+    for config in _members(pred, corpus, report):
+        values = eval_div(sem, config, fuel, exhaustive=True)
+        if values - {NO_JUDGMENT, TIMEOUT}:
             report.stats["progressing"] += 1
-        elif any(isinstance(o, OutOfFuel) for o in outcomes):
+        elif TIMEOUT in values:
             report.stats["timeout"] += 1
             report.inconclusive.append(config)
         else:

@@ -179,3 +179,12 @@ def test_extensions_check_the_base_start_activation(oracle, mode):
     # the base answer shows the malformed start
     with pytest.raises(OracleContractError, match="start activation malformed for 'a'"):
         evaluate(oracle(), "a", 10, mode)
+
+
+@pytest.mark.parametrize("mode", ["wrong", "div", "trace"])
+def test_extensions_check_the_base_advance_activation(mode):
+    # the lifted activation is rebuilt from the extended premise results,
+    # so only the base answer shows the forgotten premise
+    with pytest.raises(OracleContractError,
+                       match="advance activation malformed for 'root'"):
+        evaluate(BrokenAdvance(), "root", 10, mode)

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from bigstep import cli, predicates
+from bigstep.extensions import INFINITY, TIMEOUT, WRONG, Ok, eval_div, eval_total
 from bigstep.fj import (IMP_TABLE, INTEROP_TABLE, fj_indexed_predicate, fj_semantics,
                         fj_typed_corpus, impfj_indexed_predicate, impfj_semantics,
                         impfj_typed_corpus)
@@ -16,8 +17,10 @@ from bigstep.lam import (
     typed_corpus,
 )
 from bigstep.lam.corpus import FOOL_TERM
-from bigstep.lam.syntax import Choice, Nat, Succ
-from bigstep.pet import Converged, PartialEvalTree, run_exhaustive
+from bigstep.lam.semantics import STRATEGIES
+from bigstep.lam.syntax import App, Choice, Nat, Succ
+from bigstep.oracle import Activation, Axiom, Finished, FirstPremise, LanguageSemantics
+from bigstep.pet import Converged, Diverges, PartialEvalTree, run_exhaustive
 from bigstep.predicates import (
     AuditOutcome,
     Condition,
@@ -283,3 +286,73 @@ def test_soundness_command_prints_what_the_reference_prints(argv, capsys, monkey
     monkeypatch.setattr(predicates, "_preservation_violation",
                         _reference_preservation_violation)
     assert new == run()
+
+
+class FlowBack(LanguageSemantics):
+    """``loop => 0``, and ``loop => r + 1`` from ``loop => r`` for ``r = 0``
+    only: the result 1 flows back through the cycle and no rule takes it."""
+
+    def start(self, config):
+        return (Axiom(0, rule="zero"),
+                FirstPremise("loop", Activation("up", "loop", (), "loop")))
+
+    def advance(self, a, r):
+        return (Finished(r + 1),) if r == 0 else ()
+
+    def premise_bound(self, config):
+        return 1
+
+
+EVERYTHING = IndexedPredicate(lambda c: frozenset({"any"}), lambda r, i: True)
+
+
+def test_audits_see_results_that_flow_back_through_a_cycle():
+    # the stepper cuts the branch where ``loop`` recurs, so it sees only
+    # ``loop => 0`` and a divergence, never ``up`` advanced with 1
+    sem = FlowBack()
+    assert {type(o) for o in run_exhaustive(sem, "loop", 50)} == {Converged, Diverges}
+    assert eval_total(sem, "loop", 50, exhaustive=True) == \
+        {Ok(0), Ok(1), INFINITY, WRONG}
+    dead_end = Violation(Condition.FORALL_PROGRESS, "loop", "up", 1, detail=1)
+    report = soundness_must_audit(sem, EVERYTHING, ["loop"], 50)
+    assert report.violations == [dead_end] and not report.inconclusive
+    assert audit_progress(sem, EVERYTHING, "loop", 50) == AuditOutcome(False, dead_end)
+    assert soundness_may_audit(sem, EVERYTHING, ["loop"], 50).passed
+
+
+def _dead_end_violation(v):
+    return v.condition is not Condition.PRESERVATION or \
+        v.detail == "stuck node escapes the predicate"
+
+
+def test_audits_agree_with_the_table_evaluators():
+    # a dead end in a must report iff ``wrong`` is a total result, and the
+    # may verdict is the classification of exhaustive ``eval_div``
+    fuel = 300
+    sets = [(lambda_semantics(s), PRED, (*typed_corpus(3), OMEGA)) for s in STRATEGIES]
+    sets += [(sem, pred, corpus) for sem, pred, corpus, _ in audit_sets()[2:]]
+    for sem, pred, corpus in sets:
+        for config in corpus:
+            must = soundness_must_audit(sem, pred, [config], fuel)
+            assert any(map(_dead_end_violation, must.violations)) == \
+                (WRONG in eval_total(sem, config, fuel, exhaustive=True)), config
+            may = soundness_may_audit(sem, pred, [config], fuel)
+            values = eval_div(sem, config, fuel, exhaustive=True)
+            if INFINITY in values or any(isinstance(v, Ok) for v in values):
+                assert may.passed and not may.inconclusive, config
+            elif TIMEOUT in values:
+                assert may.passed and may.inconclusive == [config], config
+            else:
+                assert not may.passed, config
+
+
+def test_audits_of_results_that_flow_back_without_end():
+    # every natural is a result of M M, so its table never closes: the
+    # must audit is inconclusive where the stepper passed it, and 0 is
+    # enough for the may audit
+    m = parse_expr("\\x:rec t. t -> nat. 0 (+) succ (x x)")
+    mm = App(m, m)
+    must = soundness_must_audit(SEM, PRED, [mm], 120)
+    assert must.passed and must.inconclusive == [mm]
+    may = soundness_may_audit(SEM, PRED, [mm], 120)
+    assert may.passed and not may.inconclusive

@@ -89,8 +89,12 @@ FJ corpus over ``INTEROP_TABLE`` and the typed imperative-FJ corpus over
 ``IMP_TABLE`` (fuel 300) and on the ``dropped-succ`` and ``fool``
 fixtures of ``bsm soundness`` (fuel 50), and, so that diverging and
 timed-out members are covered too, on ``OMEGA`` and ``0 (+) OMEGA`` at
-fuel 3, 5 and 50; and the ``repr`` of ``audit_progress`` and
-``audit_preservation`` on every seventh member of each of those corpora.
+fuel 3, 5 and 50 and on ``M M`` at fuel 120, whose results flow back
+through a cycle so that its table never closes; and the ``repr`` of
+``audit_progress`` and ``audit_preservation`` on every seventh member of
+each of those corpora.  The must, may and progress audits read one
+result table per member, so their ``fuel`` is oracle queries per member;
+``audit_preservation`` runs the stepper.
 
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.
@@ -283,6 +287,8 @@ def audit_reprs():
     ]
     runs += [(lambda_semantics(), typed, [OMEGA, Choice(Nat(0), OMEGA)], fuel, show_expr)
              for fuel in (3, 5, FIXTURE_FUEL)]
+    m = parse_expr("\\x:rec t. t -> nat. 0 (+) succ (x x)")
+    runs.append((lambda_semantics(), typed, [App(m, m)], FUEL, show_expr))
     for sem, pred, corpus, fuel, show in runs:
         for audit in (soundness_must_audit, soundness_may_audit):
             report = audit(sem, pred, corpus, fuel)
