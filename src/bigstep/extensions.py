@@ -54,10 +54,10 @@ from .pet import (
     Converged,
     Diverges,
     DivergenceCertificate,
+    START,
     Stuck,
-    StuckInfo,
-    StuckKind,
     active_path,
+    dead_end,
     run_exhaustive,
     run_first,
 )
@@ -335,7 +335,7 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
     cycle.  ``fuel`` bounds the queries in all; a set ``wanted`` of
     ``(conclusion, family, index, demanded config)`` loses each demand
     met, and the table stops once it is empty.  Returns the table, its
-    dead ends as the stepper attributes them (``pet.StuckInfo``), whether
+    dead ends as the stepper attributes them (``pet.dead_end``), whether
     a demand rejoined a configuration met before, and whether queries
     were left.
     """
@@ -344,20 +344,18 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
     # config -> ({result: None} in discovery order, the (conclusion,
     # activation) pairs pending on it)
     table = {root: ({}, [])}
-    # queries still to ask: (config, None, None) for ``start``, (conclusion,
+    # queries still to ask: (config, START, None) for ``start``, (conclusion,
     # activation, pending result) for ``advance``
-    todo = deque([(root, None, None)])
+    todo = deque([(root, START, None)])
     dead, rejoined = [], False
     for _ in range(fuel):
         if not todo or wanted is not None and not wanted:
             break
         config, act, r = todo.popleft()
-        answers = (checked_start(sem, config) if act is None
+        answers = (checked_start(sem, config) if act is START
                    else checked_advance(sem, act, r))
         if not answers:
-            dead.append(StuckInfo(StuckKind.NO_RULE, config) if act is None
-                        else StuckInfo(StuckKind.NO_CONTINUATION, config,
-                                       act.rule_family, act.index, r))
+            dead.append(dead_end(config, act, r))
         found, waiting = table[config]
         for a in answers:
             if isinstance(a, COMPLETIONS):
@@ -370,7 +368,7 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
             entry = table.get(p)
             if entry is None:
                 table[p] = ({}, [(config, w)])
-                todo.append((p, None, None))
+                todo.append((p, START, None))
             else:
                 rejoined = True
                 entry[1].append((config, w))

@@ -196,6 +196,14 @@ class StuckInfo:
     result: ResultVal = None
 
 
+def dead_end(config: Config, act, result: ResultVal = None) -> StuckInfo:
+    """Where ``config`` is stuck when no rule answers: no rule starts it
+    (``act`` is ``START``), or none continues ``act`` with ``result``."""
+    if act is START:
+        return StuckInfo(StuckKind.NO_RULE, config)
+    return StuckInfo(StuckKind.NO_CONTINUATION, config, act.rule_family, act.index, result)
+
+
 class _Frame:
     """One node of the active path: a live judgment ``config => ?``.
 
@@ -414,9 +422,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
                     taken.append((answers, 0, top, act))
                     a = answers[0]
                 else:
-                    stuck = (StuckInfo(StuckKind.NO_RULE, top.config) if act is START
-                             else StuckInfo(StuckKind.NO_CONTINUATION, top.config,
-                                            act.rule_family, act.index, result))
+                    stuck = dead_end(top.config, act, None if act is START else result)
                     yield steps, Stuck(_fold(path), stuck.kind, steps, stuck)
         # after an end, undo transitions until one has an answer left
         while a is None:

@@ -2,8 +2,7 @@
 
 A predicate over configurations and results, indexed by an opaque index
 set (typically types), is audited against a semantics on the result
-table of each configuration (``extensions._table``, with its dead ends);
-``audit_preservation`` alone runs the stepper instead:
+table of each configuration (``extensions._table``, with its dead ends):
 
 * preservation - each configuration with a result satisfies the
   predicate and each root result every index of the root;
@@ -29,7 +28,8 @@ from typing import Any, Callable, FrozenSet, List, Mapping, Optional
 
 from .extensions import NO_JUDGMENT, TIMEOUT, _table, eval_div
 from .oracle import Config, LanguageSemantics, ResultVal
-from .pet import Converged, OutOfFuel, StuckInfo, StuckKind, run_exhaustive
+# no audit runs the stepper; perfbench/engine.py's tracer patches this binding
+from .pet import StuckInfo, StuckKind, run_exhaustive  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -90,40 +90,23 @@ class AuditReport:
 
 
 def _preservation_violation(pred: IndexedPredicate, config: Config,
-                            outcomes) -> Optional[Violation]:
-    """The first preservation violation on the converged trees, in order.
-
-    ``indices`` holds the indices of every configuration checked so far,
-    each asked once.  A node's position is built only for the violation
-    reported.
-    """
-    indices = {}
-    for o in outcomes:
-        if not isinstance(o, Converged):
-            continue
-        for path, node in o.tree.walk():
-            c = node.config
-            if c not in indices:
-                indices[c] = pred.indices_of_config(c)
-                if not indices[c]:
-                    return Violation(Condition.PRESERVATION, config,
-                                     detail=("node-config", tuple(path[1:]), c))
-        for index in indices[config]:
-            if not pred.holds_result(o.result, index):
-                return Violation(Condition.PRESERVATION, config,
-                                 detail=("root-result", index, o.result))
-    return None
+                            table) -> Optional[Violation]:
+    """The first preservation violation of ``config``'s result table: an
+    entry with a result and no index, else a result of ``config`` that
+    one of its indices rejects.  Each entry with a result is typed once."""
+    indices = {c: pred.indices_of_config(c) for c, (found, _) in table.items() if found}
+    broken = [("node-config", c) for c, i in indices.items() if not i]
+    broken += [("root-result", i, r) for r in table[config][0] for i in indices[config]
+               if not pred.holds_result(r, i)]
+    return Violation(Condition.PRESERVATION, config, detail=broken[0]) if broken else None
 
 
 def audit_preservation(sem: LanguageSemantics, pred: IndexedPredicate,
                        config: Config, fuel: int) -> AuditOutcome:
-    """Node-wise predicate and root index/result check on converged trees."""
-    outcomes = run_exhaustive(sem, config, fuel)
-    violation = _preservation_violation(pred, config, outcomes)
-    if violation is not None:
-        return AuditOutcome(False, violation)
-    saw_fuel = any(isinstance(o, OutOfFuel) for o in outcomes)
-    return AuditOutcome(True, inconclusive=saw_fuel)
+    """The first preservation violation of the result table of ``config``."""
+    table, _, _, spent = _table(sem, config, fuel)
+    violation = _preservation_violation(pred, config, table)
+    return AuditOutcome(violation is None, violation, violation is None and spent)
 
 
 def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
@@ -170,12 +153,9 @@ def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
         results = table[config][0]
         report.stats += Counter(converged=len(results), stuck=len(dead_ends), timeout=int(spent))
         report.violations += [_stuck_violation(pred, info) for info in dead_ends]
-        broken = [("node-config", c) for c, (found, _) in table.items()
-                  if found and not pred.satisfies(c)]
-        broken += [("root-result", i, r) for r in results
-                   for i in pred.indices_of_config(config) if not pred.holds_result(r, i)]
-        report.violations += [Violation(Condition.PRESERVATION, config, detail=d)
-                              for d in broken[:1]]
+        violation = _preservation_violation(pred, config, table)
+        if violation is not None:
+            report.violations.append(violation)
         if spent:
             report.inconclusive.append(config)
     return report

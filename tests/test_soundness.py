@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from bigstep import cli, predicates
-from bigstep.extensions import INFINITY, TIMEOUT, WRONG, Ok, eval_div, eval_total
+from bigstep import cli, pet, predicates
+from bigstep.extensions import INFINITY, TIMEOUT, WRONG, Ok, _table, eval_div, eval_total
 from bigstep.fj import (IMP_TABLE, INTEROP_TABLE, fj_indexed_predicate, fj_semantics,
                         fj_typed_corpus, impfj_indexed_predicate, impfj_semantics,
                         impfj_typed_corpus)
@@ -20,7 +20,7 @@ from bigstep.lam.corpus import FOOL_TERM
 from bigstep.lam.semantics import STRATEGIES
 from bigstep.lam.syntax import App, Choice, Nat, Succ
 from bigstep.oracle import Activation, Axiom, Finished, FirstPremise, LanguageSemantics
-from bigstep.pet import Converged, Diverges, PartialEvalTree, run_exhaustive
+from bigstep.pet import Converged, Diverges, OutOfFuel, PartialEvalTree, run_exhaustive
 from bigstep.predicates import (
     AuditOutcome,
     Condition,
@@ -163,8 +163,9 @@ def test_single_configuration_audits_reject_nonpositive_fuel(audit):
 
 
 def _reference_preservation_violation(pred, config, outcomes):
-    """The preservation check as it was: every node of every converged
-    tree through ``positions()``, and the root's indices once per tree."""
+    """The preservation check on the stepper, as it was: every node of
+    every converged tree through ``positions()``, and the root's indices
+    once per tree."""
     for o in outcomes:
         if not isinstance(o, Converged):
             continue
@@ -176,6 +177,29 @@ def _reference_preservation_violation(pred, config, outcomes):
             if not pred.holds_result(o.result, index):
                 return Violation(Condition.PRESERVATION, config,
                                  detail=("root-result", index, o.result))
+    return None
+
+
+def _reference_preservation(sem, pred, config, fuel):
+    """``(passed, inconclusive)`` of the preservation audit on the
+    stepper's exhaustive outcomes."""
+    outcomes = run_exhaustive(sem, config, fuel)
+    violation = _reference_preservation_violation(pred, config, outcomes)
+    return violation is None, violation is None and \
+        any(isinstance(o, OutOfFuel) for o in outcomes)
+
+
+def _plain_preservation_violation(pred, config, table):
+    """The table's preservation check as a plain loop: the root is typed
+    again for each of its results."""
+    for c, (found, _) in table.items():
+        if found and not pred.satisfies(c):
+            return Violation(Condition.PRESERVATION, config, detail=("node-config", c))
+    for r in table[config][0]:
+        for index in pred.indices_of_config(config):
+            if not pred.holds_result(r, index):
+                return Violation(Condition.PRESERVATION, config,
+                                 detail=("root-result", index, r))
     return None
 
 
@@ -204,14 +228,15 @@ def audit_sets():
 
 def test_preservation_reports_equal_the_reference(monkeypatch):
     for sem, pred, corpus, fuel in audit_sets():
-        report = soundness_must_audit(sem, pred, corpus, fuel)
         single = [audit_preservation(sem, pred, c, fuel) for c in corpus]
+        assert [(o.passed, o.inconclusive) for o in single] == \
+            [_reference_preservation(sem, pred, c, fuel) for c in corpus]
+        report = soundness_must_audit(sem, pred, corpus, fuel)
+        assert [v for v in report.violations if not _dead_end_violation(v)] == \
+            [o.violation for o in single if o.violation is not None]
         with monkeypatch.context() as m:
-            m.setattr(predicates, "_preservation_violation",
-                      _reference_preservation_violation)
-            reference = soundness_must_audit(sem, pred, corpus, fuel)
-            assert single == [audit_preservation(sem, pred, c, fuel) for c in corpus]
-        assert report == reference
+            m.setattr(predicates, "_preservation_violation", _plain_preservation_violation)
+            assert report == soundness_must_audit(sem, pred, corpus, fuel)
     picky_report = soundness_must_audit(*audit_sets()[1])
     details = {v.detail[0] for v in picky_report.violations}
     assert details == {"node-config", "root-result"}
@@ -230,11 +255,10 @@ def test_preservation_asks_each_configuration_once(monkeypatch):
                 return pred.indices_of_config(c)
 
             counted = IndexedPredicate(indices, pred.holds_result)
-            outcomes = run_exhaustive(sem, config, fuel)
-            predicates._preservation_violation(counted, config, outcomes)
+            audit_preservation(sem, counted, config, fuel)
             assert max(asked.values(), default=0) <= 1, config
-            repeated += sum(isinstance(o, Converged) for o in outcomes) > 1
-    assert repeated > 0  # members whose converged trees share their root
+            repeated += len(_table(sem, config, fuel)[0][config][0]) > 1
+    assert repeated > 0  # members with several results, each checked at the root
 
 
 def _counted(pred):
@@ -283,9 +307,15 @@ def test_soundness_command_prints_what_the_reference_prints(argv, capsys, monkey
         return code, out.out, out.err
 
     new = run()
-    monkeypatch.setattr(predicates, "_preservation_violation",
-                        _reference_preservation_violation)
+    checked = Counter()
+
+    def plain(pred, config, table):
+        checked[config] += 1
+        return _plain_preservation_violation(pred, config, table)
+
+    monkeypatch.setattr(predicates, "_preservation_violation", plain)
     assert new == run()
+    assert bool(checked) == ("must" in argv)  # only the must audit checks preservation
 
 
 class FlowBack(LanguageSemantics):
@@ -318,6 +348,30 @@ def test_audits_see_results_that_flow_back_through_a_cycle():
     assert report.violations == [dead_end] and not report.inconclusive
     assert audit_progress(sem, EVERYTHING, "loop", 50) == AuditOutcome(False, dead_end)
     assert soundness_may_audit(sem, EVERYTHING, ["loop"], 50).passed
+
+
+def test_preservation_sees_results_that_flow_back_through_a_cycle():
+    # the stepper never sees ``loop => 1``, so its preservation check passed
+    only_zero = IndexedPredicate(lambda c: frozenset({"any"}), lambda r, i: r != 1)
+    assert _reference_preservation(FlowBack(), only_zero, "loop", 50) == (True, False)
+    assert audit_preservation(FlowBack(), only_zero, "loop", 50) == AuditOutcome(
+        False, Violation(Condition.PRESERVATION, "loop", detail=("root-result", "any", 1)))
+
+
+def test_audits_run_no_stepper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an audit ran the stepper")
+
+    monkeypatch.setattr(pet, "_explore", refuse)
+    monkeypatch.setattr(predicates, "run_exhaustive", refuse)
+    m = parse_expr("\\x:rec t. t -> nat. 0 (+) succ (x x)")
+    for sem, pred, corpus, fuel in audit_sets()[2:] + [
+            (FlowBack(), EVERYTHING, ["loop"], 50), (SEM, PRED, [App(m, m)], 120)]:
+        soundness_must_audit(sem, pred, corpus, fuel)
+        soundness_may_audit(sem, pred, corpus, fuel)
+        for config in corpus:
+            audit_progress(sem, pred, config, fuel)
+            audit_preservation(sem, pred, config, fuel)
 
 
 def _dead_end_violation(v):
