@@ -14,7 +14,7 @@ sem = lambda_semantics()
 
 
 def render(t, indent="  "):
-    res = "?" if not t.is_complete else show_expr(t.res.value)
+    res = "?" if not t.is_complete else show_expr(t.res)
     print(f"{indent}{show_expr(t.config)}  =>  {res}")
     for child in t.children:
         render(child, indent + "    ")

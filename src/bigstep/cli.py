@@ -71,6 +71,10 @@ EXIT_AUDIT = 5
 EXIT_USAGE = 1
 
 
+class _UsageError(Exception):
+    """A bad input file, class table or goal; ``main`` prints it, exit 1."""
+
+
 def _parse_input(parse, text: str):
     """``text`` parsed as source or, if it does not parse, the file it names."""
     try:
@@ -82,8 +86,7 @@ def _parse_input(parse, text: str):
         with open(text, "r", encoding="utf-8") as fh:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as err:
-        print(f"cannot read {text}: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _UsageError(f"cannot read {text}: {err}")
     return parse(source)
 
 
@@ -102,9 +105,7 @@ def _load_table(args):
     table = _parse_input(parse_class_table, args.table)
     problems = class_table_wf(table)
     if problems:
-        for p in problems:
-            print(f"class table: {p}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _UsageError("\n".join(f"class table: {p}" for p in problems))
     return table
 
 
@@ -228,7 +229,7 @@ def _parse_maxelem_goal(goal: str):
         prefix = tuple(int(x) for x in lst.split(":")) if lst else ()
         return MaxElem(RationalList(prefix, period), int(value.strip()))
     except (ValueError, IndexError) as err:
-        raise SystemExit(f"bad goal {goal!r}: {err}")
+        raise _UsageError(f"bad goal {goal!r}: {err}")
 
 
 def cmd_corules(args) -> int:
@@ -274,17 +275,19 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("eval", help="evaluate a configuration")
     _add_common(p)
-    p.add_argument("--fuel", type=int, default=fuel_default)
+    p.add_argument("--fuel", type=int, default=fuel_default,
+                   help="transitions per branch")
     p.add_argument("--mode", choices=("plain", "wrong", "div", "trace", "total"),
                    default="plain")
-    p.add_argument("--strategy", choices=STRATEGIES, default="app")
+    p.add_argument("--strategy", choices=STRATEGIES, default="app",
+                   help="premise order, lambda only; fj and impfj ignore it")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("input", help="source text, or a file path if it does not parse")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("step", help="print the transition sequence")
     _add_common(p)
-    p.add_argument("--max-steps", type=int, default=fuel_default)
+    p.add_argument("--max-steps", type=int, default=fuel_default, help="transitions")
     p.add_argument("input")
     p.set_defaults(fn=cmd_step)
 
@@ -327,6 +330,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except _UsageError as err:
+        print(err, file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         print("input too deep", file=sys.stderr)

@@ -55,14 +55,6 @@ class _UnknownType:
 UNKNOWN = _UnknownType()
 
 
-@node
-class Known:
-    value: ResultVal
-
-
-UnResult = Union[_UnknownType, Known]
-
-
 class _StartTag:
     __slots__ = ()
 
@@ -73,26 +65,20 @@ class _StartTag:
 START = _StartTag()
 
 
-@node
-class CompletedRule:
-    rule: str
-
-
-RuleTag = Union[_StartTag, Activation, CompletedRule]
-
-
 class PartialEvalTree:
     """Ordered tree of judgments with at most one ``?`` per level.
 
-    ``tag`` records the partial-evaluation rule applied at the root: the
-    start rule for a fresh node, the activation of a partially applied
-    rule for an internal in-progress node, and the completed rule for a
+    ``res`` is the judgment's result, or ``UNKNOWN`` for ``?``.  ``tag``
+    records the partial-evaluation rule applied at the root: ``START`` for
+    a fresh node, the ``Activation`` of a partially applied rule for an
+    internal in-progress node, and the rule's name, a ``str``, for a
     finished node.
     """
 
     __slots__ = ("config", "res", "tag", "children")
 
-    def __init__(self, config: Config, res: UnResult, tag: RuleTag,
+    def __init__(self, config: Config, res: ResultVal,
+                 tag: Union[_StartTag, Activation, str],
                  children: Tuple["PartialEvalTree", ...]):
         self.config = config
         self.res = res
@@ -122,7 +108,7 @@ class PartialEvalTree:
             cut = len(done) - len(t.children)
             kids = tuple(done[cut:])
             del done[cut:]
-            done.append((t.config, "?" if t.res is UNKNOWN else ("!", t.res.value),
+            done.append((t.config, "?" if t.res is UNKNOWN else ("!", t.res),
                          kids))
         return done[0]
 
@@ -169,7 +155,7 @@ class PartialEvalTree:
         out, opened = [], 0
         for path, t in self.walk():
             depth = len(path) - 1
-            res = "?" if t.res is UNKNOWN else repr(t.res.value)
+            res = "?" if t.res is UNKNOWN else repr(t.res)
             out.append(f"{']>' * (opened - depth)}{' ' if path[-1] else ''}"
                        f"<{t.config!r} => {res}{' [' if t.children else '>'}")
             opened = depth + bool(t.children)
@@ -416,7 +402,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
                 if act is START:
                     answers = checked_start(sem, top.config)
                 else:
-                    result = top.children[-1].res.value
+                    result = top.children[-1].res
                     answers = checked_advance(sem, act, result)
                 if answers:
                     taken.append((answers, 0, top, act))
@@ -448,8 +434,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
         end = None
         if isinstance(a, COMPLETIONS):
             rule = a.rule if a.rule is not None else top.tag.rule_family
-            done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
-                                   top.children)
+            done = PartialEvalTree(top.config, a.result, rule, top.children)
             path.pop()
             index[top.chash] = top.shadow
             if path:

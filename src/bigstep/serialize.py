@@ -16,7 +16,6 @@ from .extensions import (
 from .oracle import Activation, LanguageSemantics
 from .pet import (
     START,
-    CompletedRule,
     Converged,
     Diverges,
     OutOfFuel,
@@ -29,11 +28,9 @@ from .predicates import AuditReport
 def _rule_label(tag) -> str:
     if tag is START:
         return "start"
-    if isinstance(tag, CompletedRule):
-        return tag.rule
     if isinstance(tag, Activation):
         return f"partial({tag.rule_family},{tag.index})"
-    return str(tag)
+    return tag
 
 
 def tree_doc(sem: LanguageSemantics, t: PartialEvalTree) -> Dict[str, Any]:
@@ -45,7 +42,7 @@ def tree_doc(sem: LanguageSemantics, t: PartialEvalTree) -> Dict[str, Any]:
     for (depth, node), config in zip(nodes, configs):
         doc = {
             "config": config,
-            "result": "?" if not node.is_complete else sem.show_result(node.res.value),
+            "result": "?" if not node.is_complete else sem.show_result(node.res),
             "rule": _rule_label(node.tag),
             "children": [],
         }

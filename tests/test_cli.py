@@ -160,11 +160,23 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, options):
     f = tmp_path / "binary"
     f.write_bytes(b"\x7fELF\x80\xff\x00")
     argv = ["eval", *options, str(f)] + (["new A()"] if options else [])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read {f}: ") and err.count("\n") == 1
+
+
+def test_ill_formed_table_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "table.fj"
+    f.write_text("class A extends Nope {}")
+    code, docs, err = run_cli(capsys, "eval", "--lang", "fj", "--table", str(f),
+                              "new A()")
+    assert (code, docs, err) == (1, [], "class table: A: undeclared supertype Nope\n")
+
+
+def test_bad_corules_goal_is_a_usage_error(capsys):
+    code, docs, err = run_cli(capsys, "corules", "--goal", "garbage")
+    assert code == 1 and docs == []
+    assert err.startswith("bad goal 'garbage': ") and err.count("\n") == 1
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -300,6 +312,18 @@ def test_usage_errors_exit_1(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "usage: bsm" in capsys.readouterr().err
+
+
+def test_help_names_each_budget(capsys):
+    helps = {}
+    for command in ("eval", "step"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "--fuel FUEL transitions per branch" in helps["eval"]
+    assert "premise order, lambda only; fj and impfj ignore it" in helps["eval"]
+    assert "--max-steps MAX_STEPS transitions" in helps["step"]
 
 
 def test_nonpositive_cap_rejected(capsys):

@@ -208,12 +208,11 @@ def test_trace_erasure_yields_base_tree():
         base = run_first(SEM, e, 60)
 
         def erase(node):
-            res = node.res.value
-            return (node.config, res.result,
+            return (node.config, node.res.result,
                     tuple(erase(c) for c in node.children))
 
         def plain(node):
-            return (node.config, node.res.value,
+            return (node.config, node.res,
                     tuple(plain(c) for c in node.children))
 
         assert erase(traced.tree) == plain(base.tree)

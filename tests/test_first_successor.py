@@ -25,11 +25,9 @@ from bigstep.oracle import (Activation, Axiom, BsJudgment, Finished, FirstPremis
 from bigstep.pet import (
     START,
     UNKNOWN,
-    CompletedRule,
     Converged,
     DivergenceCertificate,
     Diverges,
-    Known,
     OutOfFuel,
     PartialEvalTree,
     Stuck,
@@ -86,7 +84,7 @@ def _expand(sem, path):
                     f"start activation malformed for {config!r}")
     else:
         act = top.tag
-        result = top.children[-1].res.value
+        result = top.children[-1].res
         answers = dedup(sem.advance(act, result))
         if not answers:
             return (), StuckInfo(StuckKind.NO_CONTINUATION, config,
@@ -113,8 +111,7 @@ def _successors(path, answers):
     for a in answers:
         if isinstance(a, (Axiom, Finished)):
             rule = a.rule if a.rule is not None else top.tag.rule_family
-            done = PartialEvalTree(top.config, Known(a.result), CompletedRule(rule),
-                                   top.children)
+            done = PartialEvalTree(top.config, a.result, rule, top.children)
             if below:
                 f = below[-1]
                 yield below[:-1] + (_Frame(f.config, f.tag, f.children + (done,),
@@ -151,7 +148,7 @@ def _reference_first(sem, config, fuel, on_tree=None):
                 if on_tree is not None:
                     on_tree(tree)
                 if done:
-                    return Converged(s.res.value, s, steps + 1)
+                    return Converged(s.res, s, steps + 1)
                 if cert is not None:
                     return Diverges(cert, tree)
                 nxt.append(s)
@@ -166,7 +163,7 @@ def _reference_history(sem, config, fuel):
 
 
 def _skeleton(t):
-    res = "?" if t.res is UNKNOWN else ("!", t.res.value)
+    res = "?" if t.res is UNKNOWN else ("!", t.res)
     return (t.config, res, tuple(_skeleton(c) for c in t.children))
 
 
@@ -188,7 +185,7 @@ def _reference_exhaustive(sem, config, fuel):
                 continue
             for s, cert in succs:
                 if isinstance(s, PartialEvalTree):
-                    emit(Converged(s.res.value, s, steps + 1))
+                    emit(Converged(s.res, s, steps + 1))
                 elif cert is not None:
                     emit(Diverges(cert, _fold(s)))
                 else:

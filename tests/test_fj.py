@@ -115,7 +115,7 @@ def test_lambda_invocation_selects_lambda_rule():
     out = run_first(SEM, _conf("(<I>\\x. x).m(new A())"), 60)
     assert isinstance(out, Converged)
     assert out.result == ObjVal("A", ())
-    assert out.tree.tag.rule == "lambda-invk"
+    assert out.tree.tag == "lambda-invk"
 
 
 def test_fj_omega_well_typed_and_diverges():

@@ -104,8 +104,8 @@ def test_memory_threading_along_premises():
         prev = node.config.memory
         for child in node.children:
             assert child.config.memory == prev
-            assert prev.domain <= child.res.value.memory.domain
-            prev = child.res.value.memory
+            assert prev.domain <= child.res.memory.domain
+            prev = child.res.memory
         walk_children(node)
 
     def walk_children(node):

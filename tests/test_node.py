@@ -11,7 +11,7 @@ from bigstep.lam.types import NAT, TArrow, TNat
 from bigstep.maxelem import MaxElem
 from bigstep.node import Node
 from bigstep.oracle import Activation, Axiom, BsJudgment, Demand, Finished
-from bigstep.pet import Converged, Known, StuckInfo, StuckKind, run_first
+from bigstep.pet import Converged, StuckInfo, StuckKind, run_first
 from bigstep.rational import RationalList, periodic
 from bigstep.util import EMPTY_MAP
 
@@ -21,7 +21,7 @@ IDENT = Abs("x", NAT, Var("x"))
 def test_assigning_a_field_raises():
     act = Activation("app", App(IDENT, Nat(3)), (), IDENT)
     for obj, name in ((Nat(3), "value"), (act, "pending"), (New("A", ()), "cls"),
-                      (Known(Nat(0)), "value"), (MaxElem(periodic((), (1,)), 1), "value")):
+                      (Ok(Nat(0)), "value"), (MaxElem(periodic((), (1,)), 1), "value")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):

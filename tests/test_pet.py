@@ -18,7 +18,6 @@ from bigstep.pet import (
     UNKNOWN,
     Converged,
     Diverges,
-    Known,
     OutOfFuel,
     PartialEvalTree,
     Stuck,
@@ -244,13 +243,42 @@ def test_pet_invariants_reject_two_unknown_siblings():
 
 
 def test_pet_invariants_reject_complete_parent_over_unknown():
-    from bigstep.pet import CompletedRule
-
     c = parse_expr("succ 1")
-    bad = PartialEvalTree(c, Known(Nat(2)), CompletedRule("succ"),
+    bad = PartialEvalTree(c, Nat(2), "succ",
                           (initial_tree(Nat(1)),))
     result = check_pet_invariants(bad)
     assert result is not None
+
+
+def test_complete_node_holds_its_result_and_rule_name():
+    out = run_first(SEM, IDENTITY_APP, 20)
+    assert isinstance(out, Converged)
+    assert out.tree.res == Nat(3) and out.tree.tag == "app"
+    assert all(type(c.tag) is str and c.res == c.config for c in out.tree.children)
+
+
+class _OddResults(LanguageSemantics):
+    """Two axioms whose results are ``None`` and the string ``"?"``."""
+
+    def start(self, config):
+        return (Axiom(None, rule="none"), Axiom("?", rule="mark"))
+
+    def advance(self, activation, result):
+        return ()
+
+    def premise_bound(self, config):
+        return 0
+
+
+def test_results_none_and_question_mark_complete_a_tree():
+    outs = run_exhaustive(_OddResults(), "c", 5, validate=True)
+    assert [type(o) for o in outs] == [Converged, Converged]
+    assert [o.result for o in outs] == [None, "?"]
+    for o, shown in zip(outs, ("None", "'?'")):
+        assert o.tree.res is o.result and o.tree.is_complete
+        assert check_pet_invariants(o.tree) is None
+        assert repr(o.tree) == f"<'c' => {shown}>"
+    assert repr(initial_tree("c")) == "<'c' => ?>"
 
 
 def test_validate_checks_every_tree_of_an_exhaustive_run(monkeypatch):
@@ -463,7 +491,7 @@ def _positions_reference(t):
 
 def _repr_reference(t):
     """The tree ``repr`` as a recursive function."""
-    res = "?" if t.res is UNKNOWN else repr(t.res.value)
+    res = "?" if t.res is UNKNOWN else repr(t.res)
     if not t.children:
         return f"<{t.config!r} => {res}>"
     kids = " ".join(_repr_reference(c) for c in t.children)
@@ -524,7 +552,7 @@ def test_validation_builds_no_position_per_node(monkeypatch):
     assert isinstance(out, Converged) and out.result == Nat(600)
     n = 2400
     leaf = initial_tree(Nat(0))
-    under_done = PartialEvalTree(Nat(1), Known(Nat(1)), pet.CompletedRule("x"), (leaf,))
+    under_done = PartialEvalTree(Nat(1), Nat(1), "x", (leaf,))
     two = PartialEvalTree(Nat(1), UNKNOWN, pet.START, (leaf, leaf))
     assert check_pet_invariants(_unknown_spine(n, under_done)) == (
         (0,) * (n + 1), "? child under complete parent")

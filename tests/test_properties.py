@@ -127,11 +127,11 @@ def _step_exhaustive(sem, e, fuel):
                         if leaf.rule_family is None else
                         StuckInfo(StuckKind.NO_CONTINUATION, leaf.config,
                                   leaf.rule_family, leaf.premise_index,
-                                  leaf.node.children[-1].res.value))
+                                  leaf.node.children[-1].res))
                 emit(Stuck(t, info.kind, steps, info), t)
             for s in succs:
                 if s.is_complete:
-                    emit(Converged(s.res.value, s, steps + 1), s)
+                    emit(Converged(s.res, s, steps + 1), s)
                 elif (cert := _path_scan(s)) is not None:
                     emit(Diverges(cert, s), s)
                 else:
@@ -188,7 +188,7 @@ def _cycle_trace(d):
     def contribution(entry):
         steps = [entry.config]
         for child in entry.node.children[:-1]:
-            steps.extend(child.res.value.steps)
+            steps.extend(child.res.steps)
         return steps
 
     prefix = [c for e in path[:start] for c in contribution(e)]

@@ -105,7 +105,7 @@ def _tree_doc_reference(sem, t):
     """``tree_doc`` as a recursive function."""
     return {
         "config": sem.show_config(t.config),
-        "result": "?" if not t.is_complete else sem.show_result(t.res.value),
+        "result": "?" if not t.is_complete else sem.show_result(t.res),
         "rule": _rule_label(t.tag),
         "children": [_tree_doc_reference(sem, c) for c in t.children],
     }

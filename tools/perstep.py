@@ -8,8 +8,8 @@ milliseconds that ``value_doc`` takes to render the trace document of
 ``eval_trace`` (the render layer); and the seconds that
 ``run_exhaustive`` takes on nested choice ``e_9`` (``e_k = e_{k-1} (+)
 succ e_{k-1}``, as in the benchmark's ``sweep``).  Each figure is the median of three runs
-in this one process.  Terms are built without the parser, which fails
-at about 250 nested ``succ (``.  A flat per-step cost is the target of
+in this one process.  Terms are built without the parser, which parses
+196 nested ``succ (`` and fails at 197.  A flat per-step cost is the target of
 ROADMAP aim 1, so the first column should not grow with ``n``.
 """
 import statistics
