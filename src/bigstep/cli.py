@@ -308,7 +308,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("corules", help="maxElem corules demo")
     p.add_argument("--goal", required=True,
                    help="e.g. '(1:2)*=2', '1:2:nil=2', '1:2:(1:2)*=2'")
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=1000,
+                   help="judgments in the premise closure")
     p.set_defaults(fn=cmd_corules)
 
     args = top.parse_args(argv)

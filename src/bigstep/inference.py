@@ -1,10 +1,15 @@
 """Generic inference systems with rules and corules.
 
 An inference system is represented intensionally by its *inverse* rule
-query: given a judgment, enumerate the finite premise sets of all rules
-concluding it.  All fixpoints are computed on an explicitly materialised
-finite universe of judgments; infinite client systems are handled by
-closing a goal set under premises up to a hard cap.
+query: given a judgment, stream the finite premise sets of all rules
+concluding it.  The stream is finite and read once, and the same premise
+set may come more than once: a repeated set is the same rule twice, which
+changes no fixpoint (see ``InferenceSystem``).  So ``union`` chains two
+streams and a query need not build a set of its answers.  All fixpoints
+are computed on an explicitly materialised finite universe of judgments;
+infinite client systems are handled by closing a goal set under premises
+up to a hard cap, which ``reachable_universe`` checks as each premise is
+drawn.
 
 Both fixpoints query the rules of each universe judgment once and then
 run a worklist over a reverse index from premises to the rules waiting on
@@ -17,6 +22,7 @@ least fixpoint plus one query per judgment of the candidate set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Any, Callable, FrozenSet, Iterable, Optional
 
 Judgment = Any  # opaque, hashable, structurally comparable
@@ -35,16 +41,20 @@ class FiniteRule:
 class InferenceSystem:
     """A rule set given by inverse enumeration.
 
-    ``premise_candidates(j)`` returns the finite set of premise sets ``Pr``
-    such that ``(Pr, j)`` is a rule.  Both the returned set and every
-    member must be finite.
+    ``premise_candidates(j)`` returns a finite iterable, read once, of the
+    premise sets ``Pr`` such that ``(Pr, j)`` is a rule; every premise set
+    is a finite set.  The same premise set may repeat.  That is harmless:
+    every fixpoint here counts rules, not distinct premise sets, and two
+    copies of a rule fire together (least fixpoint), die together
+    (greatest fixpoint, where both wait on the same premises) and close
+    the universe under the same premises.
     """
 
-    premise_candidates: Callable[[Judgment], AbstractSet[FrozenSet[Judgment]]]
+    premise_candidates: Callable[[Judgment], Iterable[AbstractSet[Judgment]]]
 
     def union(self, other: "InferenceSystem") -> "InferenceSystem":
         mine, theirs = self.premise_candidates, other.premise_candidates
-        return InferenceSystem(lambda j: frozenset(mine(j)) | frozenset(theirs(j)))
+        return InferenceSystem(lambda j: chain(mine(j), theirs(j)))
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ def system_from_rules(rules: Iterable[FiniteRule]) -> InferenceSystem:
     by_conclusion: dict = {}
     for rule in rules:
         by_conclusion.setdefault(rule.conclusion, set()).add(rule.premises)
-    return InferenceSystem(lambda j: frozenset(by_conclusion.get(j, frozenset())))
+    return InferenceSystem(lambda j: by_conclusion.get(j, ()))
 
 
 class UniverseOverflow(Exception):
@@ -74,7 +84,11 @@ class UniverseOverflow(Exception):
 def reachable_universe(
     sys: InferenceSystem, goals: AbstractSet[Judgment], cap: int
 ) -> FrozenSet[Judgment]:
-    """Smallest set containing the goals and closed under rule premises."""
+    """Smallest set containing the goals and closed under rule premises.
+
+    Raises ``UniverseOverflow`` as soon as the set would exceed ``cap``
+    judgments, before the rest of the current query's stream is drawn.
+    """
     if cap <= 0:
         raise ValueError("cap must be positive")
     seen = set(goals)
@@ -96,7 +110,8 @@ def reachable_universe(
 def _rules(sys: InferenceSystem, universe: AbstractSet[Judgment]) -> tuple:
     """The rules concluding universe judgments, queried once per judgment.
 
-    Returns the ``(conclusion, premises)`` pairs and a map from each
+    Returns the ``(conclusion, premises)`` pairs, one per premise set
+    drawn (a repeated set is a rule of its own), and a map from each
     premise to the indices of the rules waiting on it.
     """
     rules: list = []

@@ -3,11 +3,14 @@
 The demonstration system for corules: two rules defining ``maxElem`` plus
 one coaxiom constraining infinite derivations so the claimed maximum must
 actually occur in the list.  Lists are eventually periodic, which keeps
-goal-reachable universes finite.
+goal-reachable universes finite.  The rule query streams its premise sets
+without building a set of them, so closing a goal such as
+``maxElem((10^6)^omega, 10^6)`` under premises stops at the cap after
+drawing at most cap + 1 of its 10^6 + 1 rules.
 """
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import Iterator
 
 from .inference import GeneralizedIS, InferenceSystem
 from .node import node
@@ -23,33 +26,43 @@ class MaxElem:
         return f"maxElem({self.lst!r}, {self.value})"
 
 
-def _inverse_max(head: int, z: int) -> tuple:
-    # solutions y of max(head, y) = z
+def _rule_candidates(j: MaxElem) -> Iterator[frozenset]:
+    """The premise sets of the rules concluding ``j``, streamed.
+
+    ``maxElem(x:nil, x)`` is an axiom; ``maxElem(x:xs, z)`` has the premise
+    ``maxElem(xs, y)`` for each solution ``y`` of ``max(x, y) = z``: ``z``
+    alone when ``x < z``, and each of ``0 .. z`` when ``x = z``.
+    """
+    if not isinstance(j, MaxElem):
+        return
+    lst, z = j
+    prefix, period = lst.prefix, lst.period
+    items = prefix or period
+    if not items:
+        return
+    head = items[0]
     if z < head:
-        return ()
-    if z == head:
-        return tuple(range(z + 1))
-    return (z,)
+        return
+    if not period and len(prefix) == 1:
+        if z == head:
+            yield frozenset()  # singleton axiom
+        return
+    tail = lst.tail
+    for y in range(z + 1) if z == head else (z,):
+        yield frozenset({MaxElem(tail, y)})
 
 
-def _rule_candidates(j: MaxElem) -> FrozenSet[frozenset]:
-    if not isinstance(j, MaxElem) or j.lst.is_empty:
-        return frozenset()
-    out = set()
-    head, tail = j.lst.head, j.lst.tail
-    if tail.is_empty:
-        if j.value == head:
-            out.add(frozenset())  # singleton axiom
-    else:
-        for y in _inverse_max(head, j.value):
-            out.add(frozenset({MaxElem(tail, y)}))
-    return frozenset(out)
+_COAXIOM = (frozenset(),)
 
 
-def _coaxiom_candidates(j: MaxElem) -> FrozenSet[frozenset]:
-    if isinstance(j, MaxElem) and not j.lst.is_empty and j.lst.head == j.value:
-        return frozenset({frozenset()})
-    return frozenset()
+def _coaxiom_candidates(j: MaxElem) -> tuple:
+    """The coaxiom ``maxElem(x:xs, x)``: the head is a maximum candidate."""
+    if isinstance(j, MaxElem):
+        lst, z = j
+        items = lst.prefix or lst.period
+        if items and items[0] == z:
+            return _COAXIOM
+    return ()
 
 
 def maxelem_rules() -> InferenceSystem:

@@ -58,21 +58,22 @@ class RationalList:
 
     @property
     def head(self) -> Any:
-        if self.is_empty:
+        items = self.prefix or self.period
+        if not items:
             raise ValueError("head of empty list")
-        return self.prefix[0] if self.prefix else self.period[0]
+        return items[0]
 
     @property
     def tail(self) -> "RationalList":
-        if self.is_empty:
-            raise ValueError("tail of empty list")
         # the tail of a normal word is normal: drop the head of the prefix,
         # or rotate the (still primitive) period by one
         prefix, period = self.prefix, self.period
         if prefix:
             prefix = prefix[1:]
-        else:
+        elif period:
             period = period[1:] + period[:1]
+        else:
+            raise ValueError("tail of empty list")
         tail = object.__new__(RationalList)
         tail._set(prefix, period)
         return tail

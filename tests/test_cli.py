@@ -326,6 +326,14 @@ def test_help_names_each_budget(capsys):
     assert "--max-steps MAX_STEPS transitions" in helps["step"]
 
 
+def test_corules_help_names_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corules", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--cap CAP judgments in the premise closure" in out
+
+
 def test_nonpositive_cap_rejected(capsys):
     code, docs, err = run_cli(capsys, "corules", "--cap", "0", "--goal", "(1:2)*=2")
     assert code == 1 and docs == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bigstep.cli import main
 from bigstep.inference import (
     FiniteRule,
     GeneralizedIS,
@@ -239,3 +240,143 @@ def maxelem_goals(draw):
 def test_corules_equal_the_gfp_of_the_rules_restricted_to_the_bound(case):
     gis, universe = case
     assert interp_corules(gis, universe) == _restricted_corules(gis, universe)
+
+
+# --- rule queries stream their premise sets ---------------------------------
+
+
+def test_universe_overflows_as_soon_as_the_cap_is_passed():
+    # the root has 10^7 rules; the closure passes the cap of 1000 at the
+    # 1000th premise set, and drawing far past it would fail loudly here
+    drawn = []
+
+    def wide(j):
+        if j != "root":
+            return
+        for k in range(10**7):
+            assert len(drawn) <= 1001, "premise sets drawn past the cap"
+            drawn.append(k)
+            yield frozenset({k})
+
+    for sys in (InferenceSystem(wide), InferenceSystem(wide).union(EMPTY_SYS),
+                EMPTY_SYS.union(InferenceSystem(wide))):
+        drawn.clear()
+        with pytest.raises(UniverseOverflow):
+            reachable_universe(sys, {"root"}, cap=1000)
+        assert len(drawn) <= 1001
+
+
+def test_corules_on_a_large_value_stops_at_the_cap(capsys):
+    # (10^6)^omega = 10^6 has 10^6 + 1 rules; the cap of 1000 ends the closure
+    assert main(["corules", "--goal", "(1000000)*=1000000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "premise closure exceeded cap 1000"
+
+
+def _set_rule_candidates(j):
+    """maxElem's rule query as a set of premise sets, built in full."""
+    if not isinstance(j, MaxElem) or j.lst.is_empty:
+        return frozenset()
+    out = set()
+    head, tail = j.lst.head, j.lst.tail
+    if tail.is_empty:
+        if j.value == head:
+            out.add(frozenset())
+    elif j.value == head:
+        out.update(frozenset({MaxElem(tail, y)}) for y in range(j.value + 1))
+    elif j.value > head:
+        out.add(frozenset({MaxElem(tail, j.value)}))
+    return frozenset(out)
+
+
+def _set_coaxiom_candidates(j):
+    if isinstance(j, MaxElem) and not j.lst.is_empty and j.lst.head == j.value:
+        return frozenset({frozenset()})
+    return frozenset()
+
+
+@st.composite
+def maxelem_queries(draw):
+    """A ``maxElem`` judgment on an empty, finite, singleton or periodic
+    list, claiming a value below, at or above its head, or another
+    judgment."""
+    items = st.lists(st.integers(0, 6), max_size=4)
+    lst = RationalList(tuple(draw(items)), tuple(draw(items)))
+    head = 3 if lst.is_empty else lst.head
+    value = draw(st.integers(max(head - 2, 0), head + 2))
+    return draw(st.sampled_from([MaxElem(lst, value), value, ("maxElem", lst)]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(maxelem_queries())
+def test_streamed_maxelem_queries_equal_the_set_queries(j):
+    gis = maxelem_gis()
+    for sys, reference in ((gis.rules, _set_rule_candidates),
+                           (gis.corules, _set_coaxiom_candidates)):
+        streamed = list(sys.premise_candidates(j))
+        assert len(set(streamed)) == len(streamed)
+        assert set(streamed) == reference(j)
+
+
+def _listed_system(pairs):
+    """A system whose query streams each ``(premises, conclusion)`` pair,
+    repeats included, in the order given."""
+    by_conclusion: dict = {}
+    for premises, conclusion in pairs:
+        by_conclusion.setdefault(conclusion, []).append(frozenset(premises))
+    return InferenceSystem(lambda j: by_conclusion.get(j, ()))
+
+
+def _deduplicated(gis):
+    """The same rules and corules with no premise set streamed twice by
+    ``combined``: each query is a set, and the corules drop what the rules
+    already have."""
+    rules, corules = gis.rules.premise_candidates, gis.corules.premise_candidates
+    return GeneralizedIS(
+        InferenceSystem(lambda j: frozenset(rules(j))),
+        InferenceSystem(lambda j: frozenset(corules(j)) - frozenset(rules(j))))
+
+
+def _repeats(sys, universe):
+    return sum(len(answers) - len(set(answers))
+               for answers in (list(sys.premise_candidates(j)) for j in universe))
+
+
+def _assert_repeats_change_nothing(gis, universe, claims):
+    dedup = _deduplicated(gis)
+    assert _repeats(dedup.combined(), universe) == 0
+    for interp in (interp_inductive, interp_coinductive):
+        for sys, same in ((gis.rules, dedup.rules), (gis.combined(), dedup.combined())):
+            assert interp(sys, universe) == interp(same, universe)
+    assert interp_corules(gis, universe) == interp_corules(dedup, universe)
+    for claim in claims:
+        assert (bounded_coinduction_check(gis, claim, universe)
+                == bounded_coinduction_check(dedup, claim, universe))
+
+
+def test_repeated_premise_sets_change_no_fixpoint():
+    # on a singleton list the axiom {} and the coaxiom {} coincide
+    gis = maxelem_gis()
+    singleton = MaxElem(finite(3), 3)
+    assert list(gis.combined().premise_candidates(singleton)) == [frozenset()] * 2
+    for goal in (singleton, MaxElem(finite(1, 3), 3), MaxElem(periodic((2,), (3,)), 3)):
+        universe = reachable_universe(gis.combined(), {goal}, 100)
+        _assert_repeats_change_nothing(gis, universe, ({goal}, universe))
+
+    rng = random.Random(2517)
+    repeats = 0
+    for _ in range(40):
+        n = rng.randint(4, 12)
+        rules = [(rng.sample(range(n + 2), rng.randint(0, 3)), rng.randrange(n))
+                 for _ in range(2 * n)]
+        rules += rng.sample(rules, rng.randint(0, n))  # repeats among the rules
+        corules = rng.sample(rules, rng.randint(0, n))  # and shared with them
+        corules += [(rng.sample(range(n), rng.randint(0, 1)), rng.randrange(n))
+                    for _ in range(n // 2)]
+        gis = GeneralizedIS(_listed_system(rules), _listed_system(corules))
+        universe = frozenset(range(n))
+        repeats += _repeats(gis.combined(), universe)
+        claims = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(3)]
+        _assert_repeats_change_nothing(gis, universe, claims + [universe])
+    assert repeats > 0

@@ -1,24 +1,34 @@
-"""Per-step cost of the stepper as terms get deeper, and one exhaustive run.
+"""Per-step cost of the stepper as terms get deeper, one exhaustive run,
+and the corule fixpoints as the universe grows.
 
     PYTHONPATH=src python3 tools/perstep.py
 
 Prints the microseconds per transition of ``run_first`` on ``succ^n 0``
 at n = 60, 300, 3,000 and 10,000; at n = 60 and 300 also the
 milliseconds that ``value_doc`` takes to render the trace document of
-``eval_trace`` (the render layer); and the seconds that
-``run_exhaustive`` takes on nested choice ``e_9`` (``e_k = e_{k-1} (+)
-succ e_{k-1}``, as in the benchmark's ``sweep``).  Each figure is the median of three runs
-in this one process.  Terms are built without the parser, which parses
-196 nested ``succ (`` and fails at 197.  A flat per-step cost is the target of
-ROADMAP aim 1, so the first column should not grow with ``n``.
+``eval_trace`` (the render layer); the seconds that ``run_exhaustive``
+takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
+in the benchmark's ``sweep``); the seconds that ``reachable_universe``
+and then ``interp_corules`` take on the maxElem goal
+``(0:1:...:n-1)*=n-1`` at n = 50 and 100, whose universes hold 2,500
+and 10,000 judgments; and the seconds that ``reachable_universe`` takes
+to pass the cap of 1000 on ``(1000000)*=1000000``, as ``bsm corules``
+does by default.  Each figure is the median of three runs in this one
+process.  Terms are built without the parser, which parses 196 nested
+``succ (`` and fails at 197.  ROADMAP aim 1 targets a flat per-step
+cost, so the first column should not grow with ``n``, and fixpoints
+linear in the universe.
 """
 import statistics
 import time
 
 from bigstep.extensions import FinTrace, eval_trace
+from bigstep.inference import UniverseOverflow, interp_corules, reachable_universe
 from bigstep.lam import lambda_semantics
 from bigstep.lam.syntax import Choice, Nat, Succ
+from bigstep.maxelem import MaxElem, maxelem_gis
 from bigstep.pet import Converged, OutOfFuel, run_exhaustive, run_first
+from bigstep.rational import periodic
 from bigstep.serialize import value_doc
 
 ROUNDS = 3
@@ -36,6 +46,14 @@ def nested_choice(k: int):
     for _ in range(k):
         e = Choice(e, Succ(e))
     return e
+
+
+def overflow(sys, goal, cap: int) -> None:
+    try:
+        reachable_universe(sys, {goal}, cap)
+    except UniverseOverflow:
+        return
+    raise AssertionError(f"{goal!r} closes within {cap}")
 
 
 def median_seconds(run) -> float:
@@ -66,6 +84,18 @@ def main() -> None:
     assert not any(isinstance(o, OutOfFuel) for o in outs)
     secs = median_seconds(lambda: run_exhaustive(sem, e, 100))
     print(f"run_exhaustive  {'e_9':<13} {secs:8.3f} s")
+    gis = maxelem_gis()
+    for n in (50, 100):
+        goal = MaxElem(periodic((), tuple(range(n))), n - 1)
+        universe = reachable_universe(gis.combined(), {goal}, n * n)
+        assert len(universe) == n * n and goal in interp_corules(gis, universe)
+        build = median_seconds(lambda: reachable_universe(gis.combined(), {goal}, n * n))
+        corules = median_seconds(lambda: interp_corules(gis, universe))
+        print(f"universe        {f'(0:..:{n - 1})*={n - 1}':<13} {build:8.3f} s,"
+              f" interp_corules {corules:.3f} s, {n * n} judgments")
+    goal = MaxElem(periodic((), (10**6,)), 10**6)
+    secs = median_seconds(lambda: overflow(gis.combined(), goal, 1000))
+    print(f"universe to cap {'(10^6)*=10^6':<13} {secs:8.3f} s")
 
 
 if __name__ == "__main__":
