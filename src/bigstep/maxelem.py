@@ -31,7 +31,10 @@ def _rule_candidates(j: MaxElem) -> Iterator[frozenset]:
 
     ``maxElem(x:nil, x)`` is an axiom; ``maxElem(x:xs, z)`` has the premise
     ``maxElem(xs, y)`` for each solution ``y`` of ``max(x, y) = z``: ``z``
-    alone when ``x < z``, and each of ``0 .. z`` when ``x = z``.
+    alone when ``x < z``, and each of ``0 .. z`` when ``x = z``.  Every
+    premise shares ``xs``, the tail that the list built once and keeps, so
+    the judgments of one universe hold one object per suffix and the
+    probes that meet them stop at the identity check.
     """
     if not isinstance(j, MaxElem):
         return

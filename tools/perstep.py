@@ -10,14 +10,16 @@ milliseconds that ``value_doc`` takes to render the trace document of
 takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
 in the benchmark's ``sweep``); the seconds that ``reachable_universe``
 and then ``interp_corules`` take on the maxElem goal
-``(0:1:...:n-1)*=n-1`` at n = 50 and 100, whose universes hold 2,500
-and 10,000 judgments; and the seconds that ``reachable_universe`` takes
+``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose universes hold
+2,500, 10,000, 40,000 and 90,000 judgments, each also in microseconds
+per judgment; and the seconds that ``reachable_universe`` takes
 to pass the cap of 1000 on ``(1000000)*=1000000``, as ``bsm corules``
 does by default.  Each figure is the median of three runs in this one
 process.  Terms are built without the parser, which parses 196 nested
 ``succ (`` and fails at 197.  ROADMAP aim 1 targets a flat per-step
 cost, so the first column should not grow with ``n``, and fixpoints
-linear in the universe.
+linear in the universe, so the microseconds per judgment should not grow
+either.
 """
 import statistics
 import time
@@ -48,6 +50,11 @@ def nested_choice(k: int):
     return e
 
 
+def maxelem_goal(n: int) -> MaxElem:
+    # built afresh for each run, so that each run builds the list's suffixes
+    return MaxElem(periodic((), tuple(range(n))), n - 1)
+
+
 def overflow(sys, goal, cap: int) -> None:
     try:
         reachable_universe(sys, {goal}, cap)
@@ -72,30 +79,32 @@ def main() -> None:
         out = run_first(sem, e, steps)
         assert isinstance(out, Converged) and out.steps == steps, out
         secs = median_seconds(lambda: run_first(sem, e, steps))
-        print(f"run_first       {f'succ^{n} 0':<13} {secs / steps * 1e6:8.2f} us/step")
+        print(f"run_first       {f'succ^{n} 0':<15} {secs / steps * 1e6:8.2f} us/step")
         if n in (60, 300):
             trace = eval_trace(sem, e, steps)
             assert isinstance(trace, FinTrace) and len(trace.steps) == n + 1, trace
             secs = median_seconds(lambda: value_doc(sem, trace))
-            print(f"value_doc trace {f'succ^{n} 0':<13} {secs * 1e3:8.3f} ms")
+            print(f"value_doc trace {f'succ^{n} 0':<15} {secs * 1e3:8.3f} ms")
     e = nested_choice(9)
     outs = run_exhaustive(sem, e, 100)
     assert {o.result for o in outs} == {Nat(k) for k in range(10)}, outs
     assert not any(isinstance(o, OutOfFuel) for o in outs)
     secs = median_seconds(lambda: run_exhaustive(sem, e, 100))
-    print(f"run_exhaustive  {'e_9':<13} {secs:8.3f} s")
+    print(f"run_exhaustive  {'e_9':<15} {secs:8.3f} s")
     gis = maxelem_gis()
-    for n in (50, 100):
-        goal = MaxElem(periodic((), tuple(range(n))), n - 1)
-        universe = reachable_universe(gis.combined(), {goal}, n * n)
-        assert len(universe) == n * n and goal in interp_corules(gis, universe)
-        build = median_seconds(lambda: reachable_universe(gis.combined(), {goal}, n * n))
+    for n in (50, 100, 200, 300):
+        universe = reachable_universe(gis.combined(), {maxelem_goal(n)}, n * n)
+        assert len(universe) == n * n and maxelem_goal(n) in interp_corules(gis, universe)
+        build = median_seconds(
+            lambda: reachable_universe(gis.combined(), {maxelem_goal(n)}, n * n))
         corules = median_seconds(lambda: interp_corules(gis, universe))
-        print(f"universe        {f'(0:..:{n - 1})*={n - 1}':<13} {build:8.3f} s,"
-              f" interp_corules {corules:.3f} s, {n * n} judgments")
+        per = 1e6 / (n * n)
+        print(f"universe        {f'(0:..:{n - 1})*={n - 1}':<15} {build:8.3f} s,"
+              f" interp_corules {corules:.3f} s, {n * n} judgments"
+              f" ({build * per:.1f} + {corules * per:.1f} us per judgment)")
     goal = MaxElem(periodic((), (10**6,)), 10**6)
     secs = median_seconds(lambda: overflow(gis.combined(), goal, 1000))
-    print(f"universe to cap {'(10^6)*=10^6':<13} {secs:8.3f} s")
+    print(f"universe to cap {'(10^6)*=10^6':<15} {secs:8.3f} s")
 
 
 if __name__ == "__main__":
