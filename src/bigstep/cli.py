@@ -215,17 +215,22 @@ def cmd_soundness(args) -> int:
 
 
 def _parse_maxelem_goal(goal: str):
-    # list=value with list like 1:2:(1:2)* or 1:2:nil or (1:2)*
+    # list=value with list like 1:2:(1:2)* or 1:2:nil or (1:2)*; every item
+    # is an integer, and one ':' separates the prefix from the period or nil
     try:
         lst, value = goal.rsplit("=", 1)
         lst = lst.strip()
         period: tuple = ()
-        if lst.endswith("*"):
-            lst, paren = lst[:-1].rsplit("(", 1)
-            period = tuple(int(x) for x in paren.rstrip(")").split(":"))
-            lst = lst.rstrip(":")
-        elif lst.endswith("nil"):
-            lst = lst[: -len("nil")].rstrip(":")
+        ended = lst.endswith(")*") or lst.endswith("nil")
+        if lst.endswith(")*"):
+            lst, paren = lst[:-2].rsplit("(", 1)
+            period = tuple(int(x) for x in paren.split(":"))
+        elif ended:
+            lst = lst[:-len("nil")]
+        if ended and lst:
+            if not lst.endswith(":"):
+                raise ValueError(f"no ':' after the prefix {lst!r}")
+            lst = lst[:-1]
         prefix = tuple(int(x) for x in lst.split(":")) if lst else ()
         return MaxElem(RationalList(prefix, period), int(value.strip()))
     except (ValueError, IndexError) as err:

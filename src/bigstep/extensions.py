@@ -21,15 +21,16 @@ total semantics combines wrong and divergence so every computation is
 classified; ``evaluate`` runs the base semantics (mode ``plain``, the
 identity extension) or any of the four extensions once and pairs each
 stepper outcome with its extended value; its finite proof of divergence
-is a cyclic certificate.  Exhaustive ``eval_div`` and ``eval_total``, and
-the certificate check, read a table of results over the base rules,
-closed by a least fixpoint; divergence is the greatest fixpoint of the
+is a cyclic certificate.  Exhaustive ``eval_div`` and ``eval_total``, the
+certificate check and the audits read one record, ``Table(entries,
+dead_ends, rejoined, spent)``, of results over the base rules closed by
+a least fixpoint; ``_diverges`` is the greatest fixpoint of the
 divergence rules on its demand edges.  ``fuel`` bounds the table's
 queries in all, but the transitions of each branch of a stepper run.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Optional, Tuple, Union
@@ -62,6 +63,7 @@ from .pet import (
     run_first,
 )
 from .rational import RationalList
+from .util import Mark
 
 
 @node
@@ -72,22 +74,11 @@ class Ok:
         return f"Ok({self.value!r})"
 
 
-class _Mark:
-    __slots__ = ("_name", "rule")
-
-    def __init__(self, name: str, rule: Optional[str] = None):
-        self._name = name
-        self.rule = rule or name  # prefix of the rules that conclude this mark
-
-    def __repr__(self):
-        return self._name
-
-
-WRONG = _Mark("wrong")
-INFINITY = _Mark("infinity", rule="div")
-NO_JUDGMENT = _Mark("no-judgment")
-STUCK_TRACE = _Mark("stuck")
-TIMEOUT = _Mark("timeout")
+WRONG = Mark("wrong")
+INFINITY = Mark("infinity", rule="div")
+NO_JUDGMENT = Mark("no-judgment")
+STUCK_TRACE = Mark("stuck")
+TIMEOUT = Mark("timeout")
 
 
 @node
@@ -136,7 +127,7 @@ class _Extension(LanguageSemantics):
     premise result no rule accepts (``<r>-result``).
     """
 
-    def __init__(self, base: LanguageSemantics, dead_end: Optional[_Mark] = None):
+    def __init__(self, base: LanguageSemantics, dead_end: Optional[Mark] = None):
         self.base = base
         self.dead_end = dead_end
 
@@ -195,7 +186,7 @@ class LiftedSemantics(_Extension):
     With ``dead_ends`` every dead end concludes ``mark`` too.
     """
 
-    def __init__(self, base: LanguageSemantics, mark: _Mark, dead_ends: bool):
+    def __init__(self, base: LanguageSemantics, mark: Mark, dead_ends: bool):
         super().__init__(base, mark if dead_ends else None)
         self.mark = mark
 
@@ -324,8 +315,11 @@ def _values(pairs, exhaustive: bool):
     return pairs[0][1]
 
 
+Table = namedtuple("Table", "entries dead_ends rejoined spent")
+
+
 def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set] = None):
-    """A table of results over the base rules, built forward from ``root``.
+    """A ``Table`` of results over the base rules, built forward from ``root``.
 
     It asks ``start`` of every configuration met, and ``advance`` of every
     activation with every result its pending premise has so far, each
@@ -334,16 +328,16 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
     stepper run it also finds the results that flow back through a
     cycle.  ``fuel`` bounds the queries in all; a set ``wanted`` of
     ``(conclusion, family, index, demanded config)`` loses each demand
-    met, and the table stops once it is empty.  Returns the table, its
-    dead ends as the stepper attributes them (``pet.dead_end``), whether
-    a demand rejoined a configuration met before, and whether queries
-    were left.
+    met, and the table stops once it is empty.  ``entries`` maps each
+    configuration met to its results, ``{result: None}`` in discovery
+    order, and the ``(conclusion, activation)`` pairs pending on it;
+    ``dead_ends`` lists the dead ends as the stepper attributes them
+    (``pet.dead_end``); ``rejoined`` says whether a demand rejoined a
+    configuration met before, and ``spent`` whether queries were left.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    # config -> ({result: None} in discovery order, the (conclusion,
-    # activation) pairs pending on it)
-    table = {root: ({}, [])}
+    entries = {root: ({}, [])}
     # queries still to ask: (config, START, None) for ``start``, (conclusion,
     # activation, pending result) for ``advance``
     todo = deque([(root, START, None)])
@@ -356,7 +350,7 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
                    else checked_advance(sem, act, r))
         if not answers:
             dead.append(dead_end(config, act, r))
-        found, waiting = table[config]
+        found, waiting = entries[config]
         for a in answers:
             if isinstance(a, COMPLETIONS):
                 r = a.result
@@ -365,9 +359,9 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
                     todo.extend([(c, w, r) for c, w in waiting])
                 continue
             p, w = a.config, a.activation
-            entry = table.get(p)
+            entry = entries.get(p)
             if entry is None:
-                table[p] = ({}, [(config, w)])
+                entries[p] = ({}, [(config, w)])
                 todo.append((p, START, None))
             else:
                 rejoined = True
@@ -375,34 +369,40 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
                 todo.extend([(config, w, res) for res in entry[0]])
             if wanted is not None:
                 wanted.discard((config, w.rule_family, w.index, p))
-    return table, dead, rejoined, bool(todo)
+    return Table(entries, dead, rejoined, bool(todo))
 
 
-def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: _Mark):
-    """The results of ``root`` read off its ``_table``: ``Ok(r)`` for each
-    result, ``INFINITY`` if ``root`` reaches a cycle of pending demands,
-    ``dead_end`` if a dead end was met, and ``TIMEOUT`` if the budget ran
-    out with queries left, besides what the partial table proves.
-    """
-    table, dead, rejoined, spent = _table(sem, root, fuel)
-    # greatest fixpoint of the divergence rules: drop, again and again, every
-    # configuration with no demand edge into the survivors.  Unless a demand
-    # rejoined one met before, the edges form a tree and nothing survives.
-    live = dict.fromkeys(table if rejoined else (root,), 0)
-    for _, waiting in (table.values() if rejoined else ()):
+def _diverges(table: Table, config: Config) -> bool:
+    """Whether ``config`` reaches a cycle of pending demands in ``table``:
+    the greatest fixpoint of the divergence rules drops, again and again,
+    every configuration with no demand edge into the survivors.  Unless a
+    demand rejoined one met before, the edges form a tree and nothing
+    survives."""
+    if not table.rejoined:
+        return False
+    entries = table.entries
+    live = dict.fromkeys(entries, 0)
+    for _, waiting in entries.values():
         for c, _ in waiting:
             live[c] += 1
     drop = [c for c, n in live.items() if not n]
     while drop:
-        for c, _ in table[drop.pop()][1]:
+        for c, _ in entries[drop.pop()][1]:
             live[c] -= 1
             if not live[c]:
                 drop.append(c)
-    values = [Ok(r) for r in table[root][0]]
-    for mark, proved in ((INFINITY, live[root]), (dead_end, dead), (TIMEOUT, spent)):
-        if proved:
-            values.append(mark)
-    return frozenset(values)
+    return bool(live[config])
+
+
+def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: Mark):
+    """The results of ``root`` read off its ``_table``: ``Ok(r)`` for each
+    result, ``INFINITY`` if ``root`` diverges (``_diverges``), ``dead_end``
+    if a dead end was met, and ``TIMEOUT`` if the budget ran out with
+    queries left, besides what the partial table proves.
+    """
+    t = _table(sem, root, fuel)
+    proved = {INFINITY: _diverges(t, root), dead_end: t.dead_ends, TIMEOUT: t.spent}
+    return frozenset([Ok(r) for r in t.entries[root][0]] + [m for m, p in proved.items() if p])
 
 
 def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
@@ -478,7 +478,7 @@ def divergence_certificate_check(sem: LanguageSemantics,
         return CertificateCheck(False, "empty witness")
     demands = [(*e, nxt[0]) for e, nxt in zip(witness, witness[1:] + witness[:1])]
     missing = set(demands)
-    _, _, _, spent = _table(sem, witness[0][0], fuel, missing)
+    spent = _table(sem, witness[0][0], fuel, missing).spent
     for k, d in enumerate(demands):
         if d in missing:
             why = f"the budget of {fuel} queries ran out" if spent else "the table closed"

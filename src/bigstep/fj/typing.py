@@ -8,6 +8,7 @@ of the required type.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import Dict, FrozenSet, Tuple
 
@@ -168,10 +169,16 @@ def _uses_assignment(e: FJExpr) -> bool:
     return False
 
 
+def _repeated(names) -> list:
+    """Each name that occurs more than once, in order of first occurrence."""
+    return [n for n, k in Counter(names).items() if k > 1]
+
+
 def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
     """Well-formedness failures; empty means the table is good.
 
-    Checks: acyclic and fully declared hierarchy, fields inherited with no
+    Checks: each type declared once and each field of a class declared
+    once, acyclic and fully declared hierarchy, fields inherited with no
     hiding, methods inherited with invariant overriding and no
     overloading, interface obligations implemented, and every method body
     well-typed against its signature.  Bodies are checked with the
@@ -179,7 +186,8 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
     """
     imperative = any(_uses_assignment(m.body)
                      for c in ct.classes for m in c.methods)
-    problems = []
+    problems = [f"{n}: declared more than once"
+                for n in _repeated(d.name for d in ct.classes + ct.interfaces)]
     names = set(ct.all_types())
     for c in ct.classes:
         parents = ([c.superclass] if c.superclass else []) + list(c.interfaces)
@@ -191,6 +199,8 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
         for ftype, fname in c.fields:
             if ftype not in names:
                 problems.append(f"{c.name}.{fname}: undeclared type {ftype}")
+        problems += [f"{c.name}.{f}: duplicate field"
+                     for f in _repeated(fname for _, fname in c.fields)]
         seen_methods = set()
         for m in c.methods:
             if m.name in seen_methods:
@@ -208,6 +218,8 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
                 problems.append(f"{i.name}: undeclared supertype {p}")
             elif i.name in ct.supertypes(p):
                 problems.append(f"{i.name}: cyclic hierarchy through {p}")
+        problems += [f"{i.name}.{m}: method overloading"
+                     for m in _repeated(mname for mname, _, _ in i.methods)]
         for mname, ptypes, ret in i.methods:
             for t in ptypes + (ret,):
                 if t not in names:

@@ -43,26 +43,11 @@ from .oracle import (
     checked_advance,
     checked_start,
 )
+from .util import Mark
 
 
-class _UnknownType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "?"
-
-
-UNKNOWN = _UnknownType()
-
-
-class _StartTag:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "start"
-
-
-START = _StartTag()
+UNKNOWN = Mark("?")
+START = Mark("start")
 
 
 class PartialEvalTree:
@@ -78,7 +63,7 @@ class PartialEvalTree:
     __slots__ = ("config", "res", "tag", "children")
 
     def __init__(self, config: Config, res: ResultVal,
-                 tag: Union[_StartTag, Activation, str],
+                 tag: Union[Mark, Activation, str],
                  children: Tuple["PartialEvalTree", ...]):
         self.config = config
         self.res = res
@@ -155,9 +140,8 @@ class PartialEvalTree:
         out, opened = [], 0
         for path, t in self.walk():
             depth = len(path) - 1
-            res = "?" if t.res is UNKNOWN else repr(t.res)
             out.append(f"{']>' * (opened - depth)}{' ' if path[-1] else ''}"
-                       f"<{t.config!r} => {res}{' [' if t.children else '>'}")
+                       f"<{t.config!r} => {t.res!r}{' [' if t.children else '>'}")
             opened = depth + bool(t.children)
         out.append("]>" * opened)
         return "".join(out)
@@ -205,7 +189,7 @@ class _Frame:
 
     __slots__ = ("config", "tag", "children", "chash", "shadow")
 
-    def __init__(self, config: Config, tag: Union[_StartTag, Activation],
+    def __init__(self, config: Config, tag: Union[Mark, Activation],
                  children: Tuple[PartialEvalTree, ...]):
         self.config = config
         self.tag = tag

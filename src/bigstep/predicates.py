@@ -2,7 +2,7 @@
 
 A predicate over configurations and results, indexed by an opaque index
 set (typically types), is audited against a semantics on the result
-table of each configuration (``extensions._table``, with its dead ends):
+table of each configuration, the named record ``extensions._table`` builds:
 
 * preservation - each configuration with a result satisfies the
   predicate and each root result every index of the root;
@@ -11,12 +11,12 @@ table of each configuration (``extensions._table``, with its dead ends):
   rule accepts can-continue;
 * soundness-must - no predicate-satisfying configuration meets a dead end;
 * soundness-may - every predicate-satisfying configuration has a result or
-  diverges, by exhaustive ``eval_div``.
+  diverges (``extensions._diverges``, the table's one divergence fixpoint).
 
 Unlike the stepper, a table finds the results that flow back through a
 cycle.  ``fuel`` bounds each table's oracle queries; a member whose table
-spends them is inconclusive.  A pass is evidence, not a proof; a fail is
-a counterexample pinpointing the rule instance and clause.
+``spent`` them is inconclusive.  A pass is evidence, not a proof; a fail
+is a counterexample pinpointing the rule instance and clause.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, FrozenSet, List, Mapping, Optional
 
-from .extensions import NO_JUDGMENT, TIMEOUT, _table, eval_div
+from .extensions import _diverges, _table
 from .oracle import Config, LanguageSemantics, ResultVal
 # no audit runs the stepper; perfbench/engine.py's tracer patches this binding
 from .pet import StuckInfo, StuckKind, run_exhaustive  # noqa: F401
@@ -104,9 +104,9 @@ def _preservation_violation(pred: IndexedPredicate, config: Config,
 def audit_preservation(sem: LanguageSemantics, pred: IndexedPredicate,
                        config: Config, fuel: int) -> AuditOutcome:
     """The first preservation violation of the result table of ``config``."""
-    table, _, _, spent = _table(sem, config, fuel)
-    violation = _preservation_violation(pred, config, table)
-    return AuditOutcome(violation is None, violation, violation is None and spent)
+    t = _table(sem, config, fuel)
+    violation = _preservation_violation(pred, config, t.entries)
+    return AuditOutcome(violation is None, violation, violation is None and t.spent)
 
 
 def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
@@ -124,12 +124,12 @@ def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
 def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
                    config: Config, fuel: int) -> AuditOutcome:
     """No dead end of the result table satisfies the predicate."""
-    _, dead_ends, _, spent = _table(sem, config, fuel)
-    for info in dead_ends:
+    t = _table(sem, config, fuel)
+    for info in t.dead_ends:
         violation = _stuck_violation(pred, info)
         if violation.condition is not Condition.PRESERVATION:
             return AuditOutcome(False, violation)
-    return AuditOutcome(True, inconclusive=spent)
+    return AuditOutcome(True, inconclusive=t.spent)
 
 
 def _members(pred: IndexedPredicate, corpus, report):
@@ -149,27 +149,28 @@ def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
     # each configuration is typed once per call, whichever member reaches it
     pred = IndexedPredicate(functools.cache(pred.indices_of_config), pred.holds_result)
     for config in _members(pred, corpus, report):
-        table, dead_ends, _, spent = _table(sem, config, fuel)
-        results = table[config][0]
-        report.stats += Counter(converged=len(results), stuck=len(dead_ends), timeout=int(spent))
-        report.violations += [_stuck_violation(pred, info) for info in dead_ends]
-        violation = _preservation_violation(pred, config, table)
+        t = _table(sem, config, fuel)
+        report.stats += Counter(converged=len(t.entries[config][0]), stuck=len(t.dead_ends),
+                                timeout=int(t.spent))
+        report.violations += [_stuck_violation(pred, info) for info in t.dead_ends]
+        violation = _preservation_violation(pred, config, t.entries)
         if violation is not None:
             report.violations.append(violation)
-        if spent:
+        if t.spent:
             report.inconclusive.append(config)
     return report
 
 
 def soundness_may_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                         corpus, fuel: int) -> AuditReport:
-    """Every corpus member has a result or diverges, by exhaustive ``eval_div``."""
+    """Every corpus member has a result or diverges (``_diverges``) in its
+    table; else a table that spent its budget leaves it inconclusive."""
     report = AuditReport()
     for config in _members(pred, corpus, report):
-        values = eval_div(sem, config, fuel, exhaustive=True)
-        if values - {NO_JUDGMENT, TIMEOUT}:
+        t = _table(sem, config, fuel)
+        if t.entries[config][0] or _diverges(t, config):
             report.stats["progressing"] += 1
-        elif TIMEOUT in values:
+        elif t.spent:
             report.stats["timeout"] += 1
             report.inconclusive.append(config)
         else:

@@ -1,8 +1,9 @@
 """Small immutable helpers: ``FrozenMap``, the variable environments of
-functional FJ, and structural deduplication."""
+functional FJ; ``Mark``, the engine's printable sentinels; and structural
+deduplication."""
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Tuple
+from typing import Any, Iterable, Iterator, Optional, Tuple
 
 
 class FrozenMap:
@@ -58,6 +59,19 @@ class FrozenMap:
 
 
 EMPTY_MAP = FrozenMap()
+
+
+class Mark:
+    """A sentinel compared by identity and printed as its name."""
+
+    __slots__ = ("_name", "rule")
+
+    def __init__(self, name: str, rule: Optional[str] = None):
+        self._name = name
+        self.rule = rule or name  # prefix of the rules that conclude this mark
+
+    def __repr__(self):
+        return self._name
 
 
 def dedup(items: Iterable[Any]) -> tuple:

@@ -179,6 +179,21 @@ def test_bad_corules_goal_is_a_usage_error(capsys):
     assert err.startswith("bad goal 'garbage': ") and err.count("\n") == 1
 
 
+def test_malformed_corules_period_is_a_usage_error(capsys):
+    # the period's ')' right before '*', one ':' after the prefix, no empty item
+    for goal in ("1:(2*=2", "1(2)*=2", "1::(2)*=2", "(1:2*=2", "(1:2))*=2",
+                 "()*=2", "1:2nil=2", "1:2:=2"):
+        code, docs, err = run_cli(capsys, "corules", "--goal", goal)
+        assert code == 1 and docs == [], goal
+        assert err.startswith(f"bad goal {goal!r}: ") and err.count("\n") == 1
+    for good, shown in (("(1:2)*=2", "maxElem((1:2)*, 2)"),
+                        ("1:2:nil=2", "maxElem(1:2:nil, 2)"),
+                        ("1:2:(1:2)*=2", "maxElem((1:2)*, 2)"),
+                        ("nil=0", "maxElem(nil, 0)")):
+        code, docs, _ = run_cli(capsys, "corules", "--goal", good)
+        assert code in (0, 2) and docs[0]["goal"] == shown
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     deep = "succ (" * 150 + "0" + ")" * 150
     proc = subprocess.Popen(

@@ -1,6 +1,7 @@
 """Functional FJ variant: table well-formedness, typing and evaluation."""
 import pytest
 
+from bigstep import cli
 from bigstep.extensions import divergence_certificate_check, eval_total, WRONG
 from bigstep.fj import (
     ClassDecl,
@@ -74,6 +75,30 @@ def test_wf_rejects_illtyped_body():
         ClassDecl("A", methods=(MethodDef("m", (), "A", Var("nope")),)),
     ))
     assert any(p.startswith("MB") for p in class_table_wf(table))
+
+
+DUPLICATES = [
+    ("class A { } class A { A f; }", "A: declared more than once"),
+    ("class A { } class C { A f; A f; }", "C.f: duplicate field"),
+    ("class A { } interface I { A m(); A m(A x); }", "I.m: method overloading"),
+    ("class A { } interface A { }", "A: declared more than once"),
+]
+
+
+@pytest.mark.parametrize("source, problem", DUPLICATES)
+def test_wf_rejects_duplicate_declarations(source, problem, capsys):
+    assert class_table_wf(parse_class_table(source)) == (problem,)
+    for argv in (["typecheck", "new A()"], ["eval", "new A()"]):
+        assert cli.main([argv[0], "--lang", "fj", "--table", source, argv[1]]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"class table: {problem}\n")
+
+
+def test_duplicate_field_is_not_evaluated(capsys):
+    source = "class A { } class C { A f; A f; }"
+    assert cli.main(["eval", "--lang", "fj", "--table", source,
+                     "new C(new A(), new A()).f"]) == 1
+    assert capsys.readouterr().err == "class table: C.f: duplicate field\n"
 
 
 def test_typing_goldens():

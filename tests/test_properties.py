@@ -1,9 +1,13 @@
 """Property tests on random closed lambda terms deeper than the corpus,
 and on random inference systems larger than brute force can check."""
+from collections import Counter
+from itertools import product
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bigstep.extensions import InfTrace, divergence_certificate_check, evaluate
+from bigstep.extensions import (InfTrace, _diverges, _table, divergence_certificate_check,
+                                evaluate)
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, Memory, ObjState, memory_sigma,
                         memory_well_typed)
 from bigstep.fj.typing import sigma_extends
@@ -37,6 +41,7 @@ from bigstep.pet import (
     run_exhaustive,
     step,
 )
+from bigstep.predicates import Condition, IndexedPredicate, Violation, soundness_may_audit
 from bigstep.rational import RationalList
 
 SEMS = [lambda_semantics(s) for s in STRATEGIES]
@@ -102,6 +107,55 @@ def test_random_terms_certificates_and_results(e):
                 assert o.certificate == _path_scan(o.tree)
             elif isinstance(o, Converged) and expected is not None:
                 assert o.result in expected
+
+
+def _reaches_cycle(entries, root):
+    """Whether a depth-first search from ``root`` along the demand edges
+    ``c -> p``, one per pair ``(c, _)`` pending on ``p``, meets a
+    configuration still on its stack."""
+    demands = {}
+    for p, (_, waiting) in entries.items():
+        for c, _ in waiting:
+            demands.setdefault(c, []).append(p)
+    on_stack, done = {root}, set()
+    stack = [(root, iter(demands.get(root, ())))]
+    while stack:
+        c, edges = stack[-1]
+        for p in edges:
+            if p in on_stack:
+                return True
+            if p not in done:
+                on_stack.add(p)
+                stack.append((p, iter(demands.get(p, ()))))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(c)
+            done.add(c)
+    return False
+
+
+EVERYTHING = IndexedPredicate(lambda c: frozenset({"any"}), lambda r, i: True)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms())
+def test_divergence_fixpoint_and_may_audit_equal_a_cycle_search(e):
+    # at fuel 10 many tables spend their budget, so every verdict occurs
+    for sem, fuel in product(SEMS, (FUEL, 10)):
+        t = _table(sem, e, fuel)
+        diverges = _reaches_cycle(t.entries, e)
+        assert _diverges(t, e) == diverges
+        if t.entries[e][0] or diverges:
+            verdict, violations = "progressing", []
+        elif t.spent:
+            verdict, violations = "timeout", []
+        else:
+            verdict, violations = "all-stuck", [Violation(Condition.MAY_PROGRESS, e)]
+        report = soundness_may_audit(sem, EVERYTHING, [e], fuel)
+        assert report.stats == Counter({"configs": 1, verdict: 1})
+        assert report.violations == violations
 
 
 def _step_exhaustive(sem, e, fuel):

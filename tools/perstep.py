@@ -1,5 +1,6 @@
 """Per-step cost of the stepper as terms get deeper, one exhaustive run,
-and the corule fixpoints as the universe grows.
+the two soundness audits on a corpus, and the corule fixpoints as the
+universe grows.
 
     PYTHONPATH=src python3 tools/perstep.py
 
@@ -8,7 +9,10 @@ at n = 60, 300, 3,000 and 10,000; at n = 60 and 300 also the
 milliseconds that ``value_doc`` takes to render the trace document of
 ``eval_trace`` (the render layer); the seconds that ``run_exhaustive``
 takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
-in the benchmark's ``sweep``); the seconds that ``reachable_universe``
+in the benchmark's ``sweep``); the seconds that ``soundness_must_audit``
+and ``soundness_may_audit`` take on the typed depth-3 lambda corpus
+(``typed_corpus(3)``, 974 members) at fuel 100, each of which must pass
+with no inconclusive member; the seconds that ``reachable_universe``
 and then ``interp_corules`` take on the maxElem goal
 ``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose universes hold
 2,500, 10,000, 40,000 and 90,000 judgments, each also in microseconds
@@ -27,9 +31,11 @@ import time
 from bigstep.extensions import FinTrace, eval_trace
 from bigstep.inference import UniverseOverflow, interp_corules, reachable_universe
 from bigstep.lam import lambda_semantics
+from bigstep.lam.corpus import lambda_type_predicate, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Succ
 from bigstep.maxelem import MaxElem, maxelem_gis
 from bigstep.pet import Converged, OutOfFuel, run_exhaustive, run_first
+from bigstep.predicates import soundness_may_audit, soundness_must_audit
 from bigstep.rational import periodic
 from bigstep.serialize import value_doc
 
@@ -91,6 +97,13 @@ def main() -> None:
     assert not any(isinstance(o, OutOfFuel) for o in outs)
     secs = median_seconds(lambda: run_exhaustive(sem, e, 100))
     print(f"run_exhaustive  {'e_9':<15} {secs:8.3f} s")
+    corpus, pred = typed_corpus(3), lambda_type_predicate()
+    for name, audit in (("must", soundness_must_audit), ("may", soundness_may_audit)):
+        report = audit(sem, pred, corpus, 100)
+        assert report.passed and not report.inconclusive, report
+        secs = median_seconds(lambda: audit(sem, pred, corpus, 100))
+        print(f"{name + ' audit':<15} {'typed depth 3':<15} {secs:8.3f} s,"
+              f" {len(corpus)} members")
     gis = maxelem_gis()
     for n in (50, 100, 200, 300):
         universe = reachable_universe(gis.combined(), {maxelem_goal(n)}, n * n)
