@@ -303,7 +303,8 @@ def main(argv=None) -> int:
 
     soundness = p = sub.add_parser("soundness", help="run a soundness audit")
     _add_common(p)
-    p.add_argument("--fuel", type=int, default=fuel_default, help="oracle queries per member")
+    p.add_argument("--fuel", type=int, default=fuel_default,
+                   help="oracle queries per member, pooled over the corpus")
     p.add_argument("--flavor", choices=("must", "may"), default="must")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--fixture", choices=("default", "dropped-succ", "fool"),

@@ -24,9 +24,9 @@ stepper outcome with its extended value; its finite proof of divergence
 is a cyclic certificate.  Exhaustive ``eval_div`` and ``eval_total``, the
 certificate check and the audits read one record, ``Table(entries,
 dead_ends, rejoined, spent)``, of results over the base rules closed by
-a least fixpoint; ``_diverges`` is the greatest fixpoint of the
-divergence rules on its demand edges.  ``fuel`` bounds the table's
-queries in all, but the transitions of each branch of a stepper run.
+a least fixpoint from its roots, an audit's whole corpus; ``_diverges``
+is the greatest fixpoint of the divergence rules on its demand edges.
+``fuel`` bounds a table's queries in all, a stepper branch's transitions.
 """
 from __future__ import annotations
 
@@ -318,8 +318,8 @@ def _values(pairs, exhaustive: bool):
 Table = namedtuple("Table", "entries dead_ends rejoined spent")
 
 
-def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set] = None):
-    """A ``Table`` of results over the base rules, built forward from ``root``.
+def _table(sem: LanguageSemantics, roots, fuel: int, wanted: Optional[set] = None):
+    """A ``Table`` of results over the base rules, built forward from ``roots``.
 
     It asks ``start`` of every configuration met, and ``advance`` of every
     activation with every result its pending premise has so far, each
@@ -331,17 +331,17 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
     met, and the table stops once it is empty.  ``entries`` maps each
     configuration met to its results, ``{result: None}`` in discovery
     order, and the ``(conclusion, activation)`` pairs pending on it;
-    ``dead_ends`` lists the dead ends as the stepper attributes them
+    ``dead_ends`` holds each dead end once, as the stepper attributes it
     (``pet.dead_end``); ``rejoined`` says whether a demand rejoined a
-    configuration met before, and ``spent`` whether queries were left.
+    configuration met before, and ``spent`` holds those with queries left.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    entries = {root: ({}, [])}
+    entries = {root: ({}, []) for root in roots}
     # queries still to ask: (config, START, None) for ``start``, (conclusion,
     # activation, pending result) for ``advance``
-    todo = deque([(root, START, None)])
-    dead, rejoined = [], False
+    todo = deque([(root, START, None) for root in entries])
+    dead, rejoined = {}, False
     for _ in range(fuel):
         if not todo or wanted is not None and not wanted:
             break
@@ -349,7 +349,7 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
         answers = (checked_start(sem, config) if act is START
                    else checked_advance(sem, act, r))
         if not answers:
-            dead.append(dead_end(config, act, r))
+            dead[dead_end(config, act, r)] = None
         found, waiting = entries[config]
         for a in answers:
             if isinstance(a, COMPLETIONS):
@@ -369,17 +369,16 @@ def _table(sem: LanguageSemantics, root: Config, fuel: int, wanted: Optional[set
                 todo.extend([(config, w, res) for res in entry[0]])
             if wanted is not None:
                 wanted.discard((config, w.rule_family, w.index, p))
-    return Table(entries, dead, rejoined, bool(todo))
+    return Table(entries, dead, rejoined, {c for c, _, _ in todo})
 
 
-def _diverges(table: Table, config: Config) -> bool:
-    """Whether ``config`` reaches a cycle of pending demands in ``table``:
-    the greatest fixpoint of the divergence rules drops, again and again,
-    every configuration with no demand edge into the survivors.  Unless a
-    demand rejoined one met before, the edges form a tree and nothing
-    survives."""
+def _diverges(table: Table) -> set:
+    """The configurations of ``table`` that reach a cycle of demands: the
+    greatest fixpoint of the divergence rules drops, again and again, every
+    configuration with no demand edge into the survivors.  Unless a demand
+    rejoined one met before, the edges form a tree and nothing survives."""
     if not table.rejoined:
-        return False
+        return set()
     entries = table.entries
     live = dict.fromkeys(entries, 0)
     for _, waiting in entries.values():
@@ -391,7 +390,7 @@ def _diverges(table: Table, config: Config) -> bool:
             live[c] -= 1
             if not live[c]:
                 drop.append(c)
-    return bool(live[config])
+    return {c for c, n in live.items() if n}
 
 
 def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: Mark):
@@ -400,8 +399,8 @@ def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: Mark)
     if a dead end was met, and ``TIMEOUT`` if the budget ran out with
     queries left, besides what the partial table proves.
     """
-    t = _table(sem, root, fuel)
-    proved = {INFINITY: _diverges(t, root), dead_end: t.dead_ends, TIMEOUT: t.spent}
+    t = _table(sem, [root], fuel)
+    proved = {INFINITY: root in _diverges(t), dead_end: t.dead_ends, TIMEOUT: t.spent}
     return frozenset([Ok(r) for r in t.entries[root][0]] + [m for m, p in proved.items() if p])
 
 
@@ -478,7 +477,7 @@ def divergence_certificate_check(sem: LanguageSemantics,
         return CertificateCheck(False, "empty witness")
     demands = [(*e, nxt[0]) for e, nxt in zip(witness, witness[1:] + witness[:1])]
     missing = set(demands)
-    spent = _table(sem, witness[0][0], fuel, missing).spent
+    spent = _table(sem, [witness[0][0]], fuel, missing).spent
     for k, d in enumerate(demands):
         if d in missing:
             why = f"the budget of {fuel} queries ran out" if spent else "the table closed"

@@ -180,9 +180,11 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
     Checks: each type declared once and each field of a class declared
     once, acyclic and fully declared hierarchy, fields inherited with no
     hiding, methods inherited with invariant overriding and no
-    overloading, interface obligations implemented, and every method body
-    well-typed against its signature.  Bodies are checked with the
-    imperative rules when any of them assigns a field.
+    overloading (by classes and by interfaces, also through ``extends``),
+    method parameters distinct and none named ``this``, interface
+    obligations implemented, and every method body well-typed against
+    its signature.  Bodies are checked with the imperative rules when any
+    of them assigns a field.
     """
     imperative = any(_uses_assignment(m.body)
                      for c in ct.classes for m in c.methods)
@@ -206,6 +208,9 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
             if m.name in seen_methods:
                 problems.append(f"{c.name}.{m.name}: method overloading")
             seen_methods.add(m.name)
+            # ``this`` is every method's implicit first parameter
+            problems += [f"{c.name}.{m.name}: duplicate parameter {p}"
+                         for p in _repeated(["this"] + [pname for _, pname in m.params])]
             for ptype, _ in m.params:
                 if ptype not in names:
                     problems.append(f"{c.name}.{m.name}: undeclared type {ptype}")
@@ -227,6 +232,17 @@ def class_table_wf(ct: ClassTable) -> Tuple[str, ...]:
     if problems:
         return tuple(problems)
 
+    for i in ct.interfaces:
+        inherited = {}
+        for p in i.extends:
+            for mname, ptypes, ret in ct.interface_methods(p):
+                if inherited.setdefault(mname, (ptypes, ret)) != (ptypes, ret):
+                    problems.append(f"IM: {i.name}.{mname} inherits {p}.{mname}"
+                                    " with a different signature")
+        for mname, ptypes, ret in i.methods:
+            if inherited.get(mname, (ptypes, ret)) != (ptypes, ret):
+                problems.append(
+                    f"IM: {i.name}.{mname} overrides with a different signature")
     for c in ct.classes:
         if c.superclass:
             inherited = {fname for _, fname in ct.fields(c.superclass)}

@@ -1,8 +1,8 @@
 """Indexed predicates and operational soundness auditors.
 
 A predicate over configurations and results, indexed by an opaque index
-set (typically types), is audited against a semantics on the result
-table of each configuration, the named record ``extensions._table`` builds:
+set (typically types), is audited against a semantics on one result
+table, ``extensions._table``, seeded with a configuration or a corpus:
 
 * preservation - each configuration with a result satisfies the
   predicate and each root result every index of the root;
@@ -14,9 +14,9 @@ table of each configuration, the named record ``extensions._table`` builds:
   diverges (``extensions._diverges``, the table's one divergence fixpoint).
 
 Unlike the stepper, a table finds the results that flow back through a
-cycle.  ``fuel`` bounds each table's oracle queries; a member whose table
-``spent`` them is inconclusive.  A pass is evidence, not a proof; a fail
-is a counterexample pinpointing the rule instance and clause.
+cycle.  ``fuel`` bounds its oracle queries, per member and pooled over a
+corpus; a member that reaches a query left unasked is inconclusive.  A
+pass is evidence, not a proof; a fail pinpoints a rule instance and clause.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, FrozenSet, List, Mapping, Optional
 
-from .extensions import _diverges, _table
+from .extensions import Table, _diverges, _table
 from .oracle import Config, LanguageSemantics, ResultVal
 # no audit runs the stepper; perfbench/engine.py's tracer patches this binding
 from .pet import StuckInfo, StuckKind, run_exhaustive  # noqa: F401
@@ -89,24 +89,23 @@ class AuditReport:
         )
 
 
-def _preservation_violation(pred: IndexedPredicate, config: Config,
-                            table) -> Optional[Violation]:
-    """The first preservation violation of ``config``'s result table: an
-    entry with a result and no index, else a result of ``config`` that
-    one of its indices rejects.  Each entry with a result is typed once."""
-    indices = {c: pred.indices_of_config(c) for c, (found, _) in table.items() if found}
-    broken = [("node-config", c) for c, i in indices.items() if not i]
-    broken += [("root-result", i, r) for r in table[config][0] for i in indices[config]
-               if not pred.holds_result(r, i)]
-    return Violation(Condition.PRESERVATION, config, detail=broken[0]) if broken else None
+def _preservation(pred: IndexedPredicate, entries, members) -> List[Violation]:
+    """The preservation violations of a table's ``entries``: each entry with
+    a result and no index, then each member result that one of the
+    member's indices rejects.  Each entry with a result is typed once."""
+    indices = {c: pred.indices_of_config(c) for c, (found, _) in entries.items() if found}
+    broken = [(c, ("node-config", c)) for c, i in indices.items() if not i]
+    broken += [(m, ("root-result", i, r)) for m in members for r in entries[m][0]
+               for i in indices[m] if not pred.holds_result(r, i)]
+    return [Violation(Condition.PRESERVATION, c, detail=d) for c, d in broken]
 
 
 def audit_preservation(sem: LanguageSemantics, pred: IndexedPredicate,
                        config: Config, fuel: int) -> AuditOutcome:
     """The first preservation violation of the result table of ``config``."""
-    t = _table(sem, config, fuel)
-    violation = _preservation_violation(pred, config, t.entries)
-    return AuditOutcome(violation is None, violation, violation is None and t.spent)
+    t = _table(sem, [config], fuel)
+    violation = next(iter(_preservation(pred, t.entries, [config])), None)
+    return AuditOutcome(violation is None, violation, violation is None and bool(t.spent))
 
 
 def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
@@ -124,53 +123,55 @@ def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
 def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
                    config: Config, fuel: int) -> AuditOutcome:
     """No dead end of the result table satisfies the predicate."""
-    t = _table(sem, config, fuel)
+    t = _table(sem, [config], fuel)
     for info in t.dead_ends:
         violation = _stuck_violation(pred, info)
         if violation.condition is not Condition.PRESERVATION:
             return AuditOutcome(False, violation)
-    return AuditOutcome(True, inconclusive=t.spent)
+    return AuditOutcome(True, inconclusive=bool(t.spent))
 
 
-def _members(pred: IndexedPredicate, corpus, report):
-    """Each corpus member, counted in ``report``."""
+def _corpus_table(sem: LanguageSemantics, pred: IndexedPredicate, corpus, fuel: int):
+    """A report counting ``corpus``, one ``Table`` at ``fuel`` queries a member,
+    pooled, and the unsettled configurations, which reach ``spent`` by demands."""
+    report = AuditReport()
     for config in corpus:
         if not pred.satisfies(config):
             raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
         report.stats["configs"] += 1
-        yield config
+    t = _table(sem, corpus, fuel * len(corpus)) if corpus else Table({}, {}, False, set())
+    unsettled, todo = set(t.spent), t.spent
+    while todo:
+        todo = {c for p in todo for c, _ in t.entries[p][1]} - unsettled
+        unsettled |= todo
+    return report, t, unsettled
 
 
 def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                          corpus, fuel: int) -> AuditReport:
-    """Each dead end of a member's table is a violation, and so is the
-    table's first preservation violation."""
-    report = AuditReport()
+    """Each dead end of the corpus table is a violation, and so is each
+    preservation violation; an unsettled member is inconclusive."""
     # each configuration is typed once per call, whichever member reaches it
     pred = IndexedPredicate(functools.cache(pred.indices_of_config), pred.holds_result)
-    for config in _members(pred, corpus, report):
-        t = _table(sem, config, fuel)
-        report.stats += Counter(converged=len(t.entries[config][0]), stuck=len(t.dead_ends),
-                                timeout=int(t.spent))
-        report.violations += [_stuck_violation(pred, info) for info in t.dead_ends]
-        violation = _preservation_violation(pred, config, t.entries)
-        if violation is not None:
-            report.violations.append(violation)
-        if t.spent:
-            report.inconclusive.append(config)
+    report, t, unsettled = _corpus_table(sem, pred, corpus, fuel)
+    report.violations += [_stuck_violation(pred, info) for info in t.dead_ends]
+    report.violations += _preservation(pred, t.entries, corpus)
+    report.inconclusive += [c for c in corpus if c in unsettled]
+    report.stats += Counter(converged=sum(len(t.entries[c][0]) for c in corpus),
+                            stuck=len(t.dead_ends), timeout=len(report.inconclusive))
     return report
 
 
 def soundness_may_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                         corpus, fuel: int) -> AuditReport:
-    """Every corpus member has a result or diverges (``_diverges``) in its
-    table; else a table that spent its budget leaves it inconclusive."""
-    report = AuditReport()
-    for config in _members(pred, corpus, report):
-        t = _table(sem, config, fuel)
-        if t.entries[config][0] or _diverges(t, config):
+    """Every corpus member has a result or diverges (``_diverges``) in the
+    corpus table; else an unsettled member is inconclusive."""
+    report, t, unsettled = _corpus_table(sem, pred, corpus, fuel)
+    diverging = _diverges(t) if not all(t.entries[c][0] for c in corpus) else set()
+    for config in corpus:
+        if t.entries[config][0] or config in diverging:
             report.stats["progressing"] += 1
-        elif t.spent:
+        elif config in unsettled:
             report.stats["timeout"] += 1
             report.inconclusive.append(config)
         else:

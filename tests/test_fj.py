@@ -94,6 +94,48 @@ def test_wf_rejects_duplicate_declarations(source, problem, capsys):
         assert (out.out, out.err) == ("", f"class table: {problem}\n")
 
 
+# ``this`` is every method's implicit first parameter
+BAD_PARAMETERS = [
+    ("class A { A m(A x, A x) { return x; } }", "new A().m(new A(), new A())",
+     "A.m: duplicate parameter x"),
+    ("class A { A m(A this) { return this; } }", "new A().m(new A())",
+     "A.m: duplicate parameter this"),
+]
+
+
+@pytest.mark.parametrize("source, call, problem", BAD_PARAMETERS, ids=["repeated", "this"])
+@pytest.mark.parametrize("lang", ["fj", "impfj"])
+def test_wf_rejects_repeated_and_this_parameters(source, call, problem, lang, capsys):
+    assert class_table_wf(parse_class_table(source)) == (problem,)
+    for command in ("typecheck", "eval"):
+        assert cli.main([command, "--lang", lang, "--table", source, call]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"class table: {problem}\n")
+
+
+INTERFACE_OVERLOADING = [
+    ("class A { } interface I { A m(); } interface J extends I { A m(A x); }",
+     "IM: J.m overrides with a different signature"),
+    ("class A { } interface I { A m(); } interface J { A m(A x); }"
+     " interface K extends I, J { }",
+     "IM: K.m inherits J.m with a different signature"),
+]
+
+
+@pytest.mark.parametrize("source, problem", INTERFACE_OVERLOADING,
+                         ids=["override", "two-parents"])
+def test_wf_rejects_interface_overloading_through_extends(source, problem, capsys):
+    assert class_table_wf(parse_class_table(source)) == (problem,)
+    assert cli.main(["typecheck", "--lang", "fj", "--table", source, "new A()"]) == 1
+    assert capsys.readouterr().err == f"class table: {problem}\n"
+
+
+def test_wf_accepts_one_signature_inherited_twice():
+    source = ("class A { } interface I { A m(); } interface J extends I { A m(); }"
+              " interface K extends I, J { }")
+    assert class_table_wf(parse_class_table(source)) == ()
+
+
 def test_duplicate_field_is_not_evaluated(capsys):
     source = "class A { } class C { A f; A f; }"
     assert cli.main(["eval", "--lang", "fj", "--table", source,

@@ -41,7 +41,8 @@ from bigstep.pet import (
     run_exhaustive,
     step,
 )
-from bigstep.predicates import Condition, IndexedPredicate, Violation, soundness_may_audit
+from bigstep.predicates import (AuditReport, Condition, IndexedPredicate, Violation,
+                                _stuck_violation, soundness_may_audit, soundness_must_audit)
 from bigstep.rational import RationalList
 
 SEMS = [lambda_semantics(s) for s in STRATEGIES]
@@ -144,9 +145,9 @@ EVERYTHING = IndexedPredicate(lambda c: frozenset({"any"}), lambda r, i: True)
 def test_divergence_fixpoint_and_may_audit_equal_a_cycle_search(e):
     # at fuel 10 many tables spend their budget, so every verdict occurs
     for sem, fuel in product(SEMS, (FUEL, 10)):
-        t = _table(sem, e, fuel)
+        t = _table(sem, [e], fuel)
         diverges = _reaches_cycle(t.entries, e)
-        assert _diverges(t, e) == diverges
+        assert (e in _diverges(t)) == diverges
         if t.entries[e][0] or diverges:
             verdict, violations = "progressing", []
         elif t.spent:
@@ -156,6 +157,59 @@ def test_divergence_fixpoint_and_may_audit_equal_a_cycle_search(e):
         report = soundness_may_audit(sem, EVERYTHING, [e], fuel)
         assert report.stats == Counter({"configs": 1, verdict: 1})
         assert report.violations == violations
+
+
+def _per_member_audits(sem, corpus, fuel):
+    """The must and may audits of ``EVERYTHING`` as loops over one table of
+    ``fuel`` queries per member, and whether each member's table closed."""
+    must, may, closed = AuditReport(), AuditReport(), True
+    for e in corpus:
+        t = _table(sem, [e], fuel)
+        closed = closed and not t.spent
+        must.stats["configs"] += 1
+        must.stats += Counter(converged=len(t.entries[e][0]), stuck=len(t.dead_ends),
+                              timeout=int(bool(t.spent)))
+        must.violations += [_stuck_violation(EVERYTHING, info) for info in t.dead_ends]
+        if t.spent:
+            must.inconclusive.append(e)
+        may.stats["configs"] += 1
+        if t.entries[e][0] or e in _diverges(t):
+            may.stats["progressing"] += 1
+        elif t.spent:
+            may.stats["timeout"] += 1
+            may.inconclusive.append(e)
+        else:
+            may.stats["all-stuck"] += 1
+            may.violations.append(Violation(Condition.MAY_PROGRESS, e))
+    return must, may, closed
+
+
+def _may_verdicts(report, corpus):
+    stuck = {v.config for v in report.violations}
+    return [("all-stuck" if e in stuck else "timeout" if e in report.inconclusive
+             else "progressing") for e in corpus]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(closed_terms(), min_size=1, max_size=5))
+def test_corpus_table_agrees_with_one_table_per_member(corpus):
+    # wherever each member's own table closes, so does the corpus table,
+    # and the verdicts agree; elsewhere either report may settle members
+    # the other leaves inconclusive, but never with opposite verdicts
+    for sem, fuel in product(SEMS, (FUEL, 10)):
+        ref_must, ref_may, closed = _per_member_audits(sem, corpus, fuel)
+        must = soundness_must_audit(sem, EVERYTHING, corpus, fuel)
+        may = soundness_may_audit(sem, EVERYTHING, corpus, fuel)
+        verdicts, ref_verdicts = _may_verdicts(may, corpus), _may_verdicts(ref_may, corpus)
+        if closed:
+            assert verdicts == ref_verdicts
+            assert not must.inconclusive and not may.inconclusive
+            assert set(must.violations) == set(ref_must.violations)
+            assert must.stats["converged"] == ref_must.stats["converged"]
+        else:
+            assert all({v, ref} != {"progressing", "all-stuck"}
+                       for v, ref in zip(verdicts, ref_verdicts))
 
 
 def _step_exhaustive(sem, e, fuel):

@@ -23,6 +23,7 @@ from bigstep.oracle import Activation, Axiom, Finished, FirstPremise, LanguageSe
 from bigstep.pet import Converged, Diverges, OutOfFuel, PartialEvalTree, run_exhaustive
 from bigstep.predicates import (
     AuditOutcome,
+    AuditReport,
     Condition,
     IndexedPredicate,
     Violation,
@@ -189,18 +190,21 @@ def _reference_preservation(sem, pred, config, fuel):
         any(isinstance(o, OutOfFuel) for o in outcomes)
 
 
-def _plain_preservation_violation(pred, config, table):
-    """The table's preservation check as a plain loop: the root is typed
+def _plain_preservation(pred, entries, members):
+    """The table's preservation check as a plain loop: each member is typed
     again for each of its results."""
-    for c, (found, _) in table.items():
+    violations = []
+    for c, (found, _) in entries.items():
         if found and not pred.satisfies(c):
-            return Violation(Condition.PRESERVATION, config, detail=("node-config", c))
-    for r in table[config][0]:
-        for index in pred.indices_of_config(config):
-            if not pred.holds_result(r, index):
-                return Violation(Condition.PRESERVATION, config,
-                                 detail=("root-result", index, r))
-    return None
+            violations.append(Violation(Condition.PRESERVATION, c,
+                                        detail=("node-config", c)))
+    for config in members:
+        for r in entries[config][0]:
+            for index in pred.indices_of_config(config):
+                if not pred.holds_result(r, index):
+                    violations.append(Violation(Condition.PRESERVATION, config,
+                                                detail=("root-result", index, r)))
+    return violations
 
 
 def _picky(pred):
@@ -232,10 +236,15 @@ def test_preservation_reports_equal_the_reference(monkeypatch):
         assert [(o.passed, o.inconclusive) for o in single] == \
             [_reference_preservation(sem, pred, c, fuel) for c in corpus]
         report = soundness_must_audit(sem, pred, corpus, fuel)
-        assert [v for v in report.violations if not _dead_end_violation(v)] == \
-            [o.violation for o in single if o.violation is not None]
+        # the corpus table reports each violating entry once, and every
+        # violation of each member's own table
+        found = [v for v in report.violations if not _dead_end_violation(v)]
+        own = [_plain_preservation(pred, _table(sem, [c], fuel).entries, [c])
+               for c in corpus]
+        assert len(found) == len(set(found)) and set(found) == {v for vs in own for v in vs}
+        assert [o.violation for o in single] == [next(iter(vs), None) for vs in own]
         with monkeypatch.context() as m:
-            m.setattr(predicates, "_preservation_violation", _plain_preservation_violation)
+            m.setattr(predicates, "_preservation", _plain_preservation)
             assert report == soundness_must_audit(sem, pred, corpus, fuel)
     picky_report = soundness_must_audit(*audit_sets()[1])
     details = {v.detail[0] for v in picky_report.violations}
@@ -257,7 +266,7 @@ def test_preservation_asks_each_configuration_once(monkeypatch):
             counted = IndexedPredicate(indices, pred.holds_result)
             audit_preservation(sem, counted, config, fuel)
             assert max(asked.values(), default=0) <= 1, config
-            repeated += len(_table(sem, config, fuel)[0][config][0]) > 1
+            repeated += len(_table(sem, [config], fuel)[0][config][0]) > 1
     assert repeated > 0  # members with several results, each checked at the root
 
 
@@ -309,11 +318,11 @@ def test_soundness_command_prints_what_the_reference_prints(argv, capsys, monkey
     new = run()
     checked = Counter()
 
-    def plain(pred, config, table):
-        checked[config] += 1
-        return _plain_preservation_violation(pred, config, table)
+    def plain(pred, entries, members):
+        checked.update(members)
+        return _plain_preservation(pred, entries, members)
 
-    monkeypatch.setattr(predicates, "_preservation_violation", plain)
+    monkeypatch.setattr(predicates, "_preservation", plain)
     assert new == run()
     assert bool(checked) == ("must" in argv)  # only the must audit checks preservation
 
@@ -410,3 +419,25 @@ def test_audits_of_results_that_flow_back_without_end():
     assert must.passed and must.inconclusive == [mm]
     may = soundness_may_audit(SEM, PRED, [mm], 120)
     assert may.passed and not may.inconclusive
+
+
+@pytest.mark.parametrize("audit", [soundness_must_audit, soundness_may_audit])
+def test_corpus_table_settles_every_typed_member_at_fuel_5(audit):
+    # one table of 5 queries per member left 729 must and 593 may members
+    # of this corpus inconclusive; the pooled table closes on all of them
+    report = audit(SEM, PRED, typed_corpus(3), 5)
+    assert report.passed and not report.inconclusive
+
+
+def test_must_audit_settles_omega_beside_a_choice_that_reaches_it():
+    report = soundness_must_audit(SEM, PRED, [OMEGA, Choice(Nat(0), OMEGA)], 5)
+    assert report.passed and not report.inconclusive
+    assert report.stats == Counter(configs=2, converged=1)
+
+
+@pytest.mark.parametrize("audit", [soundness_must_audit, soundness_may_audit])
+def test_empty_corpus_gives_an_empty_passing_report(audit, monkeypatch):
+    # the pooled budget is 0 queries, so no table may be built
+    monkeypatch.setattr(predicates, "_table", lambda *args: pytest.fail("built a table"))
+    report = audit(SEM, PRED, [], 50)
+    assert report.passed and report == AuditReport() and list(report.stats) == []

@@ -220,7 +220,7 @@ def _scan_check(sem, cert, fuel):
     witness = cert.witness
     if not witness:
         return CertificateCheck(False, "empty witness")
-    table, _, _, spent = ext._table(sem, witness[0][0], fuel)
+    table, _, _, spent = ext._table(sem, [witness[0][0]], fuel)
     for k, (cfg, family, idx) in enumerate(witness):
         nxt_cfg = witness[(k + 1) % len(witness)][0]
         waiting = table[nxt_cfg][1] if nxt_cfg in table else ()
@@ -238,7 +238,7 @@ def _scan_check(sem, cert, fuel):
                 min_size=1, max_size=4))
 def test_pending_lists_give_the_callers_loop_and_the_scan(rules, fuel, drawn):
     sem = IntRules(rules)
-    table, _, rejoined, _ = ext._table(sem, 0, fuel)
+    table, _, rejoined, _ = ext._table(sem, [0], fuel)
     assert (INFINITY in ext.eval_div(sem, 0, fuel, exhaustive=True)) == \
         _callers_loop(table, 0, rejoined)
     certs = [o.certificate for o in run_exhaustive(sem, 0, 30) if isinstance(o, Diverges)]

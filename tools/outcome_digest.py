@@ -92,8 +92,10 @@ timed-out members are covered too, on ``OMEGA`` and ``0 (+) OMEGA`` at
 fuel 3, 5 and 50 and on ``M M`` at fuel 120, whose results flow back
 through a cycle so that its table never closes; and the ``repr`` of
 ``audit_progress`` and ``audit_preservation`` on every seventh member of
-each of those corpora.  Every audit reads one result table per member,
-so its ``fuel`` is oracle queries per member.
+each of those corpora.  A corpus audit reads one result table seeded
+with every member, so its ``fuel`` is oracle queries per member, pooled
+over the corpus; a single-configuration audit reads that
+configuration's table.
 
 The order of exhaustive outcomes can follow set iteration order, so the
 script re-executes itself under ``PYTHONHASHSEED=0``.

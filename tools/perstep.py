@@ -12,9 +12,12 @@ takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
 in the benchmark's ``sweep``); the seconds that ``soundness_must_audit``
 and ``soundness_may_audit`` take on the typed depth-3 lambda corpus
 (``typed_corpus(3)``, 974 members) at fuel 100, each of which must pass
-with no inconclusive member; the seconds that ``reachable_universe``
-and then ``interp_corules`` take on the maxElem goal
-``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose universes hold
+with no inconclusive member, and how many members each leaves
+inconclusive at fuel 5 (none: the corpus shares one table of 5 queries
+per member, while tables of 5 queries for each member alone would leave
+729 and 593); the seconds that ``reachable_universe`` and then
+``interp_corules`` take on the maxElem goal ``(0:1:...:n-1)*=n-1`` at
+n = 50, 100, 200 and 300, whose universes hold
 2,500, 10,000, 40,000 and 90,000 judgments, each also in microseconds
 per judgment; and the seconds that ``reachable_universe`` takes
 to pass the cap of 1000 on ``(1000000)*=1000000``, as ``bsm corules``
@@ -102,8 +105,9 @@ def main() -> None:
         report = audit(sem, pred, corpus, 100)
         assert report.passed and not report.inconclusive, report
         secs = median_seconds(lambda: audit(sem, pred, corpus, 100))
+        left = len(audit(sem, pred, corpus, 5).inconclusive)
         print(f"{name + ' audit':<15} {'typed depth 3':<15} {secs:8.3f} s,"
-              f" {len(corpus)} members")
+              f" {len(corpus)} members, {left} inconclusive at fuel 5")
     gis = maxelem_gis()
     for n in (50, 100, 200, 300):
         universe = reachable_universe(gis.combined(), {maxelem_goal(n)}, n * n)
