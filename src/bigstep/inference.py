@@ -5,24 +5,35 @@ query: given a judgment, stream the finite premise sets of all rules
 concluding it.  The stream is finite and read once, and the same premise
 set may come more than once: a repeated set is the same rule twice, which
 changes no fixpoint (see ``InferenceSystem``).  So ``union`` chains two
-streams and a query need not build a set of its answers.  All fixpoints
-are computed on an explicitly materialised finite universe of judgments;
-infinite client systems are handled by closing a goal set under premises
-up to a hard cap, which ``reachable_universe`` checks as each premise is
-drawn.
+streams, and records the base systems it chains as its ``parts``.
 
-Both fixpoints query the rules of each universe judgment once and then
-run a worklist over a reverse index from premises to the rules waiting on
-them, in the style of Dowling and Gallier's linear-time Horn-SAT: each
-costs O(|U| + R + P) set operations for R rules with P premises in all.
-``interp_corules`` runs the greatest fixpoint of the rules over the least
-fixpoint of rules and corules, and ``bounded_coinduction_check`` runs the
-least fixpoint plus one query per judgment of the candidate set.
+All fixpoints are computed on a finite universe of judgments, a
+``Universe``: a frozenset that numbers its judgments and keeps, for each
+base system it has queried, that system's rules as integer tables.  Each
+system is queried at most once per judgment of a universe, by one loop
+that draws every premise set: ``reachable_universe`` closes a goal set
+under premises with it, up to a hard cap that it checks as each premise
+is drawn, and records the tables of every part of its system on the way;
+a fixpoint given a plain set numbers it first, and a fixpoint asked about
+a system the universe has not queried yet draws that system's tables
+then.  The tables belong to the universe and die with it.
+
+The fixpoints run worklists over those tables, in the style of Dowling
+and Gallier's linear-time Horn-SAT: each rule counts its premises (least
+fixpoint) or each judgment its live rules (greatest fixpoint), and the
+rules waiting on a judgment are one slice of a flat array, so each costs
+O(|U| + R + P) for R rules with P premises in all.  ``interp_corules``
+runs the greatest fixpoint of the rules inside the least fixpoint of
+rules and corules on one pair of tables, and ``bounded_coinduction_check``
+reads its consistency clause off the live-rule counts that the greatest
+fixpoint starts from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from array import array
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress
+from operator import gt, not_
 from typing import AbstractSet, Any, Callable, FrozenSet, Iterable, Optional
 
 Judgment = Any  # opaque, hashable, structurally comparable
@@ -48,13 +59,23 @@ class InferenceSystem:
     copies of a rule fire together (least fixpoint), die together
     (greatest fixpoint, where both wait on the same premises) and close
     the universe under the same premises.
+
+    A union keeps the base systems it chains in ``unites``; a universe
+    queries and tables each of them on its own.
     """
 
     premise_candidates: Callable[[Judgment], Iterable[AbstractSet[Judgment]]]
+    unites: tuple = field(default=(), repr=False)
+
+    @property
+    def parts(self) -> tuple:
+        """The base systems whose rules this system's rules are."""
+        return self.unites or (self,)
 
     def union(self, other: "InferenceSystem") -> "InferenceSystem":
         mine, theirs = self.premise_candidates, other.premise_candidates
-        return InferenceSystem(lambda j: chain(mine(j), theirs(j)))
+        return InferenceSystem(lambda j: chain(mine(j), theirs(j)),
+                               self.parts + other.parts)
 
 
 @dataclass(frozen=True)
@@ -81,72 +102,217 @@ class UniverseOverflow(Exception):
         self.cap = cap
 
 
+class _Rules:
+    """One base system's rules over a universe, as integer tables.
+
+    Rule ``r`` concludes judgment number ``conclusion[r]`` and has
+    ``size[r]`` premises; the rules waiting on judgment ``k`` are
+    ``waiting[start[k]:start[k + 1]]``, once per premise.  ``start`` and
+    ``waiting`` are ``None`` when no rule has a premise.  The tables are
+    built from each premise slot's judgment number (``premises``) and
+    rule number (``owner``), slot by slot in rule order.
+    """
+
+    __slots__ = ("conclusion", "size", "start", "waiting")
+
+    def __init__(self, n: int, conclusion: array, size: array,
+                 premises: array, owner: array):
+        self.conclusion, self.size = conclusion, size
+        self.start = self.waiting = None
+        if premises:
+            order = sorted(range(len(premises)), key=premises.__getitem__)
+            self.waiting = array("l", map(owner.__getitem__, order))
+            counts = array("l", [0]) * (n + 1)
+            for i in premises:
+                counts[i + 1] += 1
+            self.start = array("l", accumulate(counts))
+
+
+def _draw(parts, judgments: list, index: dict, cap: Optional[int] = None) -> list:
+    """Query each part once about each judgment, in number order.
+
+    Returns each part's ``_Rules``.  With a ``cap``, a premise not yet
+    numbered is numbered next and queried in turn, and ``UniverseOverflow``
+    is raised as soon as there would be more than ``cap`` judgments,
+    before the rest of the current query's stream is drawn.  Without one,
+    the judgments are fixed, and a rule with a premise outside them is
+    left out: it can neither fire nor stay live.
+    """
+    drawn = [(part.premise_candidates, *(array("l") for _ in range(4))) for part in parts]
+    # setdefault returns the very ``fresh`` object passed exactly when it
+    # numbers a new judgment; get returns None (``fresh``) for an outsider
+    lookup, fresh = (index.get, None) if cap is None else (index.setdefault, len(index))
+    # the loop also visits the judgments that it appends
+    for k, j in enumerate(judgments):
+        for query, conclusion, size, premises, owner in drawn:
+            for premise_set in query(j):
+                r, first = len(conclusion), len(premises)
+                for p in premise_set:
+                    i = lookup(p, fresh)
+                    if i is fresh:
+                        if cap is None:
+                            del premises[first:], owner[first:]
+                            break
+                        judgments.append(p)
+                        fresh = len(judgments)
+                        if fresh > cap:
+                            raise UniverseOverflow(cap)
+                    premises.append(i)
+                    owner.append(r)
+                else:
+                    conclusion.append(k)
+                    size.append(len(premises) - first)
+    return [_Rules(len(judgments), *d[1:]) for d in drawn]
+
+
+def _numbers(judgments: Iterable[Judgment]) -> dict:
+    """Each distinct judgment's number, in iteration order."""
+    index: dict = {}
+    for j in judgments:
+        index.setdefault(j, len(index))
+    return index
+
+
+class Universe(frozenset):
+    """A finite set of judgments that numbers them and keeps their rules.
+
+    ``judgments[k]`` is judgment number ``k`` and ``index`` maps each
+    judgment back to its number.  As a set it is the frozenset of its
+    judgments: it compares and hashes as one, and ``u | s`` and the other
+    set operations return a plain frozenset.  ``Universe(judgments)``
+    numbers them in iteration order.  The rule tables of each base system
+    are drawn on the first fixpoint that needs them and kept here, and
+    nowhere else.
+    """
+
+    __slots__ = ("judgments", "index", "_tables")
+
+    def __new__(cls, judgments: Iterable[Judgment] = ()):
+        return cls._numbered(_numbers(judgments), {})
+
+    @classmethod
+    def _numbered(cls, index: dict, tables: dict) -> "Universe":
+        self = frozenset.__new__(cls, index)  # reuses the dict's hashes
+        self.judgments, self.index, self._tables = list(index), index, tables
+        return self
+
+    def tables(self, sys: InferenceSystem) -> list:
+        """The tables of the parts of ``sys``, drawn once per part."""
+        parts = list(dict.fromkeys(sys.parts))
+        new = [p for p in parts if p not in self._tables]
+        if new:
+            self._tables.update(zip(new, _draw(new, self.judgments, self.index)))
+        return [self._tables[p] for p in parts]
+
+    def subset(self, flags) -> FrozenSet[Judgment]:
+        """The judgments whose numbers have a true flag."""
+        return frozenset(compress(self.judgments, flags))
+
+
+def _universe(judgments: AbstractSet[Judgment]) -> Universe:
+    return judgments if isinstance(judgments, Universe) else Universe(judgments)
+
+
 def reachable_universe(
     sys: InferenceSystem, goals: AbstractSet[Judgment], cap: int
-) -> FrozenSet[Judgment]:
+) -> Universe:
     """Smallest set containing the goals and closed under rule premises.
 
     Raises ``UniverseOverflow`` as soon as the set would exceed ``cap``
     judgments, before the rest of the current query's stream is drawn.
+    Each call builds a fresh universe, holding the tables of every part
+    of ``sys``.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    seen = set(goals)
-    if len(seen) > cap:
+    index = _numbers(goals)
+    if len(index) > cap:
         raise UniverseOverflow(cap)
-    todo = list(seen)
-    while todo:
-        j = todo.pop()
-        for premises in sys.premise_candidates(j):
-            for p in premises:
-                if p not in seen:
-                    seen.add(p)
-                    if len(seen) > cap:
-                        raise UniverseOverflow(cap)
-                    todo.append(p)
-    return frozenset(seen)
+    parts = list(dict.fromkeys(sys.parts))
+    tables = dict(zip(parts, _draw(parts, list(index), index, cap)))
+    return Universe._numbered(index, tables)
 
 
-def _rules(sys: InferenceSystem, universe: AbstractSet[Judgment]) -> tuple:
-    """The rules concluding universe judgments, queried once per judgment.
-
-    Returns the ``(conclusion, premises)`` pairs, one per premise set
-    drawn (a repeated set is a rule of its own), and a map from each
-    premise to the indices of the rules waiting on it.
-    """
-    rules: list = []
-    waiting: dict = {}
-    for j in universe:
-        for premises in sys.premise_candidates(j):
-            for p in premises:
-                waiting.setdefault(p, []).append(len(rules))
-            rules.append((j, premises))
-    return rules, waiting
-
-
-def interp_inductive(
-    sys: InferenceSystem, universe: AbstractSet[Judgment]
-) -> FrozenSet[Judgment]:
-    """Least sys-closed subset of the finite universe.
+def _least(tables: list, n: int) -> bytearray:
+    """Flags of the least closed subset of ``n`` judgments under the rules.
 
     Each rule counts its premises not yet derived.  A judgment is derived
     once; it then decrements the rules waiting on it and fires those that
     reach zero.
     """
-    rules, waiting = _rules(sys, universe)
-    missing = [len(premises) for _, premises in rules]
-    todo = [j for j, premises in rules if not premises]
-    members: set = set()
+    derived = bytearray(n)
+    todo: list = []
+    waits = []
+    for t in tables:
+        todo += compress(t.conclusion, map(not_, t.size))
+        if t.start is not None:
+            waits.append((t.start, t.waiting, t.conclusion, array("l", t.size)))
     while todo:
-        j = todo.pop()
-        if j in members:
+        k = todo.pop()
+        if derived[k]:
             continue
-        members.add(j)
-        for i in waiting.get(j, ()):
-            missing[i] -= 1
-            if missing[i] == 0:
-                todo.append(rules[i][0])
-    return frozenset(members)
+        derived[k] = 1
+        for start, waiting, conclusion, missing in waits:
+            for r in waiting[start[k]:start[k + 1]]:
+                missing[r] -= 1
+                if not missing[r]:
+                    todo.append(conclusion[r])
+    return derived
+
+
+def _live(tables: list, inside: bytearray) -> tuple:
+    """Each table's dead-rule flags and each judgment's live-rule count.
+
+    A rule is dead when its conclusion or one of its premises is not
+    flagged ``inside``; a judgment outside has no live rule.
+    """
+    live = array("l", [0]) * len(inside)
+    outside = list(compress(range(len(inside)), map(not_, inside)))
+    dead = []
+    for t in tables:
+        d = bytearray(map(not_, map(inside.__getitem__, t.conclusion)))
+        if t.start is not None:
+            start, waiting = t.start, t.waiting
+            for k in outside:
+                for r in waiting[start[k]:start[k + 1]]:
+                    d[r] = 1
+        for c in compress(t.conclusion, map(not_, d)):
+            live[c] += 1
+        dead.append(d)
+    return dead, live
+
+
+def _greatest(tables: list, inside: bytearray) -> array:
+    """Live-rule counts, nonzero exactly on the largest consistent subset
+    of the judgments flagged ``inside``.
+
+    Removing a judgment kills the rules waiting on it and removes every
+    conclusion left without a live rule.
+    """
+    dead, live = _live(tables, inside)
+    # inside[k] > live[k] exactly when k is inside with no live rule
+    removed = list(compress(range(len(inside)), map(gt, inside, live)))
+    waits = [(t.start, t.waiting, t.conclusion, d)
+             for t, d in zip(tables, dead) if t.start is not None]
+    while removed:
+        k = removed.pop()
+        for start, waiting, conclusion, d in waits:
+            for r in waiting[start[k]:start[k + 1]]:
+                if not d[r]:
+                    d[r] = 1
+                    c = conclusion[r]
+                    live[c] -= 1
+                    if not live[c]:
+                        removed.append(c)
+    return live
+
+
+def interp_inductive(
+    sys: InferenceSystem, universe: AbstractSet[Judgment]
+) -> FrozenSet[Judgment]:
+    """Least sys-closed subset of the finite universe."""
+    u = _universe(universe)
+    return u.subset(_least(u.tables(sys), len(u)))
 
 
 def interp_coinductive(
@@ -154,27 +320,10 @@ def interp_coinductive(
 ) -> FrozenSet[Judgment]:
     """Largest sys-consistent subset of the finite universe.
 
-    Each judgment counts its live rules; a rule with a premise outside
-    the universe is dead from the start.  Removing a judgment kills the
-    rules waiting on it and removes every conclusion left without one.
+    A rule with a premise outside the universe is dead from the start.
     """
-    rules, waiting = _rules(sys, universe)
-    universe = frozenset(universe)
-    dead = [not premises <= universe for _, premises in rules]
-    live = dict.fromkeys(universe, 0)
-    for (j, _), d in zip(rules, dead):
-        if not d:
-            live[j] += 1
-    removed = [j for j, n in live.items() if n == 0]
-    while removed:
-        for i in waiting.get(removed.pop(), ()):
-            if not dead[i]:
-                dead[i] = True
-                j = rules[i][0]
-                live[j] -= 1
-                if live[j] == 0:
-                    removed.append(j)
-    return frozenset(j for j, n in live.items() if n)
+    u = _universe(universe)
+    return u.subset(_greatest(u.tables(sys), bytearray(b"\1") * len(u)))
 
 
 def interp_corules(
@@ -186,7 +335,10 @@ def interp_corules(
     derivable using rules and corules together.  The universe must be
     finite and closed under premises of both systems.
     """
-    return interp_coinductive(gis.rules, interp_inductive(gis.combined(), universe))
+    u = _universe(universe)
+    rules = u.tables(gis.rules)
+    bound = _least(rules + u.tables(gis.corules), len(u))
+    return u.subset(_greatest(rules, bound))
 
 
 @dataclass(frozen=True)
@@ -202,14 +354,23 @@ def bounded_coinduction_check(
     """Bounded coinduction: X rules-consistent and inside Ind(rules + corules).
 
     A pass certifies X is contained in the corule interpretation; a fail
-    carries a judgment violating one of the two clauses.
+    carries the first judgment of X, in its iteration order, violating
+    one of the two clauses, boundedness checked first.
     """
     X = frozenset(X)
-    bound = interp_inductive(gis.combined(), universe)
+    u = _universe(universe)
+    rules = u.tables(gis.rules)
+    bound = _least(rules + u.tables(gis.corules), len(u))
+    index = u.index
     for j in X:
-        if j not in bound:
+        k = index.get(j)
+        if k is None or not bound[k]:
             return CoinductionCheck(False, j, "boundedness")
+    inside = bytearray(len(u))
     for j in X:
-        if not any(premises <= X for premises in gis.rules.premise_candidates(j)):
+        inside[index[j]] = 1
+    live = _live(rules, inside)[1]
+    for j in X:
+        if not live[index[j]]:
             return CoinductionCheck(False, j, "consistency")
     return CoinductionCheck(True)

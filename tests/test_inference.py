@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from bigstep.cli import main
 from bigstep.inference import (
+    CoinductionCheck,
     FiniteRule,
     GeneralizedIS,
     InferenceSystem,
+    Universe,
     UniverseOverflow,
     bounded_coinduction_check,
     interp_coinductive,
@@ -380,3 +382,198 @@ def test_repeated_premise_sets_change_no_fixpoint():
         claims = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(3)]
         _assert_repeats_change_nothing(gis, universe, claims + [universe])
     assert repeats > 0
+
+
+# --- the universe keeps its rules ---------------------------------------------
+
+
+def _counting(sys, asked):
+    """``sys``, recording each judgment it is asked about in ``asked``."""
+    return InferenceSystem(lambda j: asked.append(j) or sys.premise_candidates(j))
+
+
+def _fixpoint_goals():
+    """maxElem goals as the benchmark's fixpoint workload builds them: a
+    periodic list with the claim that ``v`` is the maximum of every suffix,
+    and a finite list with no claim, at claimed maxima m-1, m and m+1."""
+    for period in ((5, 4, 0, 2, 1, 3), (7, 6, 3, 0, 5, 1, 2, 4)):
+        m = max(period)
+        periodic_list = RationalList((0,), period)
+        suffixes, lst = [], periodic_list
+        while lst not in suffixes:
+            suffixes.append(lst)
+            lst = lst.tail
+        for v in (m - 1, m, m + 1):
+            yield MaxElem(periodic_list, v), frozenset(MaxElem(s, v) for s in suffixes)
+            yield MaxElem(RationalList((m, *range(m))), v), None
+
+
+def test_each_system_is_asked_once_per_judgment_over_the_workload_sequence():
+    maxelem = maxelem_gis()
+    for goal, claim in _fixpoint_goals():
+        rules_asked, corules_asked = [], []
+        gis = GeneralizedIS(_counting(maxelem.rules, rules_asked),
+                            _counting(maxelem.corules, corules_asked))
+        universe = reachable_universe(gis.combined(), {goal} | (claim or set()), 100_000)
+        interp_corules(gis, universe)
+        interp_coinductive(gis.rules, universe)
+        interp_inductive(gis.rules, universe)
+        if claim is not None:
+            bounded_coinduction_check(gis, claim, universe)
+        for asked in (rules_asked, corules_asked):
+            assert sorted(map(repr, asked)) == sorted(map(repr, universe))
+
+
+def test_a_universe_draws_a_new_system_once_and_keeps_it():
+    gis = maxelem_gis()
+    goal = MaxElem(periodic((3,), tuple(range(12))), 11)
+    universe = reachable_universe(gis.combined(), {goal}, 10_000)
+    asked = []
+    rules = _counting(maxelem_rules(), asked)
+    co = interp_coinductive(rules, universe)
+    assert sorted(map(repr, asked)) == sorted(map(repr, universe))
+    asked.clear()
+    assert interp_coinductive(rules, universe) == co
+    interp_inductive(rules, universe)
+    interp_corules(GeneralizedIS(rules, gis.corules), universe)
+    bounded_coinduction_check(GeneralizedIS(rules, gis.corules), {goal}, universe)
+    interp_inductive(rules.union(gis.corules), universe)
+    assert asked == []
+
+
+# today's fixpoints before the universe kept its rules, as the reference
+
+
+def _reference_rules(sys, universe):
+    rules: list = []
+    waiting: dict = {}
+    for j in universe:
+        for premises in sys.premise_candidates(j):
+            for p in premises:
+                waiting.setdefault(p, []).append(len(rules))
+            rules.append((j, premises))
+    return rules, waiting
+
+
+def _reference_inductive(sys, universe):
+    rules, waiting = _reference_rules(sys, universe)
+    missing = [len(premises) for _, premises in rules]
+    todo = [j for j, premises in rules if not premises]
+    members: set = set()
+    while todo:
+        j = todo.pop()
+        if j in members:
+            continue
+        members.add(j)
+        for i in waiting.get(j, ()):
+            missing[i] -= 1
+            if missing[i] == 0:
+                todo.append(rules[i][0])
+    return frozenset(members)
+
+
+def _reference_coinductive(sys, universe):
+    rules, waiting = _reference_rules(sys, universe)
+    universe = frozenset(universe)
+    dead = [not premises <= universe for _, premises in rules]
+    live = dict.fromkeys(universe, 0)
+    for (j, _), d in zip(rules, dead):
+        if not d:
+            live[j] += 1
+    removed = [j for j, n in live.items() if n == 0]
+    while removed:
+        for i in waiting.get(removed.pop(), ()):
+            if not dead[i]:
+                dead[i] = True
+                j = rules[i][0]
+                live[j] -= 1
+                if live[j] == 0:
+                    removed.append(j)
+    return frozenset(j for j, n in live.items() if n)
+
+
+def _reference_corules(gis, universe):
+    return _reference_coinductive(
+        gis.rules, _reference_inductive(gis.combined(), universe))
+
+
+def _reference_check(gis, X, universe):
+    X = frozenset(X)
+    bound = _reference_inductive(gis.combined(), universe)
+    for j in X:
+        if j not in bound:
+            return CoinductionCheck(False, j, "boundedness")
+    for j in X:
+        if not any(premises <= X for premises in gis.rules.premise_candidates(j)):
+            return CoinductionCheck(False, j, "consistency")
+    return CoinductionCheck(True)
+
+
+def _twice(sys):
+    """``sys`` with every premise set streamed twice."""
+    return InferenceSystem(lambda j: list(sys.premise_candidates(j)) * 2)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(digest_shaped_systems(), maxelem_goals()), st.data())
+def test_fixpoints_on_kept_rules_equal_the_reference(case, data):
+    gis, universe = case
+    judgments = sorted(universe, key=repr)
+    outsider = MaxElem(finite(99), 99) if isinstance(judgments[0], MaxElem) else -1
+    claims = [frozenset(data.draw(st.lists(st.sampled_from(judgments + [outsider]))))
+              for _ in range(3)] + [frozenset(universe)]
+    rules, corules = gis.rules, gis.corules
+    systems = [GeneralizedIS(rules, corules),
+               GeneralizedIS(rules.union(_twice(rules)), corules),
+               GeneralizedIS(_twice(rules), corules.union(rules).union(corules))]
+    numbered = universe if isinstance(universe, Universe) else Universe(universe)
+    for u in (numbered, frozenset(universe)):
+        for gis in systems:
+            for sys in (gis.rules, gis.combined(), gis.rules.union(gis.corules).union(rules)):
+                assert interp_inductive(sys, u) == _reference_inductive(sys, u)
+                assert interp_coinductive(sys, u) == _reference_coinductive(sys, u)
+            assert interp_corules(gis, u) == _reference_corules(gis, u)
+            for claim in claims:
+                check = bounded_coinduction_check(gis, claim, u)
+                assert check == _reference_check(gis, claim, u)
+    plain = frozenset(universe)
+    assert numbered == plain and hash(numbered) == hash(plain)
+    assert isinstance(numbered, frozenset)
+    assert [numbered.index[j] for j in numbered.judgments] == list(range(len(plain)))
+    assert set(numbered.judgments) == plain
+    assert type(numbered | {outsider}) is frozenset
+    assert numbered | {outsider} == plain | {outsider}
+
+
+def _reference_universe(sys, goals, cap):
+    seen = set(goals)
+    if len(seen) > cap:
+        raise UniverseOverflow(cap)
+    todo = list(seen)
+    while todo:
+        j = todo.pop()
+        for premises in sys.premise_candidates(j):
+            for p in premises:
+                if p not in seen:
+                    seen.add(p)
+                    if len(seen) > cap:
+                        raise UniverseOverflow(cap)
+                    todo.append(p)
+    return frozenset(seen)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(maxelem_queries())
+def test_universes_equal_the_reference_closure_and_overflow_at_its_cap(goal):
+    gis = maxelem_gis()
+    for sys in (gis.rules, gis.combined()):
+        expected = _reference_universe(sys, {goal}, 10_000)
+        universe = reachable_universe(sys, {goal}, len(expected))
+        assert isinstance(universe, Universe)
+        assert universe == expected and hash(universe) == hash(expected)
+        if len(expected) > 1:
+            with pytest.raises(UniverseOverflow):
+                _reference_universe(sys, {goal}, len(expected) - 1)
+            with pytest.raises(UniverseOverflow):
+                reachable_universe(sys, {goal}, len(expected) - 1)

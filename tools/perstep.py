@@ -16,12 +16,19 @@ with no inconclusive member, and how many members each leaves
 inconclusive at fuel 5 (none: the corpus shares one table of 5 queries
 per member, while tables of 5 queries for each member alone would leave
 729 and 593); the seconds that ``reachable_universe`` and then
-``interp_corules`` take on the maxElem goal ``(0:1:...:n-1)*=n-1`` at
-n = 50, 100, 200 and 300, whose universes hold
+``interp_corules`` on the universe it returns take on the maxElem goal
+``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose universes hold
 2,500, 10,000, 40,000 and 90,000 judgments, each also in microseconds
-per judgment; and the seconds that ``reachable_universe`` takes
+per judgment: what ``bsm corules`` pays, with a fresh goal and universe
+in each run, so that the closure's rule tables are built in every run
+and ``interp_corules`` queries nothing; beside them, the seconds that
+``interp_corules`` takes on a plain frozenset copy of the universe, which
+numbers it and queries both systems about every judgment; at 90,000
+judgments, the ``tracemalloc`` peak of the closure plus
+``interp_corules`` and the megabytes that the universe, with its tables,
+retains; and the seconds that ``reachable_universe`` takes
 to pass the cap of 1000 on ``(1000000)*=1000000``, as ``bsm corules``
-does by default.  Each figure is the median of three runs in this one
+does by default.  Each time is the median of three runs in this one
 process.  Terms are built without the parser, which parses 196 nested
 ``succ (`` and fails at 197.  ROADMAP aim 1 targets a flat per-step
 cost, so the first column should not grow with ``n``, and fixpoints
@@ -30,6 +37,7 @@ either.
 """
 import statistics
 import time
+import tracemalloc
 
 from bigstep.extensions import FinTrace, eval_trace
 from bigstep.inference import UniverseOverflow, interp_corules, reachable_universe
@@ -62,6 +70,19 @@ def nested_choice(k: int):
 def maxelem_goal(n: int) -> MaxElem:
     # built afresh for each run, so that each run builds the list's suffixes
     return MaxElem(periodic((), tuple(range(n))), n - 1)
+
+
+def closure_and_corules(gis, n: int) -> tuple:
+    """Seconds of ``reachable_universe`` and then of ``interp_corules`` on
+    the universe it returns, and that universe."""
+    goal = maxelem_goal(n)
+    t0 = time.perf_counter()
+    universe = reachable_universe(gis.combined(), {goal}, n * n)
+    t1 = time.perf_counter()
+    members = interp_corules(gis, universe)
+    t2 = time.perf_counter()
+    assert len(universe) == n * n and goal in members
+    return t1 - t0, t2 - t1, universe
 
 
 def overflow(sys, goal, cap: int) -> None:
@@ -110,15 +131,24 @@ def main() -> None:
               f" {len(corpus)} members, {left} inconclusive at fuel 5")
     gis = maxelem_gis()
     for n in (50, 100, 200, 300):
-        universe = reachable_universe(gis.combined(), {maxelem_goal(n)}, n * n)
-        assert len(universe) == n * n and maxelem_goal(n) in interp_corules(gis, universe)
-        build = median_seconds(
-            lambda: reachable_universe(gis.combined(), {maxelem_goal(n)}, n * n))
-        corules = median_seconds(lambda: interp_corules(gis, universe))
+        runs = [closure_and_corules(gis, n) for _ in range(ROUNDS)]
+        build, corules = (statistics.median(r[i] for r in runs) for i in (0, 1))
+        plain = frozenset(runs[-1][2])
+        del runs
+        queried = median_seconds(lambda: interp_corules(gis, plain))
         per = 1e6 / (n * n)
         print(f"universe        {f'(0:..:{n - 1})*={n - 1}':<15} {build:8.3f} s,"
               f" interp_corules {corules:.3f} s, {n * n} judgments"
-              f" ({build * per:.1f} + {corules * per:.1f} us per judgment)")
+              f" ({build * per:.1f} + {corules * per:.1f} us per judgment);"
+              f" on a frozenset {queried:.3f} s ({queried * per:.1f} us per judgment)")
+    tracemalloc.start()
+    universe = reachable_universe(gis.combined(), {maxelem_goal(300)}, 90_000)
+    interp_corules(gis, universe)
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(f"universe        {'(0:..:299)*=299':<15} peak {peak / 1e6:.1f} MB"
+          f" for the closure and interp_corules, {retained / 1e6:.1f} MB retained"
+          f" by the universe")
     goal = MaxElem(periodic((), (10**6,)), 10**6)
     secs = median_seconds(lambda: overflow(gis.combined(), goal, 1000))
     print(f"universe to cap {'(10^6)*=10^6':<15} {secs:8.3f} s")
