@@ -369,7 +369,7 @@ def _table(sem: LanguageSemantics, roots, fuel: int, wanted: Optional[set] = Non
                 todo.extend([(config, w, res) for res in entry[0]])
             if wanted is not None:
                 wanted.discard((config, w.rule_family, w.index, p))
-    return Table(entries, dead, rejoined, {c for c, _, _ in todo})
+    return Table(entries, dead, rejoined, {c for c, _, _ in todo} if todo else set())
 
 
 def _diverges(table: Table) -> set:

@@ -22,9 +22,9 @@ transition refines, so a transition touches only the top frame; trees
 are folded from the path where an outcome, a history or ``step`` needs
 one.  One depth-first walk, ``_explore``, serves every run: it mutates
 one list of frames in place and undoes each transition when it
-backtracks.  The first branch it ends is the first-successor run;
-``run_exhaustive`` takes every end, and ``step`` every end after one
-transition.
+backtracks, and stops at the end after which no answer is left.  The
+first branch it ends is the first-successor run; ``run_exhaustive``
+takes every end, and ``step`` every end after one transition.
 """
 from __future__ import annotations
 
@@ -356,13 +356,15 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
     frame and appends its tree to the new top's ``children``, and its undo
     drops that child and pushes the frame back; a demand re-tags the top
     frame and pushes a fresh one, and its undo pops the fresh frame and
-    restores the tag.  A demand closes a cycle if the demanded
-    configuration is already on the path: every frame began fresh with
-    its configuration, so the demand replays that frame's whole
-    trajectory, a genuine loop.  ``index`` maps a hash to the position of
-    the deepest frame with it (``None`` once none is left), the
-    ``shadow``s chain the lower ones, and configurations are compared
-    only along that chain.
+    restores the tag.  The walk stops at the branch end after which no
+    transition of the path has an answer left, without undoing the path;
+    a count of the transitions with answers left tells it when.  A demand
+    closes a cycle if the demanded configuration is already on the path:
+    every frame began fresh with its configuration, so the demand replays
+    that frame's whole trajectory, a genuine loop.  ``index`` maps a hash
+    to the position of the deepest frame with it (``None`` once none is
+    left), the ``shadow``s chain the lower ones, and configurations are
+    compared only along that chain.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -371,8 +373,10 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
         f.shadow = index.get(f.chash)
         index[f.chash] = i
     # per transition of the current branch: (answers, position of the
-    # answer taken, the frame queried, its tag when queried)
+    # answer taken, the frame queried, its tag when queried); ``left``
+    # counts the entries with an answer after the one taken
     taken: list = []
+    left = 0
     end = None
     while True:
         a = None
@@ -390,13 +394,15 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
                     answers = checked_advance(sem, act, result)
                 if answers:
                     taken.append((answers, 0, top, act))
+                    left += len(answers) > 1
                     a = answers[0]
                 else:
                     stuck = dead_end(top.config, act, None if act is START else result)
                     yield steps, Stuck(_fold(path), stuck.kind, steps, stuck)
-        # after an end, undo transitions until one has an answer left
+        # after an end, undo transitions until one has an answer left;
+        # with none left, the walk is over and the path is left as it is
         while a is None:
-            if not taken:
+            if not left:
                 return
             answers, i, top, tag = taken[-1]
             if isinstance(answers[i], COMPLETIONS):
@@ -412,6 +418,7 @@ def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
             if i < len(answers):
                 taken[-1] = (answers, i, top, tag)
                 a = answers[i]
+                left -= i + 1 == len(answers)
             else:
                 taken.pop()
         steps = len(taken) - 1
@@ -480,12 +487,16 @@ def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
     branch, and outcomes are merged by ``_outcome_key`` only.  Outcomes
     come in breadth-first order, the first of equal ones kept: by the
     transitions before the branch ended, then in answer order, the order
-    a depth-first walk ends branches of equal length in.  With
-    ``validate``, every tree taken is checked.
+    a depth-first walk ends branches of equal length in.  A run with one
+    end returns its outcome as it is; only a run with two or more keys
+    its ends, and so builds their skeletons.  With ``validate``, every
+    tree taken is checked.
     """
-    ends = sorted(_explore(sem, [_Frame(config, START, ())], fuel,
-                           _validate if validate else None),
-                  key=itemgetter(0))
+    ends = list(_explore(sem, [_Frame(config, START, ())], fuel,
+                         _validate if validate else None))
+    if len(ends) == 1:
+        return (ends[0][1],)
+    ends.sort(key=itemgetter(0))
     outcomes: dict = {}
     for _, o in ends:
         outcomes.setdefault(_outcome_key(o), o)

@@ -7,13 +7,15 @@ import pytest
 
 from bigstep import pet
 from bigstep.extensions import Ok, divergence_certificate_check, evaluate
+from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
+                        enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
 from bigstep.lam import (
     NAT, OMEGA, OMEGA_BODY, enumerate_terms, lambda_semantics, parse_expr, typed_corpus)
 from bigstep.lam.semantics import STRATEGIES
 from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var
 from bigstep.oracle import Activation, Axiom, Finished, FirstPremise
 from bigstep.oracle import LanguageSemantics
-from bigstep.util import dedup
+from bigstep.util import EMPTY_MAP, dedup
 from bigstep.pet import (
     UNKNOWN,
     Converged,
@@ -595,3 +597,29 @@ def test_tree_equality_equals_the_recursive_reference():
                 if i == j:
                     assert a is not b and hash(a) == hash(b)
         assert h1[0] != h1[0].config
+
+
+def test_single_end_exhaustive_runs_take_no_skeleton(monkeypatch):
+    # a run with one end has nothing to merge, so it keys no outcome
+    def refuse(self):
+        raise AssertionError("a single-end run took a skeleton")
+
+    monkeypatch.setattr(PartialEvalTree, "skeleton", refuse)
+    fj = fj_semantics(INTEROP_TABLE)
+    for e in enumerate_fj(INTEROP_TABLE, 3):
+        [_] = run_exhaustive(fj, EnvConfig(EMPTY_MAP, e), 150)
+    imp = impfj_semantics(IMP_TABLE)
+    for e in random.Random(3).sample(enumerate_impfj(IMP_TABLE, 3), 120):
+        [_] = run_exhaustive(imp, MemConfig(EMPTY_MEMORY, e), 200)
+    [out] = run_exhaustive(SEM, IDENTITY_APP, 20)
+    assert isinstance(out, Converged) and out.result == Nat(3)
+
+
+def test_deep_two_end_runs_merge_by_skeleton():
+    # both ends of a choice under 2000 ``succ`` are keyed without recursion,
+    # and the two outcomes stay apart, in step order
+    n = 2000
+    e = _spine(n, Choice(App(Abs("x", NAT, Var("x")), Nat(0)), Nat(0)))
+    first, second = run_exhaustive(SEM, e, 10 * n)
+    assert all(isinstance(o, Converged) and o.result == Nat(n) for o in (first, second))
+    assert first.steps < second.steps

@@ -2,12 +2,13 @@
 and on random inference systems larger than brute force can check."""
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bigstep.extensions import (InfTrace, _diverges, _table, divergence_certificate_check,
-                                evaluate)
+                                evaluate, trace_oracle, wrong_oracle)
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, Memory, ObjState, memory_sigma,
                         memory_well_typed)
 from bigstep.fj.typing import sigma_extends
@@ -29,6 +30,7 @@ from bigstep.lam.semantics import STRATEGIES, _Exhausted, direct_results
 from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var
 from bigstep.lam.types import NAT, TArrow, TRec, TVar
 from bigstep.pet import (
+    START,
     Converged,
     DivergenceCertificate,
     Diverges,
@@ -36,6 +38,9 @@ from bigstep.pet import (
     Stuck,
     StuckInfo,
     StuckKind,
+    _explore,
+    _Frame,
+    _outcome_key,
     active_path,
     initial_tree,
     run_exhaustive,
@@ -257,6 +262,25 @@ def _step_exhaustive(sem, e, fuel):
 def test_exhaustive_runs_equal_a_loop_over_step(e):
     for sem in SEMS:
         assert run_exhaustive(sem, e, FUEL) == _step_exhaustive(sem, e, FUEL)
+
+
+def _merged_ends(sem, e, fuel):
+    """Every end of the walk, sorted by steps and each kept unless an
+    equal outcome came before it: ``run_exhaustive`` with every run keyed."""
+    outcomes = {}
+    ends = sorted(_explore(sem, [_Frame(e, START, ())], fuel), key=itemgetter(0))
+    for _, o in ends:
+        outcomes.setdefault(_outcome_key(o), o)
+    return tuple(outcomes.values())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms() | st.builds(Choice, closed_terms(5), closed_terms(5)))
+def test_exhaustive_runs_equal_every_end_merged(e):
+    for base in SEMS:
+        for sem in (base, wrong_oracle(base), trace_oracle(base)):
+            assert repr(run_exhaustive(sem, e, FUEL)) == repr(_merged_ends(sem, e, FUEL))
 
 
 TYPE_NAMES = st.sampled_from(["t", "u"])

@@ -1,4 +1,4 @@
-"""Per-step cost of the stepper as terms get deeper, one exhaustive run,
+"""Per-step cost of the stepper as terms get deeper, exhaustive runs,
 the two soundness audits on a corpus, and the corule fixpoints as the
 universe grows.
 
@@ -9,11 +9,14 @@ at n = 60, 300, 3,000 and 10,000; at n = 60 and 300 also the
 milliseconds that ``value_doc`` takes to render the trace document of
 ``eval_trace`` (the render layer); the seconds that ``run_exhaustive``
 takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
-in the benchmark's ``sweep``); the seconds that ``soundness_must_audit``
-and ``soundness_may_audit`` take on the typed depth-3 lambda corpus
-(``typed_corpus(3)``, 974 members) at fuel 100, each of which must pass
-with no inconclusive member, and how many members each leaves
-inconclusive at fuel 5 (none: the corpus shares one table of 5 queries
+in the benchmark's ``sweep``); the microseconds per run that
+``run_exhaustive`` takes over the 3,118 FJ configurations of
+``enumerate_fj(INTEROP_TABLE, 3)`` at fuel 150, each a run with one end,
+and over the 6,343 closed depth-3 lambda terms at fuel 120; the seconds
+that ``soundness_must_audit`` and ``soundness_may_audit`` take on the
+typed depth-3 lambda corpus (``typed_corpus(3)``, 974 members) at fuel
+100, each of which must pass with no inconclusive member, and how many
+members each leaves inconclusive at fuel 5 (none: the corpus shares one table of 5 queries
 per member, while tables of 5 queries for each member alone would leave
 729 and 593); the seconds that ``reachable_universe`` and then
 ``interp_corules`` on the universe it returns take on the maxElem goal
@@ -40,15 +43,17 @@ import time
 import tracemalloc
 
 from bigstep.extensions import FinTrace, eval_trace
+from bigstep.fj import INTEROP_TABLE, EnvConfig, enumerate_fj, fj_semantics
 from bigstep.inference import UniverseOverflow, interp_corules, reachable_universe
 from bigstep.lam import lambda_semantics
-from bigstep.lam.corpus import lambda_type_predicate, typed_corpus
+from bigstep.lam.corpus import enumerate_terms, lambda_type_predicate, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Succ
 from bigstep.maxelem import MaxElem, maxelem_gis
 from bigstep.pet import Converged, OutOfFuel, run_exhaustive, run_first
 from bigstep.predicates import soundness_may_audit, soundness_must_audit
 from bigstep.rational import periodic
 from bigstep.serialize import value_doc
+from bigstep.util import EMPTY_MAP
 
 ROUNDS = 3
 
@@ -121,6 +126,14 @@ def main() -> None:
     assert not any(isinstance(o, OutOfFuel) for o in outs)
     secs = median_seconds(lambda: run_exhaustive(sem, e, 100))
     print(f"run_exhaustive  {'e_9':<15} {secs:8.3f} s")
+    fj = fj_semantics(INTEROP_TABLE)
+    corpora = (("FJ depth 3", fj, 150,
+                [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)]),
+               ("lambda depth 3", sem, 120, enumerate_terms(3)))
+    for name, lang, fuel, configs in corpora:
+        secs = median_seconds(lambda: [run_exhaustive(lang, c, fuel) for c in configs])
+        print(f"run_exhaustive  {name:<15} {secs / len(configs) * 1e6:8.2f} us/run,"
+              f" {len(configs)} runs")
     corpus, pred = typed_corpus(3), lambda_type_predicate()
     for name, audit in (("must", soundness_must_audit), ("may", soundness_may_audit)):
         report = audit(sem, pred, corpus, 100)
