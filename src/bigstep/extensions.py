@@ -233,13 +233,14 @@ def wrong_oracle(sem: LanguageSemantics) -> LiftedSemantics:
     return LiftedSemantics(sem, WRONG, dead_ends=True)
 
 
-def div_oracle(sem: LanguageSemantics):
-    """Divergence oracle plus the coaxiom set as a judgment predicate."""
+def div_oracle(sem: LanguageSemantics) -> LiftedSemantics:
+    return LiftedSemantics(sem, INFINITY, dead_ends=False)
 
-    def is_coaxiom(j: BsJudgment) -> bool:
-        return j.result is INFINITY
 
-    return LiftedSemantics(sem, INFINITY, dead_ends=False), is_coaxiom
+def is_div_coaxiom(j: BsJudgment) -> bool:
+    """The divergence extension's coaxiom set as a judgment predicate: one
+    coaxiom ``c => infinity`` per configuration."""
+    return j.result is INFINITY
 
 
 def trace_oracle(sem: LanguageSemantics) -> TraceSemantics:
@@ -271,7 +272,7 @@ def _cannot_stick(o: Stuck):
 _MODES = {
     "plain": (lambda sem: sem, lambda d: d, lambda s: s),
     "wrong": (lambda sem: wrong_oracle(sem), lambda d: d, _cannot_stick),
-    "div": (lambda sem: div_oracle(sem)[0], lambda d: INFINITY,
+    "div": (lambda sem: div_oracle(sem), lambda d: INFINITY,
             lambda s: NO_JUDGMENT),
     "trace": (lambda sem: trace_oracle(sem), _rational_trace,
               lambda s: STUCK_TRACE),

@@ -75,27 +75,25 @@ class PartialEvalTree:
         return self.res is not UNKNOWN
 
     def skeleton(self) -> tuple:
-        """Config/result shape, forgetting rule annotations.
+        """Config/result shape, forgetting rule annotations, folded from
+        ``_shape()`` read backwards: each node finds its children's
+        skeletons on top of ``done``, the first child on top."""
+        done = []
+        for config, res, n in reversed(self._shape()):
+            kids = tuple(done.pop() for _ in range(n))
+            done.append((config, "?" if res is UNKNOWN else ("!", res), kids))
+        return done[0]
 
-        Built without recursion: ``order`` lists each node before its
-        subtrees, the last child's first, so read backwards each node
-        finds its children's skeletons on top of ``done``, in order.  It
-        runs at every branch end, where this loop is faster than one over
-        ``walk()``.
-        """
-        order, todo = [], [self]
+    def _shape(self) -> tuple:
+        """``(config, res, number of children)`` of every node, in pre-order:
+        the tree but for its tags, flat, so two shapes compare without
+        recursing.  It keys every merged end, so it keeps no ``walk()`` path."""
+        out, todo = [], [self]
         while todo:
             t = todo.pop()
-            order.append(t)
-            todo += t.children
-        done = []
-        for t in reversed(order):
-            cut = len(done) - len(t.children)
-            kids = tuple(done[cut:])
-            del done[cut:]
-            done.append((t.config, "?" if t.res is UNKNOWN else ("!", t.res),
-                         kids))
-        return done[0]
+            out.append((t.config, t.res, len(t.children)))
+            todo += t.children[::-1]
+        return tuple(out)
 
     def walk(self) -> Iterator[Tuple[list, "PartialEvalTree"]]:
         """``(path, subtree)`` for every node, in pre-order.
@@ -333,10 +331,10 @@ def _validate(t: PartialEvalTree) -> None:
 
 
 def _outcome_key(o: Outcome):
-    # the skeleton's root holds a converged result and fixes the stuck kind;
+    # the shape's root holds a converged result and fixes the stuck kind;
     # diverging branches that reach one cycle along different paths differ
     tree = o.frontier if isinstance(o, OutOfFuel) else o.tree
-    return type(o), tree.skeleton()
+    return type(o), tree._shape()
 
 
 def _explore(sem: LanguageSemantics, path: List[_Frame], fuel: int,
@@ -489,7 +487,7 @@ def run_exhaustive(sem: LanguageSemantics, config: Config, fuel: int,
     transitions before the branch ended, then in answer order, the order
     a depth-first walk ends branches of equal length in.  A run with one
     end returns its outcome as it is; only a run with two or more keys
-    its ends, and so builds their skeletons.  With ``validate``, every
+    its ends, and so builds their flat shapes.  With ``validate``, every
     tree taken is checked.
     """
     ends = list(_explore(sem, [_Frame(config, START, ())], fuel,

@@ -219,19 +219,18 @@ def test_trace_erasure_yields_base_tree():
 
 
 def test_div_oracle_coaxiom_predicate():
-    from bigstep.extensions import div_oracle
+    from bigstep.extensions import is_div_coaxiom
     from bigstep.oracle import BsJudgment
 
-    _, is_coaxiom = div_oracle(SEM)
-    assert is_coaxiom(BsJudgment(OMEGA, INFINITY))
-    assert not is_coaxiom(BsJudgment(OMEGA, Ok(Nat(1))))
+    assert is_div_coaxiom(BsJudgment(OMEGA, INFINITY))
+    assert not is_div_coaxiom(BsJudgment(OMEGA, Ok(Nat(1))))
 
 
 def test_div_propagation_short_circuits():
     from bigstep.extensions import div_oracle
     from bigstep.oracle import Finished, FirstPremise
 
-    dsem, _ = div_oracle(SEM)
+    dsem = div_oracle(SEM)
     starts = [s for s in dsem.start(IDENTITY_APP) if isinstance(s, FirstPremise)]
     conts = dsem.advance(starts[0].activation, INFINITY)
     assert conts == (Finished(INFINITY, rule="div-prop"),)
@@ -293,7 +292,7 @@ def _rules(doc):
 
 
 @pytest.mark.parametrize("lift", [
-    ext.wrong_oracle, lambda sem: ext.div_oracle(sem)[0], ext.trace_oracle,
+    ext.wrong_oracle, ext.div_oracle, ext.trace_oracle,
 ], ids=["wrong", "div", "trace"])
 def test_extensions_keep_the_base_rule_names(lift):
     lifted = lift(SEM)
@@ -316,8 +315,8 @@ def test_div_trace_prefixes_the_conclusion_and_completed_premises():
 
 
 def test_show_result_of_each_extension():
-    wsem, (dsem, _), tsem = (ext.wrong_oracle(SEM), ext.div_oracle(SEM),
-                             ext.trace_oracle(SEM))
+    wsem, dsem, tsem = (ext.wrong_oracle(SEM), ext.div_oracle(SEM),
+                        ext.trace_oracle(SEM))
     assert wsem.show_result(WRONG) == "wrong"
     assert wsem.show_result(Ok(Nat(3))) == "3"
     assert dsem.show_result(INFINITY) == "infinity"

@@ -601,10 +601,10 @@ def test_tree_equality_equals_the_recursive_reference():
 
 def test_single_end_exhaustive_runs_take_no_skeleton(monkeypatch):
     # a run with one end has nothing to merge, so it keys no outcome
-    def refuse(self):
-        raise AssertionError("a single-end run took a skeleton")
+    def refuse(o):
+        raise AssertionError("a single-end run keyed its outcome")
 
-    monkeypatch.setattr(PartialEvalTree, "skeleton", refuse)
+    monkeypatch.setattr(pet, "_outcome_key", refuse)
     fj = fj_semantics(INTEROP_TABLE)
     for e in enumerate_fj(INTEROP_TABLE, 3):
         [_] = run_exhaustive(fj, EnvConfig(EMPTY_MAP, e), 150)
@@ -623,3 +623,32 @@ def test_deep_two_end_runs_merge_by_skeleton():
     first, second = run_exhaustive(SEM, e, 10 * n)
     assert all(isinstance(o, Converged) and o.result == Nat(n) for o in (first, second))
     assert first.steps < second.steps
+
+
+class _DeepTwoAxioms(LanguageSemantics):
+    """``k`` demands ``k + 1`` by one rule up to ``depth``, which has two
+    axioms with the same result and different rule names."""
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def start(self, k):
+        if k == self.depth:
+            return (Axiom(0, rule="a"), Axiom(0, rule="b"))
+        return (FirstPremise(k + 1, Activation("up", k, (), k + 1)),)
+
+    def advance(self, activation, result):
+        return (Finished(result),)
+
+    def premise_bound(self, config):
+        return 1
+
+
+def test_deep_ends_of_one_shape_merge():
+    # the two ends differ only in the leaf's rule name, so their keys
+    # compare equal; a key nested once per tree level raised
+    # ``RecursionError`` when compared
+    [out] = run_exhaustive(_DeepTwoAxioms(2000), 0, 10_000)
+    assert isinstance(out, Converged) and out.steps == 4001
+    *_, (_, leaf) = out.tree.walk()
+    assert leaf.config == 2000 and leaf.tag == "a"  # the first end is kept

@@ -2,6 +2,7 @@
 the base rules: they agree with the stepper's outcomes wherever the
 stepper neither runs out of fuel nor cuts a cycle that converges."""
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -18,7 +19,8 @@ from bigstep.lam.semantics import STRATEGIES
 from bigstep.lam.syntax import App, Choice, Nat, Succ
 from bigstep.oracle import (Activation, Axiom, Demand, FirstPremise, Finished,
                             LanguageSemantics, OracleContractError)
-from bigstep.pet import DivergenceCertificate, Diverges, OutOfFuel, run_exhaustive
+from bigstep.pet import (Converged, DivergenceCertificate, Diverges, OutOfFuel, Stuck,
+                         StuckKind, run_exhaustive)
 from bigstep.util import EMPTY_MAP
 
 from test_oracle_contract import BrokenAdvance, UnboundedPremises
@@ -191,6 +193,55 @@ def int_rules(draw):
     rule = st.tuples(st.sampled_from("ab"), st.lists(st.integers(0, n - 1), max_size=3),
                      st.integers(0, 2))
     return {c: draw(st.lists(rule, max_size=3)) for c in range(n)}
+
+
+class PickyIntRules(IntRules):
+    """``IntRules`` in which premise ``i`` of rule ``k`` of a configuration
+    accepts only the results in ``accepts[config][k][i]``: ``advance``
+    answers nothing for any other, so a run can get stuck past its start."""
+
+    def __init__(self, rules, accepts):
+        super().__init__(rules)
+        self.accepts = accepts
+
+    def advance(self, a, r):
+        if r not in self.accepts[a.conclusion_config][a.bindings][a.index - 1]:
+            return ()
+        return super().advance(a, r)
+
+
+@st.composite
+def picky_int_rules(draw):
+    rules = draw(int_rules())
+    subset = st.frozensets(st.integers(0, 2))
+    return PickyIntRules(rules, {c: [[draw(subset) for _ in premises] for _, premises, _ in rs]
+                                 for c, rs in rules.items()})
+
+
+def test_stepper_ends_are_read_off_the_table_when_premises_reject():
+    # every converged result is in the closed table, every stuck end is
+    # one of its dead ends, and every divergence certificate checks; the
+    # count of each kind keeps any clause from passing vacuously, and a
+    # premise result that no rule accepts leaves a no-continuation end
+    fuel, met = 1000, Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(picky_int_rules())
+    def check(sem):
+        t = ext._table(sem, [0], fuel)
+        assert not t.spent
+        for o in run_exhaustive(sem, 0, 40):
+            met[o.kind if isinstance(o, Stuck) else type(o)] += 1
+            if isinstance(o, Converged):
+                assert o.result in t.entries[0][0]
+            elif isinstance(o, Stuck):
+                assert o.info in t.dead_ends
+            elif isinstance(o, Diverges):
+                assert divergence_certificate_check(sem, o.certificate, fuel).passed
+
+    check()
+    assert met[Converged] and met[Diverges], met
+    assert met[StuckKind.NO_RULE] and met[StuckKind.NO_CONTINUATION], met
 
 
 def _callers_loop(table, root, rejoined):

@@ -204,7 +204,7 @@ def tag_docs():
     runs = []
     for strategy in STRATEGIES:
         base = lambda_semantics(strategy)
-        for sem in (ext.wrong_oracle(base), ext.div_oracle(base)[0],
+        for sem in (ext.wrong_oracle(base), ext.div_oracle(base),
                     ext.trace_oracle(base)):
             runs.append((sem, FUEL, terms))
     runs.extend(object_corpora().values())

@@ -12,7 +12,11 @@ takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
 in the benchmark's ``sweep``); the microseconds per run that
 ``run_exhaustive`` takes over the 3,118 FJ configurations of
 ``enumerate_fj(INTEROP_TABLE, 3)`` at fuel 150, each a run with one end,
-and over the 6,343 closed depth-3 lambda terms at fuel 120; the seconds
+and over the 6,343 closed depth-3 lambda terms at fuel 120; the
+milliseconds that keying and merging take (``_outcome_key`` into one dict
+per run, the merge layer of ``run_exhaustive``) over the 26,892 ends of
+the runs with two or more ends on those lambda terms at fuel 120, under
+the base, wrong and trace oracles; the seconds
 that ``soundness_must_audit`` and ``soundness_may_audit`` take on the
 typed depth-3 lambda corpus (``typed_corpus(3)``, 974 members) at fuel
 100, each of which must pass with no inconclusive member, and how many
@@ -42,14 +46,15 @@ import statistics
 import time
 import tracemalloc
 
-from bigstep.extensions import FinTrace, eval_trace
+from bigstep.extensions import FinTrace, eval_trace, trace_oracle, wrong_oracle
 from bigstep.fj import INTEROP_TABLE, EnvConfig, enumerate_fj, fj_semantics
 from bigstep.inference import UniverseOverflow, interp_corules, reachable_universe
 from bigstep.lam import lambda_semantics
 from bigstep.lam.corpus import enumerate_terms, lambda_type_predicate, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Succ
 from bigstep.maxelem import MaxElem, maxelem_gis
-from bigstep.pet import Converged, OutOfFuel, run_exhaustive, run_first
+from bigstep.pet import (START, Converged, OutOfFuel, _explore, _Frame, _outcome_key,
+                         run_exhaustive, run_first)
 from bigstep.predicates import soundness_may_audit, soundness_must_audit
 from bigstep.rational import periodic
 from bigstep.serialize import value_doc
@@ -98,6 +103,24 @@ def overflow(sys, goal, cap: int) -> None:
     raise AssertionError(f"{goal!r} closes within {cap}")
 
 
+def multi_end_runs(sems, configs, fuel: int) -> list:
+    """The ends of every run with two or more, one list per run."""
+    runs = []
+    for sem in sems:
+        for c in configs:
+            ends = [o for _, o in _explore(sem, [_Frame(c, START, ())], fuel)]
+            if len(ends) > 1:
+                runs.append(ends)
+    return runs
+
+
+def merge(runs) -> None:
+    for ends in runs:
+        outcomes = {}
+        for o in ends:
+            outcomes.setdefault(_outcome_key(o), o)
+
+
 def median_seconds(run) -> float:
     times = []
     for _ in range(ROUNDS):
@@ -134,6 +157,12 @@ def main() -> None:
         secs = median_seconds(lambda: [run_exhaustive(lang, c, fuel) for c in configs])
         print(f"run_exhaustive  {name:<15} {secs / len(configs) * 1e6:8.2f} us/run,"
               f" {len(configs)} runs")
+    runs = multi_end_runs((sem, wrong_oracle(sem), trace_oracle(sem)), enumerate_terms(3), 120)
+    ends = sum(map(len, runs))
+    secs = median_seconds(lambda: merge(runs))
+    print(f"merge keys      {'lambda depth 3':<15} {secs * 1e3:8.1f} ms,"
+          f" {ends} ends of {len(runs)} runs")
+    del runs
     corpus, pred = typed_corpus(3), lambda_type_predicate()
     for name, audit in (("must", soundness_must_audit), ("may", soundness_may_audit)):
         report = audit(sem, pred, corpus, 100)
