@@ -216,7 +216,8 @@ def cmd_soundness(args) -> int:
 
 def _parse_maxelem_goal(goal: str):
     # list=value with list like 1:2:(1:2)* or 1:2:nil or (1:2)*; every item
-    # is an integer, and one ':' separates the prefix from the period or nil
+    # and the value are naturals, and one ':' separates the prefix from the
+    # period or nil
     try:
         lst, value = goal.rsplit("=", 1)
         lst = lst.strip()
@@ -232,7 +233,11 @@ def _parse_maxelem_goal(goal: str):
                 raise ValueError(f"no ':' after the prefix {lst!r}")
             lst = lst[:-1]
         prefix = tuple(int(x) for x in lst.split(":")) if lst else ()
-        return MaxElem(RationalList(prefix, period), int(value.strip()))
+        value = int(value.strip())
+        least = min(prefix + period + (value,))
+        if least < 0:
+            raise ValueError(f"{least} is not a natural number")
+        return MaxElem(RationalList(prefix, period), value)
     except (ValueError, IndexError) as err:
         raise _UsageError(f"bad goal {goal!r}: {err}")
 

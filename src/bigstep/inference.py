@@ -21,18 +21,18 @@ then.  The tables belong to the universe and die with it.
 The fixpoints run worklists over those tables, in the style of Dowling
 and Gallier's linear-time Horn-SAT: each rule counts its premises (least
 fixpoint) or each judgment its live rules (greatest fixpoint), and the
-rules waiting on a judgment are one slice of a flat array, so each costs
-O(|U| + R + P) for R rules with P premises in all.  ``interp_corules``
-runs the greatest fixpoint of the rules inside the least fixpoint of
-rules and corules on one pair of tables, and ``bounded_coinduction_check``
-reads its consistency clause off the live-rule counts that the greatest
-fixpoint starts from.
+rules waiting on a judgment are a chain of premise slots threaded through
+flat arrays and walked in place, so each costs O(|U| + R + P) for R rules
+with P premises in all.  ``interp_corules`` runs the greatest fixpoint of
+the rules inside the least fixpoint of rules and corules on one pair of
+tables, and ``bounded_coinduction_check`` reads its consistency clause off
+the live-rule counts that the greatest fixpoint starts from.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from operator import gt, not_
 from typing import AbstractSet, Any, Callable, FrozenSet, Iterable, Optional
 
@@ -106,63 +106,61 @@ class _Rules:
     """One base system's rules over a universe, as integer tables.
 
     Rule ``r`` concludes judgment number ``conclusion[r]`` and has
-    ``size[r]`` premises; the rules waiting on judgment ``k`` are
-    ``waiting[start[k]:start[k + 1]]``, once per premise.  ``start`` and
-    ``waiting`` are ``None`` when no rule has a premise.  The tables are
-    built from each premise slot's judgment number (``premises``) and
-    rule number (``owner``), slot by slot in rule order.
+    ``size[r]`` premises, each one premise slot.  The slots waiting on
+    judgment ``k`` form a chain: ``first[k]`` is the newest (-1 for none),
+    ``after[slot]`` the next one in the chain and ``owner[slot]`` the rule
+    that the slot belongs to.  When no rule has a premise, ``after`` is
+    empty and ``first`` is ``None``.
     """
 
-    __slots__ = ("conclusion", "size", "start", "waiting")
+    __slots__ = ("conclusion", "size", "first", "after", "owner")
 
-    def __init__(self, n: int, conclusion: array, size: array,
-                 premises: array, owner: array):
+    def __init__(self, conclusion: array, size: array, first: Optional[array],
+                 after: array, owner: array):
         self.conclusion, self.size = conclusion, size
-        self.start = self.waiting = None
-        if premises:
-            order = sorted(range(len(premises)), key=premises.__getitem__)
-            self.waiting = array("l", map(owner.__getitem__, order))
-            counts = array("l", [0]) * (n + 1)
-            for i in premises:
-                counts[i + 1] += 1
-            self.start = array("l", accumulate(counts))
+        self.first, self.after, self.owner = first, after, owner
 
 
 def _draw(parts, judgments: list, index: dict, cap: Optional[int] = None) -> list:
     """Query each part once about each judgment, in number order.
 
-    Returns each part's ``_Rules``.  With a ``cap``, a premise not yet
-    numbered is numbered next and queried in turn, and ``UniverseOverflow``
-    is raised as soon as there would be more than ``cap`` judgments,
-    before the rest of the current query's stream is drawn.  Without one,
-    the judgments are fixed, and a rule with a premise outside them is
-    left out: it can neither fire nor stay live.
+    Returns each part's ``_Rules``, threading each premise slot onto its
+    judgment's chain as the rule is drawn.  With a ``cap``, a premise not
+    yet numbered is numbered next and queried in turn, and
+    ``UniverseOverflow`` is raised as soon as there would be more than
+    ``cap`` judgments, before the rest of the current query's stream is
+    drawn.  Without one, the judgments are fixed, and a rule with a premise
+    outside them is left out before any of its slots is threaded: it can
+    neither fire nor stay live.
     """
-    drawn = [(part.premise_candidates, *(array("l") for _ in range(4))) for part in parts]
+    drawn = [(part.premise_candidates, array("l"), array("l"),
+              array("l", [-1]) * len(judgments), array("l"), array("l")) for part in parts]
     # setdefault returns the very ``fresh`` object passed exactly when it
-    # numbers a new judgment; get returns None (``fresh``) for an outsider
+    # numbers a new judgment; without a cap each premise that gets to the
+    # lookup is numbered
     lookup, fresh = (index.get, None) if cap is None else (index.setdefault, len(index))
     # the loop also visits the judgments that it appends
     for k, j in enumerate(judgments):
-        for query, conclusion, size, premises, owner in drawn:
+        for query, conclusion, size, first, after, owner in drawn:
             for premise_set in query(j):
-                r, first = len(conclusion), len(premises)
+                if cap is None and not all(map(index.__contains__, premise_set)):
+                    continue
+                r, slot = len(conclusion), len(owner)
+                conclusion.append(k)
                 for p in premise_set:
                     i = lookup(p, fresh)
                     if i is fresh:
-                        if cap is None:
-                            del premises[first:], owner[first:]
-                            break
                         judgments.append(p)
                         fresh = len(judgments)
                         if fresh > cap:
                             raise UniverseOverflow(cap)
-                    premises.append(i)
+                        for d in drawn:
+                            d[3].append(-1)
+                    after.append(first[i])
+                    first[i] = len(owner)
                     owner.append(r)
-                else:
-                    conclusion.append(k)
-                    size.append(len(premises) - first)
-    return [_Rules(len(judgments), *d[1:]) for d in drawn]
+                size.append(len(owner) - slot)
+    return [_Rules(c, s, f if a else None, a, o) for _, c, s, f, a, o in drawn]
 
 
 def _numbers(judgments: Iterable[Judgment]) -> dict:
@@ -245,18 +243,21 @@ def _least(tables: list, n: int) -> bytearray:
     waits = []
     for t in tables:
         todo += compress(t.conclusion, map(not_, t.size))
-        if t.start is not None:
-            waits.append((t.start, t.waiting, t.conclusion, array("l", t.size)))
+        if t.after:
+            waits.append((t.first, t.after, t.owner, t.conclusion, array("l", t.size)))
     while todo:
         k = todo.pop()
         if derived[k]:
             continue
         derived[k] = 1
-        for start, waiting, conclusion, missing in waits:
-            for r in waiting[start[k]:start[k + 1]]:
+        for first, after, owner, conclusion, missing in waits:
+            slot = first[k]
+            while slot >= 0:
+                r = owner[slot]
                 missing[r] -= 1
                 if not missing[r]:
                     todo.append(conclusion[r])
+                slot = after[slot]
     return derived
 
 
@@ -271,11 +272,13 @@ def _live(tables: list, inside: bytearray) -> tuple:
     dead = []
     for t in tables:
         d = bytearray(map(not_, map(inside.__getitem__, t.conclusion)))
-        if t.start is not None:
-            start, waiting = t.start, t.waiting
+        if t.after:
+            first, after, owner = t.first, t.after, t.owner
             for k in outside:
-                for r in waiting[start[k]:start[k + 1]]:
-                    d[r] = 1
+                slot = first[k]
+                while slot >= 0:
+                    d[owner[slot]] = 1
+                    slot = after[slot]
         for c in compress(t.conclusion, map(not_, d)):
             live[c] += 1
         dead.append(d)
@@ -292,18 +295,21 @@ def _greatest(tables: list, inside: bytearray) -> array:
     dead, live = _live(tables, inside)
     # inside[k] > live[k] exactly when k is inside with no live rule
     removed = list(compress(range(len(inside)), map(gt, inside, live)))
-    waits = [(t.start, t.waiting, t.conclusion, d)
-             for t, d in zip(tables, dead) if t.start is not None]
+    waits = [(t.first, t.after, t.owner, t.conclusion, d)
+             for t, d in zip(tables, dead) if t.after]
     while removed:
         k = removed.pop()
-        for start, waiting, conclusion, d in waits:
-            for r in waiting[start[k]:start[k + 1]]:
+        for first, after, owner, conclusion, d in waits:
+            slot = first[k]
+            while slot >= 0:
+                r = owner[slot]
                 if not d[r]:
                     d[r] = 1
                     c = conclusion[r]
                     live[c] -= 1
                     if not live[c]:
                         removed.append(c)
+                slot = after[slot]
     return live
 
 

@@ -194,6 +194,14 @@ def test_malformed_corules_period_is_a_usage_error(capsys):
         assert code in (0, 2) and docs[0]["goal"] == shown
 
 
+def test_negative_corules_goal_is_a_usage_error(capsys):
+    # maxElem is over naturals: a negative item or value is no goal at all
+    for goal in ("(-1)*=-1", "1:-2:nil=1", "(1:2)*=-1"):
+        code, docs, err = run_cli(capsys, "corules", "--goal", goal)
+        assert code == 1 and docs == [], goal
+        assert err.startswith(f"bad goal {goal!r}: ") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     deep = "succ (" * 150 + "0" + ")" * 150
     proc = subprocess.Popen(

@@ -461,9 +461,10 @@ def test_exhaustive_runs_hash_no_tree(monkeypatch, strategy):
             evaluate(sem, e, 60, mode, exhaustive=True)
 
 
-def test_exhaustive_runs_take_the_skeleton_of_a_deep_tree():
-    # merging outcomes takes each tree's skeleton, which used to recurse
-    # once per level and fail from about 600 nested ``succ``
+def test_deep_single_end_runs_converge_and_fold_their_skeleton():
+    # on a 2,000-deep spine a single-end exhaustive run converges, skeleton()
+    # of its tree folds without recursion (it used to fail from about 600
+    # nested ``succ``), and the wrong, div and total modes each give Ok(n)
     n = 2000
     e = Nat(0)
     for _ in range(n):

@@ -30,7 +30,12 @@ per judgment: what ``bsm corules`` pays, with a fresh goal and universe
 in each run, so that the closure's rule tables are built in every run
 and ``interp_corules`` queries nothing; beside them, the seconds that
 ``interp_corules`` takes on a plain frozenset copy of the universe, which
-numbers it and queries both systems about every judgment; at 90,000
+numbers it and queries both systems about every judgment; on the universe
+that each rung built, the microseconds per judgment of the other
+fixpoints that the benchmark's ``fixpoint`` workload runs:
+``interp_coinductive`` and ``interp_inductive`` of the rules, and
+``bounded_coinduction_check`` of the goal's value claimed of every suffix
+of its list, which must pass; at 90,000
 judgments, the ``tracemalloc`` peak of the closure plus
 ``interp_corules`` and the megabytes that the universe, with its tables,
 retains; and the seconds that ``reachable_universe`` takes
@@ -48,7 +53,9 @@ import tracemalloc
 
 from bigstep.extensions import FinTrace, eval_trace, trace_oracle, wrong_oracle
 from bigstep.fj import INTEROP_TABLE, EnvConfig, enumerate_fj, fj_semantics
-from bigstep.inference import UniverseOverflow, interp_corules, reachable_universe
+from bigstep.inference import (UniverseOverflow, bounded_coinduction_check,
+                               interp_coinductive, interp_corules, interp_inductive,
+                               reachable_universe)
 from bigstep.lam import lambda_semantics
 from bigstep.lam.corpus import enumerate_terms, lambda_type_predicate, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Succ
@@ -93,6 +100,15 @@ def closure_and_corules(gis, n: int) -> tuple:
     t2 = time.perf_counter()
     assert len(universe) == n * n and goal in members
     return t1 - t0, t2 - t1, universe
+
+
+def suffix_claim(goal: MaxElem) -> frozenset:
+    """The goal's value claimed of every suffix of its list."""
+    claim, lst = set(), goal.lst
+    while MaxElem(lst, goal.value) not in claim:
+        claim.add(MaxElem(lst, goal.value))
+        lst = lst.tail
+    return frozenset(claim)
 
 
 def overflow(sys, goal, cap: int) -> None:
@@ -175,7 +191,8 @@ def main() -> None:
     for n in (50, 100, 200, 300):
         runs = [closure_and_corules(gis, n) for _ in range(ROUNDS)]
         build, corules = (statistics.median(r[i] for r in runs) for i in (0, 1))
-        plain = frozenset(runs[-1][2])
+        universe = runs[-1][2]
+        plain = frozenset(universe)
         del runs
         queried = median_seconds(lambda: interp_corules(gis, plain))
         per = 1e6 / (n * n)
@@ -183,6 +200,17 @@ def main() -> None:
               f" interp_corules {corules:.3f} s, {n * n} judgments"
               f" ({build * per:.1f} + {corules * per:.1f} us per judgment);"
               f" on a frozenset {queried:.3f} s ({queried * per:.1f} us per judgment)")
+        claim = suffix_claim(maxelem_goal(n))
+        assert len(claim) == n
+        assert bounded_coinduction_check(gis, claim, universe).passed
+        fixpoints = [median_seconds(run) * per for run in (
+            lambda: interp_coinductive(gis.rules, universe),
+            lambda: interp_inductive(gis.rules, universe),
+            lambda: bounded_coinduction_check(gis, claim, universe))]
+        print(f"fixpoints       {f'(0:..:{n - 1})*={n - 1}':<15} interp_coinductive"
+              f" {fixpoints[0]:.2f}, interp_inductive {fixpoints[1]:.2f},"
+              f" bounded_coinduction_check {fixpoints[2]:.2f} us per judgment")
+        del universe, plain
     tracemalloc.start()
     universe = reachable_universe(gis.combined(), {maxelem_goal(300)}, 90_000)
     interp_corules(gis, universe)
