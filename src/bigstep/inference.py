@@ -22,15 +22,16 @@ The fixpoints run worklists over those tables, in the style of Dowling
 and Gallier's linear-time Horn-SAT: each rule counts its premises (least
 fixpoint) or each judgment its live rules (greatest fixpoint), and the
 rules waiting on a judgment are a chain of premise slots threaded through
-flat arrays and walked in place, so each costs O(|U| + R + P) for R rules
-with P premises in all.  ``interp_corules`` runs the greatest fixpoint of
-the rules inside the least fixpoint of rules and corules on one pair of
-tables, and ``bounded_coinduction_check`` reads its consistency clause off
-the live-rule counts that the greatest fixpoint starts from.
+flat lists of ints and walked in place, so each costs O(|U| + R + P) for
+R rules with P premises in all.  ``interp_corules`` runs the greatest
+fixpoint of the rules inside the least fixpoint of rules and corules on
+one pair of tables; the universe keeps that least fixpoint's flags, so
+``bounded_coinduction_check`` on the same universe reads them instead of
+computing them again, and reads its consistency clause off the live-rule
+counts that the greatest fixpoint starts from.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import gt, not_
@@ -103,7 +104,7 @@ class UniverseOverflow(Exception):
 
 
 class _Rules:
-    """One base system's rules over a universe, as integer tables.
+    """One base system's rules over a universe, as flat lists of ints.
 
     Rule ``r`` concludes judgment number ``conclusion[r]`` and has
     ``size[r]`` premises, each one premise slot.  The slots waiting on
@@ -115,8 +116,8 @@ class _Rules:
 
     __slots__ = ("conclusion", "size", "first", "after", "owner")
 
-    def __init__(self, conclusion: array, size: array, first: Optional[array],
-                 after: array, owner: array):
+    def __init__(self, conclusion: list, size: list, first: Optional[list],
+                 after: list, owner: list):
         self.conclusion, self.size = conclusion, size
         self.first, self.after, self.owner = first, after, owner
 
@@ -126,15 +127,15 @@ def _draw(parts, judgments: list, index: dict, cap: Optional[int] = None) -> lis
 
     Returns each part's ``_Rules``, threading each premise slot onto its
     judgment's chain as the rule is drawn.  With a ``cap``, a premise not
-    yet numbered is numbered next and queried in turn, and
-    ``UniverseOverflow`` is raised as soon as there would be more than
-    ``cap`` judgments, before the rest of the current query's stream is
-    drawn.  Without one, the judgments are fixed, and a rule with a premise
-    outside them is left out before any of its slots is threaded: it can
-    neither fire nor stay live.
+    yet numbered is numbered next, extends every part's ``first`` by -1
+    and is queried in turn, and ``UniverseOverflow`` is raised as soon as
+    there would be more than ``cap`` judgments, before the rest of the
+    current query's stream is drawn.  Without one, the judgments are
+    fixed, and a rule with a premise outside them is left out before any
+    of its slots is threaded: it can neither fire nor stay live.
     """
-    drawn = [(part.premise_candidates, array("l"), array("l"),
-              array("l", [-1]) * len(judgments), array("l"), array("l")) for part in parts]
+    drawn = [(part.premise_candidates, [], [], [-1] * len(judgments), [], [])
+             for part in parts]
     # setdefault returns the very ``fresh`` object passed exactly when it
     # numbers a new judgment; without a cap each premise that gets to the
     # lookup is numbered
@@ -180,10 +181,11 @@ class Universe(frozenset):
     set operations return a plain frozenset.  ``Universe(judgments)``
     numbers them in iteration order.  The rule tables of each base system
     are drawn on the first fixpoint that needs them and kept here, and
-    nowhere else.
+    nowhere else; so are the flags of the least fixpoint of rules and
+    corules, once per set of their parts (see ``_bound``).
     """
 
-    __slots__ = ("judgments", "index", "_tables")
+    __slots__ = ("judgments", "index", "_tables", "_bounds")
 
     def __new__(cls, judgments: Iterable[Judgment] = ()):
         return cls._numbered(_numbers(judgments), {})
@@ -192,6 +194,7 @@ class Universe(frozenset):
     def _numbered(cls, index: dict, tables: dict) -> "Universe":
         self = frozenset.__new__(cls, index)  # reuses the dict's hashes
         self.judgments, self.index, self._tables = list(index), index, tables
+        self._bounds = {}
         return self
 
     def tables(self, sys: InferenceSystem) -> list:
@@ -244,7 +247,7 @@ def _least(tables: list, n: int) -> bytearray:
     for t in tables:
         todo += compress(t.conclusion, map(not_, t.size))
         if t.after:
-            waits.append((t.first, t.after, t.owner, t.conclusion, array("l", t.size)))
+            waits.append((t.first, t.after, t.owner, t.conclusion, t.size.copy()))
     while todo:
         k = todo.pop()
         if derived[k]:
@@ -261,13 +264,13 @@ def _least(tables: list, n: int) -> bytearray:
     return derived
 
 
-def _live(tables: list, inside: bytearray) -> tuple:
+def _live(tables: list, inside: bytes) -> tuple:
     """Each table's dead-rule flags and each judgment's live-rule count.
 
     A rule is dead when its conclusion or one of its premises is not
     flagged ``inside``; a judgment outside has no live rule.
     """
-    live = array("l", [0]) * len(inside)
+    live = [0] * len(inside)
     outside = list(compress(range(len(inside)), map(not_, inside)))
     dead = []
     for t in tables:
@@ -285,7 +288,7 @@ def _live(tables: list, inside: bytearray) -> tuple:
     return dead, live
 
 
-def _greatest(tables: list, inside: bytearray) -> array:
+def _greatest(tables: list, inside: bytes) -> list:
     """Live-rule counts, nonzero exactly on the largest consistent subset
     of the judgments flagged ``inside``.
 
@@ -311,6 +314,16 @@ def _greatest(tables: list, inside: bytearray) -> array:
                         removed.append(c)
                 slot = after[slot]
     return live
+
+
+def _bound(gis: GeneralizedIS, u: Universe) -> bytes:
+    """Flags of Ind(rules + corules) on ``u``, computed once per set of
+    parts and kept on ``u`` as bytes, which no fixpoint can write."""
+    key = frozenset(gis.rules.parts + gis.corules.parts)
+    flags = u._bounds.get(key)
+    if flags is None:
+        flags = u._bounds[key] = bytes(_least(u.tables(gis.combined()), len(u)))
+    return flags
 
 
 def interp_inductive(
@@ -342,9 +355,7 @@ def interp_corules(
     finite and closed under premises of both systems.
     """
     u = _universe(universe)
-    rules = u.tables(gis.rules)
-    bound = _least(rules + u.tables(gis.corules), len(u))
-    return u.subset(_greatest(rules, bound))
+    return u.subset(_greatest(u.tables(gis.rules), _bound(gis, u)))
 
 
 @dataclass(frozen=True)
@@ -365,9 +376,7 @@ def bounded_coinduction_check(
     """
     X = frozenset(X)
     u = _universe(universe)
-    rules = u.tables(gis.rules)
-    bound = _least(rules + u.tables(gis.corules), len(u))
-    index = u.index
+    bound, index = _bound(gis, u), u.index
     for j in X:
         k = index.get(j)
         if k is None or not bound[k]:
@@ -375,7 +384,7 @@ def bounded_coinduction_check(
     inside = bytearray(len(u))
     for j in X:
         inside[index[j]] = 1
-    live = _live(rules, inside)[1]
+    live = _live(u.tables(gis.rules), inside)[1]
     for j in X:
         if not live[index[j]]:
             return CoinductionCheck(False, j, "consistency")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bigstep import inference
 from bigstep.cli import main
 from bigstep.inference import (
     CoinductionCheck,
@@ -514,6 +515,24 @@ def _twice(sys):
     return InferenceSystem(lambda j: list(sys.premise_candidates(j)) * 2)
 
 
+def _assert_fixpoints_equal_the_reference(gis, numbered, claims):
+    """All four fixpoints, on the numbered universe and on a plain copy,
+    of ``gis`` and of its systems with every rule streamed twice."""
+    rules, corules = gis.rules, gis.corules
+    systems = [GeneralizedIS(rules, corules),
+               GeneralizedIS(rules.union(_twice(rules)), corules),
+               GeneralizedIS(_twice(rules), corules.union(rules).union(corules))]
+    for u in (numbered, frozenset(numbered)):
+        for gis in systems:
+            for sys in (gis.rules, gis.combined(), gis.rules.union(gis.corules).union(rules)):
+                assert interp_inductive(sys, u) == _reference_inductive(sys, u)
+                assert interp_coinductive(sys, u) == _reference_coinductive(sys, u)
+            assert interp_corules(gis, u) == _reference_corules(gis, u)
+            for claim in claims:
+                check = bounded_coinduction_check(gis, claim, u)
+                assert check == _reference_check(gis, claim, u)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(digest_shaped_systems(), maxelem_goals()), st.data())
@@ -523,20 +542,8 @@ def test_fixpoints_on_kept_rules_equal_the_reference(case, data):
     outsider = MaxElem(finite(99), 99) if isinstance(judgments[0], MaxElem) else -1
     claims = [frozenset(data.draw(st.lists(st.sampled_from(judgments + [outsider]))))
               for _ in range(3)] + [frozenset(universe)]
-    rules, corules = gis.rules, gis.corules
-    systems = [GeneralizedIS(rules, corules),
-               GeneralizedIS(rules.union(_twice(rules)), corules),
-               GeneralizedIS(_twice(rules), corules.union(rules).union(corules))]
     numbered = universe if isinstance(universe, Universe) else Universe(universe)
-    for u in (numbered, frozenset(universe)):
-        for gis in systems:
-            for sys in (gis.rules, gis.combined(), gis.rules.union(gis.corules).union(rules)):
-                assert interp_inductive(sys, u) == _reference_inductive(sys, u)
-                assert interp_coinductive(sys, u) == _reference_coinductive(sys, u)
-            assert interp_corules(gis, u) == _reference_corules(gis, u)
-            for claim in claims:
-                check = bounded_coinduction_check(gis, claim, u)
-                assert check == _reference_check(gis, claim, u)
+    _assert_fixpoints_equal_the_reference(gis, numbered, claims)
     plain = frozenset(universe)
     assert numbered == plain and hash(numbered) == hash(plain)
     assert isinstance(numbered, frozenset)
@@ -544,6 +551,63 @@ def test_fixpoints_on_kept_rules_equal_the_reference(case, data):
     assert set(numbered.judgments) == plain
     assert type(numbered | {outsider}) is frozenset
     assert numbered | {outsider} == plain | {outsider}
+
+
+def _suffix_claim(goal):
+    """The goal's value claimed of every suffix of its list, nil included."""
+    claim, lst = set(), goal.lst
+    while MaxElem(lst, goal.value) not in claim:
+        claim.add(MaxElem(lst, goal.value))
+        if lst.is_empty:
+            break
+        lst = lst.tail
+    return frozenset(claim)
+
+
+# the largest goals of the benchmark's fixpoint workload, with period 20 and
+# maximum 19: their universes number premise slots past 256, beyond the
+# integers that Python keeps one shared object of
+BENCHMARK_SIZED_GOALS = (MaxElem(RationalList((3,), (19, 18, *range(18))), 19),
+                         MaxElem(RationalList((19, *range(19))), 19))
+
+
+@pytest.mark.parametrize("goal", BENCHMARK_SIZED_GOALS, ids=("periodic", "finite"))
+def test_fixpoints_at_the_benchmark_sizes_equal_the_reference(goal):
+    gis, claim = maxelem_gis(), _suffix_claim(goal)
+    universe = reachable_universe(gis.combined(), {goal} | claim, 100_000)
+    assert len(universe) > 300
+    assert sum(len(t.owner) for t in universe._tables.values()) > 300
+    _assert_fixpoints_equal_the_reference(gis, universe, [claim, frozenset(universe)])
+
+
+def test_the_bound_is_computed_once_per_universe_and_no_fixpoint_writes_it(monkeypatch):
+    gis = maxelem_gis()
+    goal = MaxElem(periodic((0,), (5, 4, 0, 2, 1, 3)), 5)
+    claim = _suffix_claim(goal)
+    universe = reachable_universe(gis.combined(), {goal} | claim, 100_000)
+
+    def tables():
+        return {part: [list(f or ()) for f in (t.conclusion, t.size, t.first, t.after, t.owner)]
+                for part, t in universe._tables.items()}
+
+    drawn = tables()
+    calls = []
+    least = inference._least
+    monkeypatch.setattr(inference, "_least", lambda *a: calls.append(a) or least(*a))
+    members = interp_corules(gis, universe)
+    check = bounded_coinduction_check(gis, claim, universe)
+    assert goal in members and check.passed
+    assert len(calls) == 1
+    bounds = dict(universe._bounds)
+    assert len(bounds) == 1 and all(type(b) is bytes for b in bounds.values())
+    for _ in range(2):
+        assert interp_corules(gis, universe) == members
+        assert goal in interp_coinductive(gis.rules, universe)
+        assert goal not in interp_inductive(gis.rules, universe)
+        assert bounded_coinduction_check(gis, claim, universe) == check
+    assert len(calls) == 3  # interp_inductive's two, not cached
+    assert universe._bounds == bounds
+    assert tables() == drawn
 
 
 def _reference_universe(sys, goals, cap):

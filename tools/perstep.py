@@ -22,26 +22,35 @@ typed depth-3 lambda corpus (``typed_corpus(3)``, 974 members) at fuel
 100, each of which must pass with no inconclusive member, and how many
 members each leaves inconclusive at fuel 5 (none: the corpus shares one table of 5 queries
 per member, while tables of 5 queries for each member alone would leave
-729 and 593); the seconds that ``reachable_universe`` and then
-``interp_corules`` on the universe it returns take on the maxElem goal
-``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose universes hold
-2,500, 10,000, 40,000 and 90,000 judgments, each also in microseconds
-per judgment: what ``bsm corules`` pays, with a fresh goal and universe
-in each run, so that the closure's rule tables are built in every run
-and ``interp_corules`` queries nothing; beside them, the seconds that
+729 and 593); the microseconds per judgment that ``reachable_universe``
+and then ``interp_corules`` on the universe it returns take on the
+maxElem goal ``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose
+universes hold 2,500, 10,000, 40,000 and 90,000 judgments: what ``bsm
+corules`` pays, with a fresh goal and universe in each run, so that the
+closure's rule tables are built in every run and ``interp_corules``
+queries nothing; beside them, the microseconds per judgment that
 ``interp_corules`` takes on a plain frozenset copy of the universe, which
 numbers it and queries both systems about every judgment; on the universe
 that each rung built, the microseconds per judgment of the other
 fixpoints that the benchmark's ``fixpoint`` workload runs:
 ``interp_coinductive`` and ``interp_inductive`` of the rules, and
 ``bounded_coinduction_check`` of the goal's value claimed of every suffix
-of its list, which must pass; at 90,000
+of its list, which must pass, and which reads the bound that
+``interp_corules`` kept on the universe, as in the workload; at 90,000
 judgments, the ``tracemalloc`` peak of the closure plus
 ``interp_corules`` and the megabytes that the universe, with its tables,
-retains; and the seconds that ``reachable_universe`` takes
-to pass the cap of 1000 on ``(1000000)*=1000000``, as ``bsm corules``
-does by default.  Each time is the median of three runs in this one
-process.  Terms are built without the parser, which parses 196 nested
+retains; and the seconds that ``reachable_universe`` takes to pass the
+cap of 1000 on ``(1000000)*=1000000``, as ``bsm corules`` does by
+default.  On each rung the closure, ``interp_corules`` and the other
+three fixpoints run five times each, and the fastest run is printed
+beside the median; every other time is the median of three runs in this
+one process.  One process on a shared host can drift by more than a
+fifth between rounds, so to compare two trees, time one rung per
+process, alternating the trees, and compare the fastest runs::
+
+    cd tools; PYTHONPATH=<tree>/src python3 -c 'import perstep; perstep.fixpoint_rung(300)'
+
+Terms are built without the parser, which parses 196 nested
 ``succ (`` and fails at 197.  ROADMAP aim 1 targets a flat per-step
 cost, so the first column should not grow with ``n``, and fixpoints
 linear in the universe, so the microseconds per judgment should not grow
@@ -68,6 +77,7 @@ from bigstep.serialize import value_doc
 from bigstep.util import EMPTY_MAP
 
 ROUNDS = 3
+RUNG_RUNS = 5
 
 
 def spine(n: int):
@@ -137,13 +147,50 @@ def merge(runs) -> None:
             outcomes.setdefault(_outcome_key(o), o)
 
 
-def median_seconds(run) -> float:
+def seconds(run, runs: int) -> list:
     times = []
-    for _ in range(ROUNDS):
+    for _ in range(runs):
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return times
+
+
+def median_seconds(run) -> float:
+    return statistics.median(seconds(run, ROUNDS))
+
+
+def fixpoint_rung(n: int) -> None:
+    """Print the closure and the four fixpoints on ``(0:..:n-1)*=n-1``, in
+    microseconds per judgment, the fastest of five runs and the median."""
+    gis = maxelem_gis()
+    times = []
+    for _ in range(RUNG_RUNS):
+        universe = None  # let the last run's universe go before the next
+        *secs, universe = closure_and_corules(gis, n)
+        times.append(secs)
+    closure, corules = zip(*times)
+    plain = frozenset(universe)
+    queried = median_seconds(lambda: interp_corules(gis, plain))
+    del plain
+    claim = suffix_claim(maxelem_goal(n))
+    assert len(claim) == n
+    assert bounded_coinduction_check(gis, claim, universe).passed
+    others = [seconds(run, RUNG_RUNS) for run in (
+        lambda: interp_coinductive(gis.rules, universe),
+        lambda: interp_inductive(gis.rules, universe),
+        lambda: bounded_coinduction_check(gis, claim, universe))]
+    per, goal = 1e6 / (n * n), f"(0:..:{n - 1})*={n - 1}"
+
+    def us(times) -> str:
+        return f"{min(times) * per:.2f} ({statistics.median(times) * per:.2f})"
+
+    print(f"universe        {goal:<15} {n * n} judgments, us per judgment, fastest"
+          f" (median) of {RUNG_RUNS}: closure {us(closure)}, interp_corules"
+          f" {us(corules)}; on a frozenset interp_corules {queried * per:.1f}")
+    print(f"fixpoints       {goal:<15} interp_coinductive {us(others[0])},"
+          f" interp_inductive {us(others[1])}, bounded_coinduction_check"
+          f" {us(others[2])} us per judgment")
 
 
 def main() -> None:
@@ -187,30 +234,9 @@ def main() -> None:
         left = len(audit(sem, pred, corpus, 5).inconclusive)
         print(f"{name + ' audit':<15} {'typed depth 3':<15} {secs:8.3f} s,"
               f" {len(corpus)} members, {left} inconclusive at fuel 5")
-    gis = maxelem_gis()
     for n in (50, 100, 200, 300):
-        runs = [closure_and_corules(gis, n) for _ in range(ROUNDS)]
-        build, corules = (statistics.median(r[i] for r in runs) for i in (0, 1))
-        universe = runs[-1][2]
-        plain = frozenset(universe)
-        del runs
-        queried = median_seconds(lambda: interp_corules(gis, plain))
-        per = 1e6 / (n * n)
-        print(f"universe        {f'(0:..:{n - 1})*={n - 1}':<15} {build:8.3f} s,"
-              f" interp_corules {corules:.3f} s, {n * n} judgments"
-              f" ({build * per:.1f} + {corules * per:.1f} us per judgment);"
-              f" on a frozenset {queried:.3f} s ({queried * per:.1f} us per judgment)")
-        claim = suffix_claim(maxelem_goal(n))
-        assert len(claim) == n
-        assert bounded_coinduction_check(gis, claim, universe).passed
-        fixpoints = [median_seconds(run) * per for run in (
-            lambda: interp_coinductive(gis.rules, universe),
-            lambda: interp_inductive(gis.rules, universe),
-            lambda: bounded_coinduction_check(gis, claim, universe))]
-        print(f"fixpoints       {f'(0:..:{n - 1})*={n - 1}':<15} interp_coinductive"
-              f" {fixpoints[0]:.2f}, interp_inductive {fixpoints[1]:.2f},"
-              f" bounded_coinduction_check {fixpoints[2]:.2f} us per judgment")
-        del universe, plain
+        fixpoint_rung(n)
+    gis = maxelem_gis()
     tracemalloc.start()
     universe = reachable_universe(gis.combined(), {maxelem_goal(300)}, 90_000)
     interp_corules(gis, universe)
