@@ -8,7 +8,7 @@ contractive types (every cycle crosses an arrow) are admitted.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Union
+from typing import Callable, Dict, FrozenSet, Union
 
 from ..node import node
 from .syntax import Abs, App, Choice, Expr, Nat, Succ, Var
@@ -94,49 +94,88 @@ def unfold_head(t: LType) -> LType:
     return t
 
 
+def _check_type(t: LType) -> None:
+    """Raise ``ValueError`` unless ``t`` is closed and contractive."""
+    if free_type_vars(t):
+        raise ValueError(f"type has free variables: {show_type(t)}")
+    if not is_contractive(t):
+        raise ValueError(f"non-contractive type: {show_type(t)}")
+
+
 def type_equal(t1: LType, t2: LType) -> bool:
     """Bisimilarity of the infinite unfoldings of two closed types."""
-    for t in (t1, t2):
-        if free_type_vars(t):
-            raise ValueError(f"type has free variables: {show_type(t)}")
-        if not is_contractive(t):
-            raise ValueError(f"non-contractive type: {show_type(t)}")
-    assumed = set()
+    _check_type(t1)
+    _check_type(t2)
+    return _bisimilar(t1, t2)
 
-    def go(a: LType, b: LType) -> bool:
-        key = (a, b)
+
+def _bisimilar(t1: LType, t2: LType) -> bool:
+    """``type_equal`` of two types already known closed and contractive.
+
+    Structurally equal types are equal at once.  Else a coinductive
+    pairing loop, on an explicit stack, visits the pairs of subtrees that
+    both unfoldings reach together and fails on the first pair whose head
+    forms differ; a pair seen before, folded or unfolded, is assumed
+    equal.  The order of the visits does not change the verdict.
+    """
+    if t1 == t2:
+        return True
+    assumed = set()
+    todo = [(t1, t2)]
+    while todo:
+        key = todo.pop()
         if key in assumed:
-            return True
+            continue
         assumed.add(key)
-        a, b = unfold_head(a), unfold_head(b)
+        a, b = unfold_head(key[0]), unfold_head(key[1])
         unfolded = (a, b)
         if unfolded != key:
             if unfolded in assumed:
-                return True
+                continue
             assumed.add(unfolded)
-        if isinstance(a, TNat) and isinstance(b, TNat):
-            return True
-        if isinstance(a, TArrow) and isinstance(b, TArrow):
-            return go(a.dom, b.dom) and go(a.cod, b.cod)
-        return False
-
-    return go(t1, t2)
+        if type(a) is TArrow and type(b) is TArrow:
+            todo.append((a.cod, b.cod))
+            todo.append((a.dom, b.dom))
+        elif type(a) is not TNat or type(b) is not TNat:
+            return False
+    return True
 
 
 def show_type(t: LType) -> str:
-    match t:
-        case TNat():
-            return "nat"
-        case TVar(n):
-            return n
-        case TArrow(d, c):
-            ds = show_type(d)
-            if isinstance(d, (TArrow, TRec)):
-                ds = f"({ds})"
-            return f"{ds} -> {show_type(c)}"
-        case TRec(v, body):
-            return f"rec {v}. {show_type(body)}"
-    raise TypeError(t)
+    """Surface syntax; parses back to the same type.
+
+    Iterative, as ``show_expr`` is: ``todo`` is a stack of subtrees still
+    to render and of literal pieces, popped in output order.  An arrow or
+    a binder in domain position is parenthesized.
+    """
+    out = []
+    todo = [t]
+    push, emit = todo.append, out.append
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is str:
+            emit(t)
+        elif cls is TArrow:
+            dom, cod = t
+            push(cod)
+            if type(dom) is TArrow or type(dom) is TRec:
+                push(") -> ")
+                push(dom)
+                emit("(")
+            else:
+                push(" -> ")
+                push(dom)
+        elif cls is TNat:
+            emit("nat")
+        elif cls is TVar:
+            emit(t.name)
+        elif cls is TRec:
+            emit(f"rec {t.var}. ")
+            push(t.body)
+        else:
+            raise TypeError(t)
+    return "".join(out)
 
 
 class LambdaTypeError(Exception):
@@ -156,7 +195,21 @@ def _check_annotation(t: LType) -> None:
 
 
 def typecheck(env: TypeEnv, e: Expr) -> LType:
-    """The unique type of an annotated term, or a rule-named error."""
+    """The unique type of an annotated term, or a rule-named error.
+
+    Each type is validated once, where it enters the checker: an
+    annotation by ``_check_annotation``, a type of ``env`` here.  Every
+    type the checker builds from them is closed and contractive, so it
+    compares types with ``_bisimilar``.  Should ``env`` hold an open or a
+    non-contractive type, the checker compares with ``type_equal``, which
+    raises ``ValueError`` on a comparison that meets it.
+    """
+    valid = not env or all(not free_type_vars(t) and is_contractive(t)
+                           for t in env.values())
+    return _typecheck(env, e, _bisimilar if valid else type_equal)
+
+
+def _typecheck(env: TypeEnv, e: Expr, equal: Callable[[LType, LType], bool]) -> LType:
     match e:
         case Var(name):
             if name not in env:
@@ -166,28 +219,28 @@ def typecheck(env: TypeEnv, e: Expr) -> LType:
             return NAT
         case Abs(param, ann, body):
             _check_annotation(ann)
-            body_t = typecheck({**env, param: ann}, body)
+            body_t = _typecheck({**env, param: ann}, body, equal)
             return TArrow(ann, body_t)
         case App(fn, arg):
-            fn_t = unfold_head(typecheck(env, fn))
+            fn_t = unfold_head(_typecheck(env, fn, equal))
             if not isinstance(fn_t, TArrow):
                 raise LambdaTypeError("t-app", "applied expression is not a function")
-            arg_t = typecheck(env, arg)
-            if not type_equal(arg_t, fn_t.dom):
+            arg_t = _typecheck(env, arg, equal)
+            if not equal(arg_t, fn_t.dom):
                 raise LambdaTypeError(
                     "t-app",
                     f"operand type {show_type(arg_t)} does not match {show_type(fn_t.dom)}",
                 )
             return fn_t.cod
         case Succ(arg):
-            arg_t = typecheck(env, arg)
-            if not type_equal(arg_t, NAT):
+            arg_t = _typecheck(env, arg, equal)
+            if not equal(arg_t, NAT):
                 raise LambdaTypeError("t-succ", "successor of a non-natural")
             return NAT
         case Choice(left, right):
-            lt = typecheck(env, left)
-            rt = typecheck(env, right)
-            if not type_equal(lt, rt):
+            lt = _typecheck(env, left, equal)
+            rt = _typecheck(env, right, equal)
+            if not equal(lt, rt):
                 raise LambdaTypeError("t-choice", "choice branches of unequal type")
             return lt
     raise TypeError(e)

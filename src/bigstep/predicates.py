@@ -20,7 +20,6 @@ pass is evidence, not a proof; a fail pinpoints a rule instance and clause.
 """
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -138,7 +137,8 @@ def _corpus_table(sem: LanguageSemantics, pred: IndexedPredicate, corpus, fuel: 
     for config in corpus:
         if not pred.satisfies(config):
             raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
-        report.stats["configs"] += 1
+    if corpus:
+        report.stats["configs"] = len(corpus)
     t = _table(sem, corpus, fuel * len(corpus)) if corpus else Table({}, {}, False, set())
     unsettled, todo = set(t.spent), t.spent
     while todo:
@@ -147,18 +147,34 @@ def _corpus_table(sem: LanguageSemantics, pred: IndexedPredicate, corpus, fuel: 
     return report, t, unsettled
 
 
+class _Typings(dict):
+    """The indices of each configuration asked about, each asked of
+    ``indices_of_config`` on its first lookup; one audit call owns it."""
+
+    __slots__ = ("ask",)
+
+    def __init__(self, indices_of_config):
+        self.ask = indices_of_config
+
+    def __missing__(self, config):
+        indices = self[config] = self.ask(config)
+        return indices
+
+
 def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                          corpus, fuel: int) -> AuditReport:
     """Each dead end of the corpus table is a violation, and so is each
     preservation violation; an unsettled member is inconclusive."""
     # each configuration is typed once per call, whichever member reaches it
-    pred = IndexedPredicate(functools.cache(pred.indices_of_config), pred.holds_result)
+    pred = IndexedPredicate(_Typings(pred.indices_of_config).__getitem__, pred.holds_result)
     report, t, unsettled = _corpus_table(sem, pred, corpus, fuel)
     report.violations += [_stuck_violation(pred, info) for info in t.dead_ends]
     report.violations += _preservation(pred, t.entries, corpus)
     report.inconclusive += [c for c in corpus if c in unsettled]
-    report.stats += Counter(converged=sum(len(t.entries[c][0]) for c in corpus),
-                            stuck=len(t.dead_ends), timeout=len(report.inconclusive))
+    for key, n in (("converged", sum(len(t.entries[c][0]) for c in corpus)),
+                   ("stuck", len(t.dead_ends)), ("timeout", len(report.inconclusive))):
+        if n:  # in place, skipping zeros as ``Counter`` addition does
+            report.stats[key] += n
     return report
 
 

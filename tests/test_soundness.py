@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from bigstep import cli, pet, predicates
-from bigstep.extensions import INFINITY, TIMEOUT, WRONG, Ok, _table, eval_div, eval_total
+from bigstep.extensions import (INFINITY, TIMEOUT, WRONG, Ok, _diverges, _table, eval_div,
+                                eval_total)
 from bigstep.fj import (IMP_TABLE, INTEROP_TABLE, fj_indexed_predicate, fj_semantics,
                         fj_typed_corpus, impfj_indexed_predicate, impfj_semantics,
                         impfj_typed_corpus)
@@ -441,3 +442,51 @@ def test_empty_corpus_gives_an_empty_passing_report(audit, monkeypatch):
     monkeypatch.setattr(predicates, "_table", lambda *args: pytest.fail("built a table"))
     report = audit(SEM, PRED, [], 50)
     assert report.passed and report == AuditReport() and list(report.stats) == []
+
+
+def _counter_stats(audit, sem, pred, corpus, fuel):
+    """The stats of a corpus audit by ``Counter`` arithmetic: ``configs``
+    counted member by member, then the must audit's three sums added as
+    one ``Counter``, or the may audit's verdicts counted member by member."""
+    _, t, unsettled = predicates._corpus_table(sem, pred, corpus, fuel)
+    stats = Counter()
+    for _ in corpus:
+        stats["configs"] += 1
+    if audit is soundness_must_audit:
+        stats += Counter(converged=sum(len(t.entries[c][0]) for c in corpus),
+                         stuck=len(t.dead_ends),
+                         timeout=sum(c in unsettled for c in corpus))
+        return stats
+    diverging = _diverges(t)
+    for c in corpus:
+        verdict = ("progressing" if t.entries[c][0] or c in diverging
+                   else "timeout" if c in unsettled else "all-stuck")
+        stats[verdict] += 1
+    return stats
+
+
+STATS_CASES = [
+    (SEM, PRED, [parse_expr("succ 1"), parse_expr("1 (+) 2")], 50),
+    (SEM, PRED, [OMEGA], 50),
+    (lambda_semantics(drop_succ=True), PRED, [Succ(Nat(2))], 50),
+    (SEM, fool_predicate(), [FOOL_TERM], 50),
+    (SEM, PRED, [parse_expr("succ (succ (succ (succ 0)))"), OMEGA, Nat(1)], 2),
+    (lambda_semantics(drop_succ=True), PRED,
+     [parse_expr("succ (succ 2)"), Nat(0), parse_expr("(\\x:nat. x) (succ 0)")], 1),
+    (SEM, PRED, typed_corpus(3)[::25], 3),
+    (SEM, PRED, [], 50),
+]
+
+
+def test_audit_stats_equal_the_counter_arithmetic_with_no_zero_count():
+    # converged, stuck (``dropped-succ`` and ``fool``) and out-of-fuel
+    # members; the key order is the order of the report's JSON document
+    keys = set()
+    for sem, pred, corpus, fuel in STATS_CASES:
+        for audit in (soundness_must_audit, soundness_may_audit):
+            stats = audit(sem, pred, corpus, fuel).stats
+            expected = _counter_stats(audit, sem, pred, corpus, fuel)
+            assert list(stats.items()) == list(expected.items()), (audit, corpus)
+            assert 0 not in stats.values()
+            keys |= set(stats)
+    assert keys == {"configs", "converged", "stuck", "timeout", "progressing", "all-stuck"}

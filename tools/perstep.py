@@ -22,7 +22,11 @@ typed depth-3 lambda corpus (``typed_corpus(3)``, 974 members) at fuel
 100, each of which must pass with no inconclusive member, and how many
 members each leaves inconclusive at fuel 5 (none: the corpus shares one table of 5 queries
 per member, while tables of 5 queries for each member alone would leave
-729 and 593); the microseconds per judgment that ``reachable_universe``
+729 and 593); the milliseconds that ``typed_corpus(3)`` takes to type
+the 6,343 closed depth-3 terms, and the microseconds per member that
+the must and may audits take on each member of it alone at fuel 200, as
+the benchmark's ``audit`` workload runs them, the fastest of five runs
+beside the median; the microseconds per judgment that ``reachable_universe``
 and then ``interp_corules`` on the universe it returns take on the
 maxElem goal ``(0:1:...:n-1)*=n-1`` at n = 50, 100, 200 and 300, whose
 universes hold 2,500, 10,000, 40,000 and 90,000 judgments: what ``bsm
@@ -49,6 +53,9 @@ fifth between rounds, so to compare two trees, time one rung per
 process, alternating the trees, and compare the fastest runs::
 
     cd tools; PYTHONPATH=<tree>/src python3 -c 'import perstep; perstep.fixpoint_rung(300)'
+
+and ``perstep.audit_members()`` times the typing and the per-member
+audits the same way.
 
 Terms are built without the parser, which parses 196 nested
 ``succ (`` and fails at 197.  ROADMAP aim 1 targets a flat per-step
@@ -193,6 +200,26 @@ def fixpoint_rung(n: int) -> None:
           f" {us(others[2])} us per judgment")
 
 
+def audit_members() -> None:
+    """Print the milliseconds of ``typed_corpus(3)``, and the microseconds
+    per member of the must and may audits of each of its members alone
+    at fuel 200, the fastest of five runs and the median."""
+    sem, pred = lambda_semantics(), lambda_type_predicate()
+    enumerate_terms(3)  # cached after its first call; only the typing is timed
+    typing = seconds(lambda: typed_corpus(3), RUNG_RUNS)
+    corpus = typed_corpus(3)
+    print(f"typed_corpus    {'depth 3':<15} {min(typing) * 1e3:.1f}"
+          f" ({statistics.median(typing) * 1e3:.1f}) ms, {len(corpus)} members,"
+          f" fastest (median) of {RUNG_RUNS}")
+    for name, audit in (("must", soundness_must_audit), ("may", soundness_may_audit)):
+        assert all(audit(sem, pred, [c], 200).passed for c in corpus)
+        times = seconds(lambda: [audit(sem, pred, [c], 200) for c in corpus], RUNG_RUNS)
+        per = 1e6 / len(corpus)
+        print(f"{name + ' audit':<15} {'each member':<15} {min(times) * per:.1f}"
+              f" ({statistics.median(times) * per:.1f}) us per member at fuel 200,"
+              f" fastest (median) of {RUNG_RUNS}")
+
+
 def main() -> None:
     sem = lambda_semantics()
     for n in (60, 300, 3_000, 10_000):
@@ -234,6 +261,7 @@ def main() -> None:
         left = len(audit(sem, pred, corpus, 5).inconclusive)
         print(f"{name + ' audit':<15} {'typed depth 3':<15} {secs:8.3f} s,"
               f" {len(corpus)} members, {left} inconclusive at fuel 5")
+    audit_members()
     for n in (50, 100, 200, 300):
         fixpoint_rung(n)
     gis = maxelem_gis()
