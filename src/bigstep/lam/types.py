@@ -8,7 +8,7 @@ contractive types (every cycle crosses an arrow) are admitted.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Union
+from typing import Dict, FrozenSet, Union
 
 from ..node import node
 from .syntax import Abs, App, Choice, Expr, Nat, Succ, Var
@@ -198,18 +198,17 @@ def typecheck(env: TypeEnv, e: Expr) -> LType:
     """The unique type of an annotated term, or a rule-named error.
 
     Each type is validated once, where it enters the checker: an
-    annotation by ``_check_annotation``, a type of ``env`` here.  Every
-    type the checker builds from them is closed and contractive, so it
-    compares types with ``_bisimilar``.  Should ``env`` hold an open or a
-    non-contractive type, the checker compares with ``type_equal``, which
-    raises ``ValueError`` on a comparison that meets it.
+    annotation by ``_check_annotation``, a type of ``env`` here, which
+    raises ``ValueError`` unless it is closed and contractive, as
+    ``type_equal`` does.  Every type the checker builds from them is
+    closed and contractive, so it compares types with ``_bisimilar``.
     """
-    valid = not env or all(not free_type_vars(t) and is_contractive(t)
-                           for t in env.values())
-    return _typecheck(env, e, _bisimilar if valid else type_equal)
+    for t in env.values():
+        _check_type(t)
+    return _typecheck(env, e)
 
 
-def _typecheck(env: TypeEnv, e: Expr, equal: Callable[[LType, LType], bool]) -> LType:
+def _typecheck(env: TypeEnv, e: Expr) -> LType:
     match e:
         case Var(name):
             if name not in env:
@@ -219,28 +218,28 @@ def _typecheck(env: TypeEnv, e: Expr, equal: Callable[[LType, LType], bool]) -> 
             return NAT
         case Abs(param, ann, body):
             _check_annotation(ann)
-            body_t = _typecheck({**env, param: ann}, body, equal)
+            body_t = _typecheck({**env, param: ann}, body)
             return TArrow(ann, body_t)
         case App(fn, arg):
-            fn_t = unfold_head(_typecheck(env, fn, equal))
+            fn_t = unfold_head(_typecheck(env, fn))
             if not isinstance(fn_t, TArrow):
                 raise LambdaTypeError("t-app", "applied expression is not a function")
-            arg_t = _typecheck(env, arg, equal)
-            if not equal(arg_t, fn_t.dom):
+            arg_t = _typecheck(env, arg)
+            if not _bisimilar(arg_t, fn_t.dom):
                 raise LambdaTypeError(
                     "t-app",
                     f"operand type {show_type(arg_t)} does not match {show_type(fn_t.dom)}",
                 )
             return fn_t.cod
         case Succ(arg):
-            arg_t = _typecheck(env, arg, equal)
-            if not equal(arg_t, NAT):
+            arg_t = _typecheck(env, arg)
+            if not _bisimilar(arg_t, NAT):
                 raise LambdaTypeError("t-succ", "successor of a non-natural")
             return NAT
         case Choice(left, right):
-            lt = _typecheck(env, left, equal)
-            rt = _typecheck(env, right, equal)
-            if not equal(lt, rt):
+            lt = _typecheck(env, left)
+            rt = _typecheck(env, right)
+            if not _bisimilar(lt, rt):
                 raise LambdaTypeError("t-choice", "choice branches of unequal type")
             return lt
     raise TypeError(e)

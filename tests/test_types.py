@@ -1,5 +1,8 @@
 """The lambda type checker against a copy that validates every comparison,
 and ``show_type`` on types deeper than the recursion limit."""
+import re
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -132,9 +135,10 @@ def annotated_terms(draw, depth=5, scope=("u",)):
     return App(left, right) if kind == "app" else Choice(left, right)
 
 
-# an environment's types may be open but not non-contractive: unfolding
-# ``rec t. t`` at an application never ends, in either checker
-ENVS = st.just({}) | st.builds(lambda t: {"u": t}, TYPES.filter(is_contractive))
+# an environment holds closed, contractive types; ``typecheck`` rejects
+# any other on entry (see the test after this one)
+ENVS = st.just({}) | st.builds(
+    lambda t: {"u": t}, TYPES.filter(lambda t: not free_type_vars(t) and is_contractive(t)))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None,
@@ -142,6 +146,18 @@ ENVS = st.just({}) | st.builds(lambda t: {"u": t}, TYPES.filter(is_contractive))
 @given(ENVS, annotated_terms())
 def test_typecheck_equals_a_checker_that_validates_every_comparison(env, e):
     assert _verdict(typecheck, env, e) == _verdict(_reference_typecheck, env, e)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (TVar("t"), "type has free variables: t"),
+    (TArrow(NAT, TVar("t")), "type has free variables: nat -> t"),
+    (TRec("t", TVar("t")), "non-contractive type: rec t. t"),
+])
+def test_typecheck_rejects_an_open_or_non_contractive_environment_type(bad, message):
+    # checked once on entry, even where no comparison would meet the type
+    for e in (Nat(0), Var("u"), App(Var("u"), Nat(0))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            typecheck({"u": bad}, e)
 
 
 def test_typed_corpus_is_the_reference_checkers_typable_terms():
