@@ -134,11 +134,11 @@ class _Extension(LanguageSemantics):
     def start(self, config):
         steps = self.base.start(config)
         if not steps and self.dead_end is not None:
-            return (Axiom(self.dead_end, rule=f"{self.dead_end.rule}-config"),)
+            return (Axiom(self.dead_end, f"{self.dead_end.rule}-config"),)
         out = []
         for s in steps:
             if isinstance(s, Axiom):
-                out.append(Axiom(self.lift(config, (), s.result), rule=s.rule))
+                out.append(Axiom(self.lift(config, (), s.result), s.rule))
             else:
                 check_first_premise(config, s)
                 inner = s.activation
@@ -154,13 +154,13 @@ class _Extension(LanguageSemantics):
         inner: Activation = a.bindings
         conts = self.base.advance(inner, value)
         if not conts and self.dead_end is not None:
-            return (Finished(self.dead_end, rule=f"{self.dead_end.rule}-result"),)
+            return (Finished(self.dead_end, f"{self.dead_end.rule}-result"),)
         completed = a.completed + (BsJudgment(a.pending, r),)
         out = []
         for c in conts:
             if isinstance(c, Finished):
                 out.append(Finished(self.lift(a.conclusion_config, completed, c.result),
-                                    rule=c.rule or inner.rule_family))
+                                    c.rule))
             else:
                 check_demand(inner, value, c)
                 nxt = c.activation
@@ -197,7 +197,7 @@ class LiftedSemantics(_Extension):
         return _NO_BASE if r is self.mark else r.value
 
     def propagate(self, a, r):
-        return Finished(self.mark, rule=f"{self.mark.rule}-prop")
+        return Finished(self.mark, f"{self.mark.rule}-prop")
 
     def show_result(self, result):
         if result is self.mark:
@@ -216,7 +216,7 @@ class TraceSemantics(_Extension):
 
     def propagate(self, a, r):
         prefix = _trace_word(a.conclusion_config, a.completed) + r.prefix
-        return Finished(InfTrace(prefix, r.period), rule="div-trace")
+        return Finished(InfTrace(prefix, r.period), "div-trace")
 
     def show_result(self, result):
         # neither surface syntax uses ";", so it separates configurations

@@ -52,17 +52,18 @@ class _FJOracle(LanguageSemantics):
     def __init__(self, ct: ClassTable):
         self.ct = ct
 
+    # Each query dispatches once on ``type(...)`` and builds its answers
+    # positionally, as ``oracle`` advises.
     def premise_bound(self, config: Config) -> int:
-        match config.expr:
-            case Invoke(_, _, args):
-                return len(args) + 2
-            case New(_, args):
-                return len(args)
-            case FieldAssign(_, _, _):
-                return 2
-            case FieldAccess(_, _) | Cast(_, _):
-                return 1
-        return 0
+        e = config.expr
+        cls = type(e)
+        if cls is Invoke:
+            return len(e.args) + 2
+        if cls is New:
+            return len(e.args)
+        if cls is FieldAssign:
+            return 2
+        return 1 if cls is FieldAccess or cls is Cast else 0
 
     def show_config(self, config):
         return show_fj(config)
@@ -77,25 +78,26 @@ class FJSemantics(_FJOracle):
     _TARGET_FIRST = {FieldAccess: "field-access", Invoke: "invk", Cast: "upcast"}
 
     def start(self, config: Config) -> Sequence[StartStep]:
-        env, e = config.env, config.expr
-        match e:
-            case Var(name):
-                v = env.get(name)
-                return (Axiom(v, rule="var"),) if v is not None else ()
-            case Lambda(params, body):
-                return (Axiom(LamVal(params, body), rule="lambda"),)
-            case New(cls, args):
-                fields = self.ct.fields(cls)
-                if fields is None or len(fields) != len(args):
-                    return ()
-                if not args:
-                    return (Axiom(ObjVal(cls, ()), rule="new"),)
-                first = EnvConfig(env, args[0])
-                return (FirstPremise(first, Activation("new", config, (), first)),)
-            case FieldAccess() | Invoke() | Cast():
-                first = EnvConfig(env, e.target)
-                family = self._TARGET_FIRST[type(e)]
-                return (FirstPremise(first, Activation(family, config, (), first)),)
+        env, e = config
+        cls = type(e)
+        family = self._TARGET_FIRST.get(cls)
+        if family is not None:
+            first = EnvConfig(env, e.target)
+            return (FirstPremise(first, Activation(family, config, (), first)),)
+        if cls is Var:
+            v = env.get(e.name)
+            return (Axiom(v, "var"),) if v is not None else ()
+        if cls is New:
+            args = e.args
+            fields = self.ct.fields(e.cls)
+            if fields is None or len(fields) != len(args):
+                return ()
+            if not args:
+                return (Axiom(ObjVal(e.cls, ()), "new"),)
+            first = EnvConfig(env, args[0])
+            return (FirstPremise(first, Activation("new", config, (), first)),)
+        if cls is Lambda:
+            return (Axiom(LamVal(e.params, e.body), "lambda"),)
         return ()
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:
@@ -108,15 +110,15 @@ class FJSemantics(_FJOracle):
                 nxt = EnvConfig(env, e.args[i])
                 return (Demand(nxt, a.extend(r, nxt)),)
             values = tuple(j.result for j in a.completed) + (r,)
-            return (Finished(ObjVal(e.cls, values), rule="new"),)
+            return (Finished(ObjVal(e.cls, values), "new"),)
         if family == "field-access":
             if isinstance(r, ObjVal):
                 idx = self.ct.field_index(r.cls, e.field)
                 if idx is not None and idx < len(r.fields):
-                    return (Finished(r.fields[idx], rule="field-access"),)
+                    return (Finished(r.fields[idx], "field-access"),)
             return ()
         if family == "upcast":
-            return (Finished(r, rule="upcast"),)
+            return (Finished(r, "upcast"),)
         if family in ("invk", "lambda-invk"):
             n = len(e.args)
             if i == 1:  # receiver premise: select the rule family
@@ -135,7 +137,7 @@ class FJSemantics(_FJOracle):
                 values = tuple(j.result for j in a.completed) + (r,)
                 nxt = self._invoke_body(family, values[0], values[1:], e.method)
             else:
-                return (Finished(r, rule=family),)
+                return (Finished(r, family),)
             return (Demand(nxt, a.extend(r, nxt, rule_family=family)),)
         raise ValueError(f"unknown rule family {family!r}")
 
@@ -164,23 +166,24 @@ class ImpFJSemantics(_FJOracle):
     _TARGET_FIRST = {FieldAccess: "fld", Invoke: "invk", FieldAssign: "fld-up"}
 
     def start(self, config: Config) -> Sequence[StartStep]:
-        mem, e = config.memory, config.expr
-        match e:
-            case ObjIdRef(oid):
-                return (Axiom(MemResult(mem, oid), rule="obj"),)
-            case New(cls, args):
-                fields = self.ct.fields(cls)
-                if fields is None or len(fields) != len(args):
-                    return ()
-                if not args:
-                    mem2, oid = mem.allocate(ObjState(cls, ()))
-                    return (Axiom(MemResult(mem2, oid), rule="new"),)
-                first = MemConfig(mem, args[0])
-                return (FirstPremise(first, Activation("new", config, (), first)),)
-            case FieldAccess() | Invoke() | FieldAssign():
-                first = MemConfig(mem, e.target)
-                family = self._TARGET_FIRST[type(e)]
-                return (FirstPremise(first, Activation(family, config, (), first)),)
+        mem, e = config
+        cls = type(e)
+        family = self._TARGET_FIRST.get(cls)
+        if family is not None:
+            first = MemConfig(mem, e.target)
+            return (FirstPremise(first, Activation(family, config, (), first)),)
+        if cls is ObjIdRef:
+            return (Axiom(MemResult(mem, e.oid), "obj"),)
+        if cls is New:
+            args = e.args
+            fields = self.ct.fields(e.cls)
+            if fields is None or len(fields) != len(args):
+                return ()
+            if not args:
+                mem2, oid = mem.allocate(ObjState(e.cls, ()))
+                return (Axiom(MemResult(mem2, oid), "new"),)
+            first = MemConfig(mem, args[0])
+            return (FirstPremise(first, Activation("new", config, (), first)),)
         return ()
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:
@@ -195,7 +198,7 @@ class ImpFJSemantics(_FJOracle):
                 return (Demand(nxt, a.extend(r, nxt)),)
             oids = tuple(j.result.oid for j in a.completed) + (r.oid,)
             mem2, oid = mem_after.allocate(ObjState(e.cls, oids))
-            return (Finished(MemResult(mem2, oid), rule="new"),)
+            return (Finished(MemResult(mem2, oid), "new"),)
         if family == "fld":
             state = mem_after.get(r.oid)
             if state is None:
@@ -203,7 +206,7 @@ class ImpFJSemantics(_FJOracle):
             idx = self.ct.field_index(state.cls, e.field)
             if idx is None or idx >= len(state.fields):
                 return ()
-            return (Finished(MemResult(mem_after, state.fields[idx]), rule="fld"),)
+            return (Finished(MemResult(mem_after, state.fields[idx]), "fld"),)
         if family == "fld-up":
             if i == 1:
                 nxt = MemConfig(mem_after, e.value)
@@ -216,7 +219,7 @@ class ImpFJSemantics(_FJOracle):
             if idx is None or idx >= len(state.fields):
                 return ()
             mem2 = mem_after.update_field(target.oid, idx, r.oid)
-            return (Finished(MemResult(mem2, r.oid), rule="fld-up"),)
+            return (Finished(MemResult(mem2, r.oid), "fld-up"),)
         if family == "invk":
             n = len(e.args)
             cls = a.bindings
@@ -238,7 +241,7 @@ class ImpFJSemantics(_FJOracle):
                 mapping["this"] = ObjIdRef(oids[0])
                 nxt = MemConfig(mem_after, subst_expr(body, mapping))
             else:
-                return (Finished(r, rule="invk"),)
+                return (Finished(r, "invk"),)
             return (Demand(nxt, a.extend(r, nxt, bindings=cls)),)
         raise ValueError(f"unknown rule family {family!r}")
 

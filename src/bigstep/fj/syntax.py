@@ -136,27 +136,36 @@ class MemResult:
 
 
 def subst_expr(e: FJExpr, mapping: dict) -> FJExpr:
-    """Simultaneous substitution of expressions for variables."""
-    match e:
-        case Var(name):
-            return mapping.get(name, e)
-        case FieldAccess(target, field):
-            return FieldAccess(subst_expr(target, mapping), field)
-        case New(cls, args):
-            return New(cls, tuple(subst_expr(a, mapping) for a in args))
-        case Invoke(target, method, args):
-            return Invoke(subst_expr(target, mapping), method,
-                          tuple(subst_expr(a, mapping) for a in args))
-        case FieldAssign(target, field, value):
-            return FieldAssign(subst_expr(target, mapping), field,
-                               subst_expr(value, mapping))
-        case ObjIdRef(_):
-            return e
-        case Lambda(params, body):
-            trimmed = {k: v for k, v in mapping.items() if k not in params}
-            return Lambda(params, subst_expr(body, trimmed))
-        case Cast(type_, target):
-            return Cast(type_, subst_expr(target, mapping))
+    """Simultaneous substitution of expressions for variables.
+
+    It runs once per method body invoked, so it dispatches on ``type(e)``
+    rather than matching class patterns.
+    """
+    cls = type(e)
+    if cls is Var:
+        return mapping.get(e.name, e)
+    if cls is FieldAccess:
+        target, field = e
+        return FieldAccess(subst_expr(target, mapping), field)
+    if cls is New:
+        return New(e.cls, tuple([subst_expr(a, mapping) for a in e.args]))
+    if cls is Invoke:
+        target, method, args = e
+        return Invoke(subst_expr(target, mapping), method,
+                      tuple([subst_expr(a, mapping) for a in args]))
+    if cls is FieldAssign:
+        target, field, value = e
+        return FieldAssign(subst_expr(target, mapping), field,
+                           subst_expr(value, mapping))
+    if cls is ObjIdRef:
+        return e
+    if cls is Lambda:
+        params, body = e
+        trimmed = {k: v for k, v in mapping.items() if k not in params}
+        return Lambda(params, subst_expr(body, trimmed))
+    if cls is Cast:
+        type_, target = e
+        return Cast(type_, subst_expr(target, mapping))
     raise TypeError(e)
 
 

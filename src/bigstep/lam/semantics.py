@@ -52,61 +52,63 @@ class LambdaSemantics(LanguageSemantics):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.drop_succ = drop_succ
+        order = _APP[strategy][0]
+        self._first = App._fields.index(order[0])  # the field premise 1 evaluates
+        self._app_bound = len(order) + 1
 
+    # Each query dispatches once on ``type(...)`` and builds its answers
+    # positionally, as ``oracle`` advises: every transition asks one query.
     def start(self, config: Config) -> Sequence[StartStep]:
-        steps: list = []
-        if is_value(config):
-            steps.append(Axiom(config, rule="val"))
-        match config:
-            case App(_, _):
-                first = getattr(config, _APP[self.strategy][0][0])
-                steps.append(FirstPremise(
-                    first, Activation(self.strategy, config, (), first)))
-            case Succ(arg):
-                if not self.drop_succ:
-                    steps.append(FirstPremise(
-                        arg, Activation("succ", config, (), arg)))
-            case Choice(left, right):
-                steps.append(FirstPremise(
-                    left, Activation("choice", config, (), left)))
-                steps.append(FirstPremise(
-                    right, Activation("choice", config, (), right)))
-        return tuple(steps)
+        cls = type(config)
+        if cls is App:
+            first = config[self._first]
+            return (FirstPremise(first, Activation(self.strategy, config, (), first)),)
+        if cls is Nat or cls is Abs:
+            return (Axiom(config, "val"),)
+        if cls is Succ:
+            if self.drop_succ:
+                return ()
+            arg = config.arg
+            return (FirstPremise(arg, Activation("succ", config, (), arg)),)
+        if cls is Choice:
+            left, right = config
+            return (FirstPremise(left, Activation("choice", config, (), left)),
+                    FirstPremise(right, Activation("choice", config, (), right)))
+        return ()
 
     def advance(self, a: Activation, r: ResultVal) -> Sequence[Continuation]:
         family = a.rule_family
         if family == "succ":
-            if isinstance(r, Nat):
-                return (Finished(Nat(r.value + 1), rule="succ"),)
+            if type(r) is Nat:
+                return (Finished(Nat(r.value + 1), "succ"),)
             return ()
         if family == "choice":
-            return (Finished(r, rule="choice"),)
+            return (Finished(r, "choice"),)
         app = _APP.get(family)
         if app is None:
             raise ValueError(f"unknown rule family {family!r}")
         order, check, arg = app
-        i = len(a.completed) + 1  # a.index, the premise that just finished
-        if i == check and not isinstance(r, Abs):
+        completed = a.completed
+        i = len(completed) + 1  # a.index, the premise that just finished
+        if i == check and type(r) is not Abs:
             return ()
         n = len(order)
         if i < n:
-            nxt = (a.completed[0].result if order[i] == "fn-value"
+            nxt = (completed[0].result if order[i] == "fn-value"
                    else getattr(a.conclusion_config, order[i]))
         elif i == n:
-            fn = r if i == check else a.completed[check - 1].result
-            value = r if i == arg else a.completed[arg - 1].result
+            fn = r if i == check else completed[check - 1].result
+            value = r if i == arg else completed[arg - 1].result
             nxt = subst(fn.body, value, fn.param)
         else:
-            return (Finished(r, rule=family),)
+            return (Finished(r, family),)
         return (Demand(nxt, a.extend(r, nxt)),)
 
     def premise_bound(self, config: Config) -> int:
-        match config:
-            case App(_, _):
-                return len(_APP[self.strategy][0]) + 1
-            case Succ(_) | Choice(_, _):
-                return 1
-        return 0
+        cls = type(config)
+        if cls is App:
+            return self._app_bound
+        return 1 if cls is Succ or cls is Choice else 0
 
     def show_config(self, config: Config) -> str:
         return show_expr(config)

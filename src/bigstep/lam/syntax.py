@@ -72,23 +72,25 @@ def subst(e: Expr, v: Expr, x: str) -> Expr:
     """Substitute the closed value ``v`` for ``x`` in ``e``.
 
     Closedness of ``v`` means no capture can occur, so binders only need
-    a shadowing check.
+    a shadowing check.  It runs once per application body, so it
+    dispatches on ``type(e)`` rather than matching class patterns.
     """
-    match e:
-        case Var(name):
-            return v if name == x else e
-        case Nat(_):
-            return e
-        case Abs(param, ann, body):
-            if param == x:
-                return e
-            return Abs(param, ann, subst(body, v, x))
-        case App(fn, arg):
-            return App(subst(fn, v, x), subst(arg, v, x))
-        case Succ(arg):
-            return Succ(subst(arg, v, x))
-        case Choice(left, right):
-            return Choice(subst(left, v, x), subst(right, v, x))
+    cls = type(e)
+    if cls is Var:
+        return v if e.name == x else e
+    if cls is App:
+        fn, arg = e
+        return App(subst(fn, v, x), subst(arg, v, x))
+    if cls is Abs:
+        param, ann, body = e
+        return e if param == x else Abs(param, ann, subst(body, v, x))
+    if cls is Nat:
+        return e
+    if cls is Succ:
+        return Succ(subst(e.arg, v, x))
+    if cls is Choice:
+        left, right = e
+        return Choice(subst(left, v, x), subst(right, v, x))
     raise TypeError(e)
 
 

@@ -16,7 +16,7 @@ from bigstep.extensions import (
 from bigstep.lam import OMEGA, OMEGA_BODY, enumerate_terms, lambda_semantics, parse_expr
 from bigstep.lam.semantics import WRONG_MARK, direct_traces, direct_wrong_results
 from bigstep.lam.syntax import App, Choice, Nat, Succ, Var
-from bigstep.oracle import Finished, FirstPremise
+from bigstep.oracle import Activation, Axiom, Finished, FirstPremise, LanguageSemantics
 from bigstep.pet import (Converged, Diverges, DivergenceCertificate, run_exhaustive,
                          run_first)
 from bigstep.serialize import tree_doc
@@ -228,7 +228,7 @@ def test_div_oracle_coaxiom_predicate():
 
 def test_div_propagation_short_circuits():
     from bigstep.extensions import div_oracle
-    from bigstep.oracle import Finished, FirstPremise
+    from bigstep.oracle import Activation, Axiom, Finished, FirstPremise, LanguageSemantics
 
     dsem = div_oracle(SEM)
     starts = [s for s in dsem.start(IDENTITY_APP) if isinstance(s, FirstPremise)]
@@ -238,7 +238,7 @@ def test_div_propagation_short_circuits():
 
 def test_wrong_propagation_short_circuits():
     from bigstep.extensions import wrong_oracle
-    from bigstep.oracle import Finished, FirstPremise
+    from bigstep.oracle import Activation, Axiom, Finished, FirstPremise, LanguageSemantics
 
     wsem = wrong_oracle(SEM)
     starts = [s for s in wsem.start(IDENTITY_APP) if isinstance(s, FirstPremise)]
@@ -332,3 +332,31 @@ def test_infinite_trace_with_empty_prefix_renders_only_its_period():
     tsem = ext.trace_oracle(SEM)
     fn, n = IDENTITY_APP.fn, IDENTITY_APP.arg
     assert tsem.show_result(InfTrace((), (fn, n))) == "(\\x:nat. x ; 3)^w"
+
+
+class RuleNamed(LanguageSemantics):
+    """``a`` has one rule, of family ``fam``, with the premise ``v``, an
+    axiom; it finishes under ``rule``: the empty name, or ``None``, which
+    leaves the name to the family."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def start(self, config):
+        if config == "v":
+            return (Axiom(1, "v"),)
+        return (FirstPremise("v", Activation("fam", config, (), "v")),)
+
+    def advance(self, a, r):
+        return (Finished(r, self.rule),)
+
+    def premise_bound(self, config):
+        return 1
+
+
+@pytest.mark.parametrize("rule, tag", [("", ""), (None, "fam")])
+@pytest.mark.parametrize("mode", ["plain", "wrong", "div", "trace"])
+def test_lifted_runs_keep_the_base_rule_name(mode, rule, tag):
+    # an empty rule name is a name: no extension renames it to the family
+    (outcome, _), = ext.evaluate(RuleNamed(rule), "a", 10, mode)
+    assert outcome.tree.tag == tag

@@ -12,6 +12,8 @@ from bigstep.oracle import (
     FirstPremise,
     LanguageSemantics,
     OracleContractError,
+    checked_advance,
+    checked_start,
 )
 from bigstep.pet import run_exhaustive, run_first
 
@@ -188,3 +190,58 @@ def test_extensions_check_the_base_advance_activation(mode):
     with pytest.raises(OracleContractError,
                        match="advance activation malformed for 'root'"):
         evaluate(BrokenAdvance(), "root", 10, mode)
+
+
+# answers given twice over, as a list, a generator or a tuple, and once,
+# as the 1-tuple that the checked queries take without deduplicating
+SHAPES = {
+    "list": (list, 2),
+    "generator": (lambda xs: (x for x in xs), 2),
+    "duplicate": (tuple, 2),
+    "single": (tuple, 1),
+}
+
+
+def shaped(base, shape, copies):
+    """``base()`` answering each query ``copies`` times over, as ``shape``."""
+
+    class Shaped(base):
+        asked = 0
+
+        def start(self, config):
+            self.asked += 1
+            return shape(super().start(config) * copies)
+
+        def advance(self, a, r):
+            self.asked += 1
+            return shape(super().advance(a, r) * copies)
+
+    return Shaped()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_checked_queries_deduplicate_every_shape_of_answer(run, shape):
+    # a duplicate left in would be taken as a second branch, or wake the
+    # table's waiting activations twice, and so ask more queries
+    once, sem = shaped(TwoPremises, tuple, 1), shaped(TwoPremises, *SHAPES[shape])
+    assert repr(run(sem)) == repr(run(once))
+    assert sem.asked == once.asked
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_checked_queries_check_every_shape_of_answer(run, shape):
+    with pytest.raises(OracleContractError, match="start activation malformed for 'a'"):
+        run(shaped(ForeignConclusion, *SHAPES[shape]))
+    with pytest.raises(OracleContractError, match="advance activation malformed for 'a'"):
+        run(shaped(AdvancePendingElsewhere, *SHAPES[shape]))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_checked_queries_answer_distinct_tuples(shape):
+    sem = shaped(TwoPremises, *SHAPES[shape])
+    (step,) = checked_start(sem, "a")
+    assert step == FirstPremise("v", Activation("r", "a", (), "v"))
+    assert checked_advance(sem, step.activation, 1) == (
+        Demand("v", step.activation.extend(1, "v")),)

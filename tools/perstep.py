@@ -55,7 +55,10 @@ process, alternating the trees, and compare the fastest runs::
     cd tools; PYTHONPATH=<tree>/src python3 -c 'import perstep; perstep.fixpoint_rung(300)'
 
 and ``perstep.audit_members()`` times the typing and the per-member
-audits the same way.
+audits the same way, and ``perstep.oracle_queries()`` the oracle layer:
+the nanoseconds per ``checked_start`` and per ``checked_advance`` over
+the queries that exhaustive runs ask on the depth-3 lambda terms under
+the base, wrong and trace oracles and on the FJ depth-3 corpus.
 
 Terms are built without the parser, which parses 196 nested
 ``succ (`` and fails at 197.  ROADMAP aim 1 targets a flat per-step
@@ -76,6 +79,7 @@ from bigstep.lam import lambda_semantics
 from bigstep.lam.corpus import enumerate_terms, lambda_type_predicate, typed_corpus
 from bigstep.lam.syntax import Choice, Nat, Succ
 from bigstep.maxelem import MaxElem, maxelem_gis
+from bigstep.oracle import LanguageSemantics, checked_advance, checked_start
 from bigstep.pet import (START, Converged, OutOfFuel, _explore, _Frame, _outcome_key,
                          run_exhaustive, run_first)
 from bigstep.predicates import soundness_may_audit, soundness_must_audit
@@ -220,6 +224,53 @@ def audit_members() -> None:
               f" fastest (median) of {RUNG_RUNS}")
 
 
+class _Recorder(LanguageSemantics):
+    """Asks ``inner`` and keeps every query asked of it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.starts, self.advances = [], []
+
+    def start(self, config):
+        self.starts.append(config)
+        return self.inner.start(config)
+
+    def advance(self, a, r):
+        self.advances.append((a, r))
+        return self.inner.advance(a, r)
+
+    def premise_bound(self, config):
+        return self.inner.premise_bound(config)
+
+
+def oracle_queries() -> None:
+    """Print the nanoseconds per ``checked_start`` and per
+    ``checked_advance`` over the queries that exhaustive runs ask on the
+    depth-3 lambda terms at fuel 120, under the base, wrong and trace
+    oracles, and on the FJ depth-3 corpus at fuel 150; the fastest of
+    five runs and the median."""
+    def ns(times, n) -> str:
+        return f"{min(times) * 1e9 / n:.0f} ({statistics.median(times) * 1e9 / n:.0f})"
+
+    lam, fj = lambda_semantics(), fj_semantics(INTEROP_TABLE)
+    fj_configs = [EnvConfig(EMPTY_MAP, e) for e in enumerate_fj(INTEROP_TABLE, 3)]
+    for name, sem, fuel, configs in (
+            ("lambda base", lam, 120, enumerate_terms(3)),
+            ("lambda wrong", wrong_oracle(lam), 120, enumerate_terms(3)),
+            ("lambda trace", trace_oracle(lam), 120, enumerate_terms(3)),
+            ("FJ depth 3", fj, 150, fj_configs)):
+        rec = _Recorder(sem)
+        for c in configs:
+            run_exhaustive(rec, c, fuel)
+        starts, advances = rec.starts, rec.advances
+        start = seconds(lambda: [checked_start(sem, c) for c in starts], RUNG_RUNS)
+        advance = seconds(lambda: [checked_advance(sem, a, r) for a, r in advances],
+                          RUNG_RUNS)
+        print(f"oracle queries  {name:<15} ns per query, fastest (median) of {RUNG_RUNS}:"
+              f" checked_start {ns(start, len(starts))} x {len(starts)},"
+              f" checked_advance {ns(advance, len(advances))} x {len(advances)}")
+
+
 def main() -> None:
     sem = lambda_semantics()
     for n in (60, 300, 3_000, 10_000):
@@ -262,6 +313,7 @@ def main() -> None:
         print(f"{name + ' audit':<15} {'typed depth 3':<15} {secs:8.3f} s,"
               f" {len(corpus)} members, {left} inconclusive at fuel 5")
     audit_members()
+    oracle_queries()
     for n in (50, 100, 200, 300):
         fixpoint_rung(n)
     gis = maxelem_gis()
