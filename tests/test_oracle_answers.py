@@ -136,7 +136,8 @@ def match_premise_bound(self, config):
 
 
 class MatchFJ(FJSemantics):
-    # ``advance`` is inherited: it only builds its ``Finished`` positionally now
+    # ``advance`` is inherited: it never matched class patterns, and its
+    # positional ``Finished`` equal the keyword-built ones
     premise_bound = match_premise_bound
 
     def start(self, config):
