@@ -14,25 +14,30 @@ result table:
             with one coaxiom per configuration so that infinite
             derivations prove nothing but divergence.
 
-All three lift every base rule the same way and differ only in how a
-result is lifted, lowered, propagated and shown; wrong and divergence
-are one transformer, ``LiftedSemantics``, with a different mark.  The
-total semantics combines wrong and divergence so every computation is
+The wrong and divergence results are the base results plus a mark, a
+disjoint union, so both are one transformer, ``LiftedSemantics``: it
+passes every base answer through and adds only the mark's rules.
+``TraceSemantics`` lifts every base rule to traced results, as the paper
+defines it, and is the reference for traces read off trees.  The total
+semantics combines wrong and divergence so every computation is
 classified; ``evaluate`` runs the base semantics (mode ``plain``, the
 identity extension) or any of the four extensions once and pairs each
 stepper outcome with its extended value; its finite proof of divergence
-is a cyclic certificate.  Exhaustive ``eval_div`` and ``eval_total``, the
-certificate check and the audits read one record, ``Table(entries,
-dead_ends, rejoined, spent)``, of results over the base rules closed by
-a least fixpoint from its roots, an audit's whole corpus; ``_diverges``
-is the greatest fixpoint of the divergence rules on its demand edges.
+is a cyclic certificate.  No stepper premise ever yields infinity and a
+trace lists a tree's configurations in pre-order, so only the ``wrong``
+and ``total`` modes step an extension, the wrong one; the others step
+the base oracle and read their values off its outcomes.  Exhaustive
+``eval_div`` and ``eval_total``, the certificate check and the audits
+read one record, ``Table(entries, dead_ends, rejoined, spent)``, of
+results over the base rules closed by a least fixpoint from its roots,
+an audit's whole corpus; ``_diverges`` is the greatest fixpoint of the
+divergence rules on its demand edges.
 ``fuel`` bounds a table's queries in all, a stepper branch's transitions.
 """
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Optional, Tuple, Union
 
 from .node import node
@@ -103,11 +108,6 @@ def trace_forget(tr: TraceResult):
     raise TypeError(tr)
 
 
-# ``lower``'s answer for an extended result with no base counterpart; not
-# ``None``, which may be a base result
-_NO_BASE = object()
-
-
 def _trace_word(config, completed) -> Tuple[Config, ...]:
     """``config`` followed by the traces of the ``completed`` premises."""
     word = [config]
@@ -117,57 +117,10 @@ def _trace_word(config, completed) -> Tuple[Config, ...]:
 
 
 class _Extension(LanguageSemantics):
-    """Every base rule lifted to extended results, plus propagation rules.
+    """An extension of ``base``, with its configurations and premise bounds."""
 
-    An extended activation holds the extended premise results and keeps
-    the base activation in ``bindings``.  Subclasses define ``lift``,
-    ``lower`` (``_NO_BASE`` for a result to ``propagate``) and
-    ``show_result``.  A ``dead_end`` mark concludes every configuration no
-    rule starts (``<r>-config``, ``<r>`` the mark's rule prefix) and every
-    premise result no rule accepts (``<r>-result``).
-    """
-
-    def __init__(self, base: LanguageSemantics, dead_end: Optional[Mark] = None):
+    def __init__(self, base: LanguageSemantics):
         self.base = base
-        self.dead_end = dead_end
-
-    def start(self, config):
-        steps = self.base.start(config)
-        if not steps and self.dead_end is not None:
-            return (Axiom(self.dead_end, f"{self.dead_end.rule}-config"),)
-        out = []
-        for s in steps:
-            if isinstance(s, Axiom):
-                out.append(Axiom(self.lift(config, (), s.result), s.rule))
-            else:
-                check_first_premise(config, s)
-                inner = s.activation
-                out.append(FirstPremise(s.config, Activation(
-                    inner.rule_family, inner.conclusion_config, (),
-                    inner.pending, inner)))
-        return tuple(out)
-
-    def advance(self, a, r):
-        value = self.lower(r)
-        if value is _NO_BASE:
-            return (self.propagate(a, r),)
-        inner: Activation = a.bindings
-        conts = self.base.advance(inner, value)
-        if not conts and self.dead_end is not None:
-            return (Finished(self.dead_end, f"{self.dead_end.rule}-result"),)
-        completed = a.completed + (BsJudgment(a.pending, r),)
-        out = []
-        for c in conts:
-            if isinstance(c, Finished):
-                out.append(Finished(self.lift(a.conclusion_config, completed, c.result),
-                                    c.rule))
-            else:
-                check_demand(inner, value, c)
-                nxt = c.activation
-                out.append(Demand(c.config, Activation(
-                    nxt.rule_family, nxt.conclusion_config, completed,
-                    nxt.pending, nxt)))
-        return tuple(out)
 
     def premise_bound(self, config):
         return self.base.premise_bound(config)
@@ -180,43 +133,76 @@ class _Extension(LanguageSemantics):
 
 
 class LiftedSemantics(_Extension):
-    """Base results lifted into ``Ok``, plus one mark propagated through premises.
+    """The base rules plus ``mark``, a result disjoint from the base ones.
 
-    A premise producing ``mark`` concludes ``mark`` (rule ``<r>-prop``).
-    With ``dead_ends`` every dead end concludes ``mark`` too.
+    Every base answer passes through as it is.  A premise producing
+    ``mark`` concludes ``mark`` (rule ``<r>-prop``, ``<r>`` the mark's rule
+    prefix).  With ``dead_ends``, ``mark`` also concludes every
+    configuration no rule starts (``<r>-config``) and every premise result
+    no rule accepts (``<r>-result``).
     """
 
     def __init__(self, base: LanguageSemantics, mark: Mark, dead_ends: bool):
-        super().__init__(base, mark if dead_ends else None)
+        super().__init__(base)
         self.mark = mark
+        r = mark.rule
+        self._no_start = (Axiom(mark, f"{r}-config"),) if dead_ends else ()
+        self._no_advance = (Finished(mark, f"{r}-result"),) if dead_ends else ()
+        self._propagate = (Finished(mark, f"{r}-prop"),)
 
-    def lift(self, config, completed, result):
-        return Ok(result)
+    def start(self, config):
+        return tuple(self.base.start(config)) or self._no_start
 
-    def lower(self, r):
-        return _NO_BASE if r is self.mark else r.value
-
-    def propagate(self, a, r):
-        return Finished(self.mark, f"{self.mark.rule}-prop")
+    def advance(self, a, r):
+        if r is self.mark:
+            return self._propagate
+        return tuple(self.base.advance(a, r)) or self._no_advance
 
     def show_result(self, result):
-        if result is self.mark:
-            return repr(self.mark)
-        return self.base.show_result(result.value)
+        return repr(result) if result is self.mark else self.base.show_result(result)
 
 
 class TraceSemantics(_Extension):
-    """The trace extension: premise traces concatenate after the conclusion."""
+    """The trace extension: premise traces concatenate after the conclusion.
 
-    def lift(self, config, completed, result):
-        return FinTrace(_trace_word(config, completed), result)
+    Every base rule is lifted to traced premise results, and a premise
+    producing an infinite trace concludes one (rule ``div-trace``).  An
+    extended activation holds the traced premise results and keeps the
+    base activation in ``bindings``; each base activation it rebuilds is
+    checked, as the checked queries check the answers they see.
+    """
 
-    def lower(self, r):
-        return _NO_BASE if isinstance(r, InfTrace) else r.result
+    def start(self, config):
+        out = []
+        for s in self.base.start(config):
+            if isinstance(s, Axiom):
+                out.append(Axiom(FinTrace((config,), s.result), s.rule))
+            else:
+                check_first_premise(config, s)
+                inner = s.activation
+                out.append(FirstPremise(s.config, Activation(
+                    inner.rule_family, inner.conclusion_config, (),
+                    inner.pending, inner)))
+        return tuple(out)
 
-    def propagate(self, a, r):
-        prefix = _trace_word(a.conclusion_config, a.completed) + r.prefix
-        return Finished(InfTrace(prefix, r.period), "div-trace")
+    def advance(self, a, r):
+        if isinstance(r, InfTrace):
+            prefix = _trace_word(a.conclusion_config, a.completed) + r.prefix
+            return (Finished(InfTrace(prefix, r.period), "div-trace"),)
+        inner: Activation = a.bindings
+        completed = a.completed + (BsJudgment(a.pending, r),)
+        out = []
+        for c in self.base.advance(inner, r.result):
+            if isinstance(c, Finished):
+                steps = _trace_word(a.conclusion_config, completed)
+                out.append(Finished(FinTrace(steps, c.result), c.rule))
+            else:
+                check_demand(inner, r.result, c)
+                nxt = c.activation
+                out.append(Demand(c.config, Activation(
+                    nxt.rule_family, nxt.conclusion_config, completed,
+                    nxt.pending, nxt)))
+        return tuple(out)
 
     def show_result(self, result):
         # neither surface syntax uses ";", so it separates configurations
@@ -247,36 +233,44 @@ def trace_oracle(sem: LanguageSemantics) -> TraceSemantics:
     return TraceSemantics(sem)
 
 
+def _ok(c: Converged):
+    """A converged run's value: ``WRONG`` as it is, a base result in ``Ok``."""
+    return c.result if c.result is WRONG else Ok(c.result)
+
+
+def _fin_trace(c: Converged) -> FinTrace:
+    """The trace of a converged run: its tree's configurations in pre-order."""
+    return FinTrace(tuple(n.config for _, n in c.tree.walk()), c.result)
+
+
 def _rational_trace(d: Diverges) -> InfTrace:
     """The eventually periodic trace induced by a detected cycle.
 
-    Each active-path node contributes the trace word of its activation:
-    its configuration, then the traces of its completed premises; the
-    fresh frontier closes the cycle.
+    It is the detection tree's configurations in pre-order but for the
+    fresh frontier, which comes last and closes the cycle; the period
+    begins at the cycle's first active-path node.
     """
-    path = active_path(d.tree)
-    start = len(path) - 1 - len(d.certificate.witness)
-    words = [_trace_word(e.config, e.node.tag.completed) for e in path[:-1]]
-    return InfTrace(tuple(chain(*words[:start])), tuple(chain(*words[start:])))
+    nodes = [n for _, n in d.tree.walk()]
+    entry = active_path(d.tree)[-1 - len(d.certificate.witness)].node
+    split = next(i for i, n in enumerate(nodes) if n is entry)
+    configs = tuple(n.config for n in nodes[:-1])
+    return InfTrace(configs[:split], configs[split:])
 
 
 def _cannot_stick(o: Stuck):
     raise AssertionError("the wrong extension cannot get stuck")
 
 
-# mode -> (its oracle, value of a diverging run, value of a stuck run); a
-# converged run yields its result and a run out of fuel TIMEOUT in every
-# mode.  ``plain`` is the identity extension: a diverging or stuck run's
-# value is the outcome itself.  The oracle factories are looked up when
-# called, so that rebinding the module globals reaches the evaluators.
+# mode -> (whether it steps the wrong oracle rather than the base one, and
+# the value of a converged, a diverging and a stuck run); a run out of
+# fuel yields TIMEOUT in every mode.  ``plain`` is the identity extension:
+# a run's value is its result or the outcome itself.
 _MODES = {
-    "plain": (lambda sem: sem, lambda d: d, lambda s: s),
-    "wrong": (lambda sem: wrong_oracle(sem), lambda d: d, _cannot_stick),
-    "div": (lambda sem: div_oracle(sem), lambda d: INFINITY,
-            lambda s: NO_JUDGMENT),
-    "trace": (lambda sem: trace_oracle(sem), _rational_trace,
-              lambda s: STUCK_TRACE),
-    "total": (lambda sem: wrong_oracle(sem), lambda d: INFINITY, _cannot_stick),
+    "plain": (False, lambda c: c.result, lambda d: d, lambda s: s),
+    "wrong": (True, _ok, lambda d: d, _cannot_stick),
+    "div": (False, _ok, lambda d: INFINITY, lambda s: NO_JUDGMENT),
+    "trace": (False, _fin_trace, _rational_trace, lambda s: STUCK_TRACE),
+    "total": (True, _ok, lambda d: INFINITY, _cannot_stick),
 }
 
 
@@ -286,21 +280,24 @@ def evaluate(sem: LanguageSemantics, config: Config, fuel: int, mode: str,
 
     ``mode`` is ``plain`` (the base semantics), ``wrong``, ``div``,
     ``trace`` or ``total``.  The first strategy gives one pair,
-    ``exhaustive`` one per distinct outcome.  The value is the converged
-    result or the mode's reading of the outcome; the outcome keeps the
-    evidence the value forgets, such as the divergence certificate behind
-    ``INFINITY``.  Each branch takes at most ``fuel`` transitions.
+    ``exhaustive`` one per distinct outcome.  The value is the mode's
+    reading of the outcome: a converged result is bare in ``plain``, with
+    its trace in ``trace`` and in ``Ok`` elsewhere, but for ``WRONG``; the
+    outcome keeps the evidence the value forgets, such as the divergence
+    certificate behind ``INFINITY``.  Each branch takes at most ``fuel``
+    transitions.  ``wrong_oracle`` is looked up when called, so that
+    rebinding the module global reaches the evaluators.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    lift, on_diverges, on_stuck = _MODES[mode]
-    lifted = lift(sem)
-    outcomes = (run_exhaustive(lifted, config, fuel) if exhaustive
-                else (run_first(lifted, config, fuel),))
+    lifted, on_converged, on_diverges, on_stuck = _MODES[mode]
+    oracle = wrong_oracle(sem) if lifted else sem
+    outcomes = (run_exhaustive(oracle, config, fuel) if exhaustive
+                else (run_first(oracle, config, fuel),))
 
     def value(o):
         if isinstance(o, Converged):
-            return o.result
+            return on_converged(o)
         if isinstance(o, Diverges):
             return on_diverges(o)
         if isinstance(o, Stuck):

@@ -27,8 +27,8 @@ test and a tuple unpack, and ``Axiom(c, rule="val")`` 0.42 µs against
 
 ``checked_start`` and ``checked_advance`` ask the two queries and check
 every answer against the contract; the stepper and the result table of
-``extensions`` ask through them.  The extensions rebuild every base
-activation they lift, so they check each base answer they rebuild with
+``extensions`` ask through them.  Only the trace extension rebuilds the
+base activations it lifts, so it checks each base answer it rebuilds with
 ``check_first_premise`` or ``check_demand``, as the checked queries do.  An
 activation keeps the conclusion its ``start`` was asked for, so
 ``checked_advance`` reads it off.

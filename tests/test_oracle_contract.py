@@ -1,7 +1,8 @@
 """Runtime enforcement of the oracle activation contract."""
 import pytest
 
-from bigstep.extensions import INFINITY, WRONG, Ok, eval_div, eval_total, evaluate
+from bigstep.extensions import (INFINITY, WRONG, Ok, eval_div, eval_total, evaluate,
+                                trace_oracle)
 from bigstep.lam import enumerate_terms, lambda_semantics
 from bigstep.oracle import (
     Activation,
@@ -177,19 +178,31 @@ def test_each_contract_clause_is_enforced(oracle, message, run):
 @pytest.mark.parametrize("oracle", [StartWithCompleted, StartPendingElsewhere])
 @pytest.mark.parametrize("mode", ["wrong", "div", "trace"])
 def test_extensions_check_the_base_start_activation(oracle, mode):
-    # the lifted activation is rebuilt with no completed premise, so only
-    # the base answer shows the malformed start
+    # the wrong mode's oracle passes the base answer to the checked
+    # queries, and the other modes step the base oracle
     with pytest.raises(OracleContractError, match="start activation malformed for 'a'"):
         evaluate(oracle(), "a", 10, mode)
 
 
 @pytest.mark.parametrize("mode", ["wrong", "div", "trace"])
 def test_extensions_check_the_base_advance_activation(mode):
-    # the lifted activation is rebuilt from the extended premise results,
-    # so only the base answer shows the forgotten premise
+    # the wrong mode's oracle passes the base answer to the checked
+    # queries, and the other modes step the base oracle
     with pytest.raises(OracleContractError,
                        match="advance activation malformed for 'root'"):
         evaluate(BrokenAdvance(), "root", 10, mode)
+
+
+@pytest.mark.parametrize("oracle, config, message", [
+    (StartWithCompleted, "a", "start activation malformed for 'a'"),
+    (BrokenAdvance, "root", "advance activation malformed for 'root'"),
+])
+def test_the_trace_oracle_checks_each_base_answer_it_rebuilds(oracle, config, message):
+    # the rebuilt activation starts with no completed premise and extends
+    # the traced ones, so only the base answer shows a completed premise
+    # at the start or a forgotten one
+    with pytest.raises(OracleContractError, match=message):
+        run_first(trace_oracle(oracle()), config, 10)
 
 
 # answers given twice over, as a list, a generator or a tuple, and once,

@@ -7,8 +7,9 @@ from operator import itemgetter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bigstep.extensions import (InfTrace, _diverges, _table, divergence_certificate_check,
-                                evaluate, trace_oracle, wrong_oracle)
+from bigstep.extensions import (STUCK_TRACE, TIMEOUT, InfTrace, _diverges, _table,
+                                divergence_certificate_check, evaluate, trace_oracle,
+                                wrong_oracle)
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, Memory, ObjState, memory_sigma,
                         memory_well_typed)
 from bigstep.fj.typing import sigma_extends
@@ -312,7 +313,8 @@ def _cycle_trace(d):
     """The rational trace of a detected cycle, read off the detection tree.
 
     Each active-path node contributes its configuration and then the
-    traces of its completed premises; the fresh frontier closes the cycle.
+    traces of its completed premises, each its subtree's configurations
+    in pre-order; the fresh frontier closes the cycle.
     """
     path = active_path(d.tree)
     start = len(path) - 1 - len(d.certificate.witness)
@@ -320,7 +322,7 @@ def _cycle_trace(d):
     def contribution(entry):
         steps = [entry.config]
         for child in entry.node.children[:-1]:
-            steps.extend(child.res.steps)
+            steps.extend(n.config for _, n in child.walk())
         return steps
 
     prefix = [c for e in path[:start] for c in contribution(e)]
@@ -338,6 +340,32 @@ def test_traces_are_read_off_the_trees(e):
                 assert value.steps == _preorder_configs(o.tree)
             elif isinstance(o, Diverges):
                 assert value == _cycle_trace(o)
+
+
+def _oracle_value(o):
+    """The trace oracle's value of its own outcome: a converged run's
+    result, and a detected cycle's trace read off the extended activations
+    on its active path, each its configuration and then the traces that
+    its completed premises produced."""
+    if isinstance(o, Converged):
+        return o.result
+    if isinstance(o, Diverges):
+        path = active_path(o.tree)
+        start = len(path) - 1 - len(o.certificate.witness)
+        words = [(e.config,) + sum((j.result.steps for j in e.node.tag.completed), ())
+                 for e in path[:-1]]
+        return InfTrace(sum(words[:start], ()), sum(words[start:], ()))
+    return STUCK_TRACE if isinstance(o, Stuck) else TIMEOUT
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms())
+def test_trace_values_equal_the_trace_oracles(e):
+    for sem in SEMS:
+        values = tuple(v for _, v in evaluate(sem, e, FUEL, "trace", exhaustive=True))
+        oracle_runs = run_exhaustive(trace_oracle(sem), e, FUEL)
+        assert values == tuple(map(_oracle_value, oracle_runs))
 
 
 # --- worklist fixpoints against reference round-robin loops ---------------

@@ -4,8 +4,9 @@ universe grows.
 
     PYTHONPATH=src python3 tools/perstep.py
 
-Prints the microseconds per transition of ``run_first`` on ``succ^n 0``
-at n = 60, 300, 3,000 and 10,000; at n = 60 and 300 also the
+Prints the microseconds per transition of ``run_first``, ``eval_trace``
+and ``eval_total`` on ``succ^n 0`` at n = 60, 300, 3,000 and 10,000,
+the fastest of five runs beside the median; at n = 60 and 300 also the
 milliseconds that ``value_doc`` takes to render the trace document of
 ``eval_trace`` (the render layer); the seconds that ``run_exhaustive``
 takes on nested choice ``e_9`` (``e_k = e_{k-1} (+) succ e_{k-1}``, as
@@ -54,7 +55,8 @@ process, alternating the trees, and compare the fastest runs::
 
     cd tools; PYTHONPATH=<tree>/src python3 -c 'import perstep; perstep.fixpoint_rung(300)'
 
-and ``perstep.audit_members()`` times the typing and the per-member
+and ``perstep.ladder_rung(3_000)`` times one rung of the ``succ^n 0``
+ladder, ``perstep.audit_members()`` the typing and the per-member
 audits the same way, and ``perstep.oracle_queries()`` the oracle layer:
 the nanoseconds per ``checked_start`` and per ``checked_advance`` over
 the queries that exhaustive runs ask on the depth-3 lambda terms under
@@ -70,7 +72,8 @@ import statistics
 import time
 import tracemalloc
 
-from bigstep.extensions import FinTrace, eval_trace, trace_oracle, wrong_oracle
+from bigstep.extensions import (FinTrace, Ok, eval_total, eval_trace, trace_oracle,
+                                wrong_oracle)
 from bigstep.fj import INTEROP_TABLE, EnvConfig, enumerate_fj, fj_semantics
 from bigstep.inference import (UniverseOverflow, bounded_coinduction_check,
                                interp_coinductive, interp_corules, interp_inductive,
@@ -271,19 +274,32 @@ def oracle_queries() -> None:
               f" checked_advance {ns(advance, len(advances))} x {len(advances)}")
 
 
+def ladder_rung(n: int) -> None:
+    """Print the microseconds per transition of ``run_first``,
+    ``eval_trace`` and ``eval_total`` on ``succ^n 0``, the fastest of five
+    runs and the median; at n = 60 and 300 also the milliseconds that
+    ``value_doc`` takes to render the trace."""
+    sem, e, steps = lambda_semantics(), spine(n), 2 * n + 1
+    out = run_first(sem, e, steps)
+    assert isinstance(out, Converged) and out.steps == steps, out
+    trace = eval_trace(sem, e, steps)
+    assert isinstance(trace, FinTrace) and len(trace.steps) == n + 1, trace
+    assert eval_total(sem, e, steps) == Ok(Nat(n))
+    per, cols = 1e6 / steps, []
+    for f in (run_first, eval_trace, eval_total):
+        t = seconds(lambda: f(sem, e, steps), RUNG_RUNS)
+        cols.append(f"{f.__name__} {min(t) * per:.2f} ({statistics.median(t) * per:.2f})")
+    print(f"per step        {f'succ^{n} 0':<15} {', '.join(cols)} us,"
+          f" fastest (median) of {RUNG_RUNS}")
+    if n in (60, 300):
+        secs = median_seconds(lambda: value_doc(sem, trace))
+        print(f"value_doc trace {f'succ^{n} 0':<15} {secs * 1e3:8.3f} ms")
+
+
 def main() -> None:
-    sem = lambda_semantics()
     for n in (60, 300, 3_000, 10_000):
-        e, steps = spine(n), 2 * n + 1
-        out = run_first(sem, e, steps)
-        assert isinstance(out, Converged) and out.steps == steps, out
-        secs = median_seconds(lambda: run_first(sem, e, steps))
-        print(f"run_first       {f'succ^{n} 0':<15} {secs / steps * 1e6:8.2f} us/step")
-        if n in (60, 300):
-            trace = eval_trace(sem, e, steps)
-            assert isinstance(trace, FinTrace) and len(trace.steps) == n + 1, trace
-            secs = median_seconds(lambda: value_doc(sem, trace))
-            print(f"value_doc trace {f'succ^{n} 0':<15} {secs * 1e3:8.3f} ms")
+        ladder_rung(n)
+    sem = lambda_semantics()
     e = nested_choice(9)
     outs = run_exhaustive(sem, e, 100)
     assert {o.result for o in outs} == {Nat(k) for k in range(10)}, outs
