@@ -27,22 +27,17 @@ is a cyclic certificate.  No stepper premise ever yields infinity and a
 trace lists a tree's configurations in pre-order, so only the ``wrong``
 and ``total`` modes step an extension, the wrong one; the others step
 the base oracle and read their values off its outcomes.  Exhaustive
-``eval_div`` and ``eval_total``, the certificate check and the audits
-read one record, ``Table(entries, dead_ends, rejoined, spent)``, of
-results over the base rules closed by a least fixpoint from its roots,
-an audit's whole corpus; ``_diverges`` is the greatest fixpoint of the
-divergence rules on its demand edges.
+``eval_div``, ``eval_total`` and the certificate check read a result
+table (``results``).
 ``fuel`` bounds a table's queries in all, a stepper branch's transitions.
 """
 from __future__ import annotations
 
-from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
 from .node import node
 from .oracle import (
-    COMPLETIONS,
     Activation,
     Axiom,
     BsJudgment,
@@ -53,21 +48,18 @@ from .oracle import (
     LanguageSemantics,
     check_demand,
     check_first_premise,
-    checked_advance,
-    checked_start,
 )
 from .pet import (
     Converged,
     Diverges,
     DivergenceCertificate,
-    START,
     Stuck,
     active_path,
-    dead_end,
     run_exhaustive,
     run_first,
 )
 from .rational import RationalList
+from .results import build, diverging, results_of
 from .util import Mark
 
 
@@ -313,93 +305,14 @@ def _values(pairs, exhaustive: bool):
     return pairs[0][1]
 
 
-Table = namedtuple("Table", "entries dead_ends rejoined spent")
-
-
-def _table(sem: LanguageSemantics, roots, fuel: int, wanted: Optional[set] = None):
-    """A ``Table`` of results over the base rules, built forward from ``roots``.
-
-    It asks ``start`` of every configuration met, and ``advance`` of every
-    activation with every result its pending premise has so far, each
-    once; a result new to a configuration wakes the activations pending
-    on it.  This is the least fixpoint of the rules met, so unlike a
-    stepper run it also finds the results that flow back through a
-    cycle.  ``fuel`` bounds the queries in all; a set ``wanted`` of
-    ``(conclusion, family, index, demanded config)`` loses each demand
-    met, and the table stops once it is empty.  ``entries`` maps each
-    configuration met to its results, ``{result: None}`` in discovery
-    order, and the ``(conclusion, activation)`` pairs pending on it;
-    ``dead_ends`` holds each dead end once, as the stepper attributes it
-    (``pet.dead_end``); ``rejoined`` says whether a demand rejoined a
-    configuration met before, and ``spent`` holds those with queries left.
-    """
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    entries = {root: ({}, []) for root in roots}
-    # queries still to ask: (config, START, None) for ``start``, (conclusion,
-    # activation, pending result) for ``advance``
-    todo = deque([(root, START, None) for root in entries])
-    dead, rejoined = {}, False
-    for _ in range(fuel):
-        if not todo or wanted is not None and not wanted:
-            break
-        config, act, r = todo.popleft()
-        answers = (checked_start(sem, config) if act is START
-                   else checked_advance(sem, act, r))
-        if not answers:
-            dead[dead_end(config, act, r)] = None
-        found, waiting = entries[config]
-        for a in answers:
-            if isinstance(a, COMPLETIONS):
-                r = a.result
-                if r not in found:
-                    found[r] = None
-                    todo.extend([(c, w, r) for c, w in waiting])
-                continue
-            p, w = a.config, a.activation
-            entry = entries.get(p)
-            if entry is None:
-                entries[p] = ({}, [(config, w)])
-                todo.append((p, START, None))
-            else:
-                rejoined = True
-                entry[1].append((config, w))
-                todo.extend([(config, w, res) for res in entry[0]])
-            if wanted is not None:
-                wanted.discard((config, w.rule_family, w.index, p))
-    return Table(entries, dead, rejoined, {c for c, _, _ in todo} if todo else set())
-
-
-def _diverges(table: Table) -> set:
-    """The configurations of ``table`` that reach a cycle of demands: the
-    greatest fixpoint of the divergence rules drops, again and again, every
-    configuration with no demand edge into the survivors.  Unless a demand
-    rejoined one met before, the edges form a tree and nothing survives."""
-    if not table.rejoined:
-        return set()
-    entries = table.entries
-    live = dict.fromkeys(entries, 0)
-    for _, waiting in entries.values():
-        for c, _ in waiting:
-            live[c] += 1
-    drop = [c for c, n in live.items() if not n]
-    while drop:
-        for c, _ in entries[drop.pop()][1]:
-            live[c] -= 1
-            if not live[c]:
-                drop.append(c)
-    return {c for c, n in live.items() if n}
-
-
 def _result_set(sem: LanguageSemantics, root: Config, fuel: int, dead_end: Mark):
-    """The results of ``root`` read off its ``_table``: ``Ok(r)`` for each
-    result, ``INFINITY`` if ``root`` diverges (``_diverges``), ``dead_end``
+    """The results of ``root`` read off its result table: ``Ok(r)`` for each
+    result, ``INFINITY`` if ``root`` diverges (``diverging``), ``dead_end``
     if a dead end was met, and ``TIMEOUT`` if the budget ran out with
-    queries left, besides what the partial table proves.
-    """
-    t = _table(sem, [root], fuel)
-    proved = {INFINITY: root in _diverges(t), dead_end: t.dead_ends, TIMEOUT: t.spent}
-    return frozenset([Ok(r) for r in t.entries[root][0]] + [m for m, p in proved.items() if p])
+    queries left, besides what the partial table proves."""
+    t = build(sem, [root], fuel)
+    proved = {INFINITY: root in diverging(t), dead_end: t.dead_ends, TIMEOUT: t.spent}
+    return frozenset([Ok(r) for r in results_of(t, root)] + [m for m, p in proved.items() if p])
 
 
 def eval_wrong(sem: LanguageSemantics, config: Config, fuel: int,
@@ -461,7 +374,7 @@ class CertificateCheck:
 def divergence_certificate_check(sem: LanguageSemantics,
                                  cert: DivergenceCertificate,
                                  fuel: int) -> CertificateCheck:
-    """Check a certificate against the ``_table`` of its first entry.
+    """Check a certificate against the result table of its first entry.
 
     The entries must be closed under the divergence rules: entry ``(cfg,
     family, idx)`` needs an activation of ``family`` that concludes ``cfg``
@@ -475,7 +388,7 @@ def divergence_certificate_check(sem: LanguageSemantics,
         return CertificateCheck(False, "empty witness")
     demands = [(*e, nxt[0]) for e, nxt in zip(witness, witness[1:] + witness[:1])]
     missing = set(demands)
-    spent = _table(sem, [witness[0][0]], fuel, missing).spent
+    spent = build(sem, [witness[0][0]], fuel, missing).spent
     for k, d in enumerate(demands):
         if d in missing:
             why = f"the budget of {fuel} queries ran out" if spent else "the table closed"

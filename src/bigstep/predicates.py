@@ -2,7 +2,7 @@
 
 A predicate over configurations and results, indexed by an opaque index
 set (typically types), is audited against a semantics on one result
-table, ``extensions._table``, seeded with a configuration or a corpus:
+table (``results``), seeded with a configuration or a corpus:
 
 * preservation - each configuration with a result satisfies the
   predicate and each root result every index of the root;
@@ -11,10 +11,9 @@ table, ``extensions._table``, seeded with a configuration or a corpus:
   rule accepts can-continue;
 * soundness-must - no predicate-satisfying configuration meets a dead end;
 * soundness-may - every predicate-satisfying configuration has a result or
-  diverges (``extensions._diverges``, the table's one divergence fixpoint).
+  diverges (``results.diverging``).
 
-Unlike the stepper, a table finds the results that flow back through a
-cycle.  ``fuel`` bounds its oracle queries, per member and pooled over a
+``fuel`` bounds the table's oracle queries, per member and pooled over a
 corpus; a member that reaches a query left unasked is inconclusive.  A
 pass is evidence, not a proof; a fail pinpoints a rule instance and clause.
 """
@@ -25,10 +24,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, FrozenSet, List, Mapping, Optional
 
-from .extensions import Table, _diverges, _table
 from .oracle import Config, LanguageSemantics, ResultVal
 # no audit runs the stepper; perfbench/engine.py's tracer patches this binding
 from .pet import StuckInfo, StuckKind, run_exhaustive  # noqa: F401
+from .results import Table, build, diverging, results_of, unsettled
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def _preservation(pred: IndexedPredicate, entries, members) -> List[Violation]:
 def audit_preservation(sem: LanguageSemantics, pred: IndexedPredicate,
                        config: Config, fuel: int) -> AuditOutcome:
     """The first preservation violation of the result table of ``config``."""
-    t = _table(sem, [config], fuel)
+    t = build(sem, [config], fuel)
     violation = next(iter(_preservation(pred, t.entries, [config])), None)
     return AuditOutcome(violation is None, violation, violation is None and bool(t.spent))
 
@@ -122,7 +121,7 @@ def _stuck_violation(pred: IndexedPredicate, info: StuckInfo) -> Violation:
 def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
                    config: Config, fuel: int) -> AuditOutcome:
     """No dead end of the result table satisfies the predicate."""
-    t = _table(sem, [config], fuel)
+    t = build(sem, [config], fuel)
     for info in t.dead_ends:
         violation = _stuck_violation(pred, info)
         if violation.condition is not Condition.PRESERVATION:
@@ -132,19 +131,15 @@ def audit_progress(sem: LanguageSemantics, pred: IndexedPredicate,
 
 def _corpus_table(sem: LanguageSemantics, pred: IndexedPredicate, corpus, fuel: int):
     """A report counting ``corpus``, one ``Table`` at ``fuel`` queries a member,
-    pooled, and the unsettled configurations, which reach ``spent`` by demands."""
+    pooled, and its ``unsettled`` configurations, which reach ``spent`` by demands."""
     report = AuditReport()
     for config in corpus:
         if not pred.satisfies(config):
             raise ValueError(f"corpus member does not satisfy the predicate: {config!r}")
     if corpus:
         report.stats["configs"] = len(corpus)
-    t = _table(sem, corpus, fuel * len(corpus)) if corpus else Table({}, {}, False, set())
-    unsettled, todo = set(t.spent), t.spent
-    while todo:
-        todo = {c for p in todo for c, _ in t.entries[p][1]} - unsettled
-        unsettled |= todo
-    return report, t, unsettled
+    t = build(sem, corpus, fuel * len(corpus)) if corpus else Table({}, {}, False, set())
+    return report, t, unsettled(t)
 
 
 class _Typings(dict):
@@ -167,11 +162,11 @@ def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
     preservation violation; an unsettled member is inconclusive."""
     # each configuration is typed once per call, whichever member reaches it
     pred = IndexedPredicate(_Typings(pred.indices_of_config).__getitem__, pred.holds_result)
-    report, t, unsettled = _corpus_table(sem, pred, corpus, fuel)
+    report, t, left = _corpus_table(sem, pred, corpus, fuel)
     report.violations += [_stuck_violation(pred, info) for info in t.dead_ends]
     report.violations += _preservation(pred, t.entries, corpus)
-    report.inconclusive += [c for c in corpus if c in unsettled]
-    for key, n in (("converged", sum(len(t.entries[c][0]) for c in corpus)),
+    report.inconclusive += [c for c in corpus if c in left]
+    for key, n in (("converged", sum(len(results_of(t, c)) for c in corpus)),
                    ("stuck", len(t.dead_ends)), ("timeout", len(report.inconclusive))):
         if n:  # in place, skipping zeros as ``Counter`` addition does
             report.stats[key] += n
@@ -180,14 +175,14 @@ def soundness_must_audit(sem: LanguageSemantics, pred: IndexedPredicate,
 
 def soundness_may_audit(sem: LanguageSemantics, pred: IndexedPredicate,
                         corpus, fuel: int) -> AuditReport:
-    """Every corpus member has a result or diverges (``_diverges``) in the
+    """Every corpus member has a result or diverges (``diverging``) in the
     corpus table; else an unsettled member is inconclusive."""
-    report, t, unsettled = _corpus_table(sem, pred, corpus, fuel)
-    diverging = _diverges(t) if not all(t.entries[c][0] for c in corpus) else set()
+    report, t, left = _corpus_table(sem, pred, corpus, fuel)
+    cycling = diverging(t) if not all(results_of(t, c) for c in corpus) else set()
     for config in corpus:
-        if t.entries[config][0] or config in diverging:
+        if results_of(t, config) or config in cycling:
             report.stats["progressing"] += 1
-        elif config in unsettled:
+        elif config in left:
             report.stats["timeout"] += 1
             report.inconclusive.append(config)
         else:

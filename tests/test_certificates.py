@@ -1,7 +1,7 @@
 """Divergence certificates checked against a result table.
 
-``divergence_certificate_check`` reads a certificate off the table of
-``extensions._table``.  Before the table it replayed every premise with
+``divergence_certificate_check`` reads a certificate off the result table
+``results.build`` returns.  Before the table it replayed every premise with
 ``run_exhaustive``; that replay is kept here as the reference.
 """
 import pytest

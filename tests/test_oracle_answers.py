@@ -10,7 +10,6 @@ type-strict, so a node of the wrong class would differ).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigstep.extensions import _table
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
                         enumerate_fj, enumerate_impfj, fj_semantics, impfj_semantics)
 from bigstep.fj.syntax import (Cast, FieldAccess, FieldAssign, Invoke, LamVal, Lambda,
@@ -22,6 +21,7 @@ from bigstep.lam.corpus import ANNOTATION_ALPHABET, enumerate_terms
 from bigstep.lam.semantics import _APP, LambdaSemantics
 from bigstep.lam.syntax import Abs, App, Choice, Nat, Succ, Var, is_value, subst
 from bigstep.oracle import Activation, Axiom, Demand, Finished, FirstPremise, LanguageSemantics
+from bigstep.results import build
 from bigstep.util import EMPTY_MAP
 
 
@@ -268,7 +268,7 @@ def same_answers(sem, ref, roots):
     """Build the table of ``roots`` on ``sem`` and check that ``ref``
     answers every query met as ``sem`` does; the queries met."""
     rec = Recorder(sem)
-    assert not _table(rec, roots, 10**6).spent
+    assert not build(rec, roots, 10**6).spent
     assert len(rec.starts) >= len(roots) and rec.advances
     for c in rec.starts:
         assert sem.start(c) == ref.start(c), c

@@ -7,9 +7,8 @@ from operator import itemgetter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bigstep.extensions import (STUCK_TRACE, TIMEOUT, InfTrace, _diverges, _table,
-                                divergence_certificate_check, evaluate, trace_oracle,
-                                wrong_oracle)
+from bigstep.extensions import (STUCK_TRACE, TIMEOUT, InfTrace, divergence_certificate_check,
+                                evaluate, trace_oracle, wrong_oracle)
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, Memory, ObjState, memory_sigma,
                         memory_well_typed)
 from bigstep.fj.typing import sigma_extends
@@ -50,6 +49,7 @@ from bigstep.pet import (
 from bigstep.predicates import (AuditReport, Condition, IndexedPredicate, Violation,
                                 _stuck_violation, soundness_may_audit, soundness_must_audit)
 from bigstep.rational import RationalList
+from bigstep.results import build, diverging
 
 SEMS = [lambda_semantics(s) for s in STRATEGIES]
 FUEL = 60
@@ -151,9 +151,9 @@ EVERYTHING = IndexedPredicate(lambda c: frozenset({"any"}), lambda r, i: True)
 def test_divergence_fixpoint_and_may_audit_equal_a_cycle_search(e):
     # at fuel 10 many tables spend their budget, so every verdict occurs
     for sem, fuel in product(SEMS, (FUEL, 10)):
-        t = _table(sem, [e], fuel)
+        t = build(sem, [e], fuel)
         diverges = _reaches_cycle(t.entries, e)
-        assert (e in _diverges(t)) == diverges
+        assert (e in diverging(t)) == diverges
         if t.entries[e][0] or diverges:
             verdict, violations = "progressing", []
         elif t.spent:
@@ -170,7 +170,7 @@ def _per_member_audits(sem, corpus, fuel):
     ``fuel`` queries per member, and whether each member's table closed."""
     must, may, closed = AuditReport(), AuditReport(), True
     for e in corpus:
-        t = _table(sem, [e], fuel)
+        t = build(sem, [e], fuel)
         closed = closed and not t.spent
         must.stats["configs"] += 1
         must.stats += Counter(converged=len(t.entries[e][0]), stuck=len(t.dead_ends),
@@ -179,7 +179,7 @@ def _per_member_audits(sem, corpus, fuel):
         if t.spent:
             must.inconclusive.append(e)
         may.stats["configs"] += 1
-        if t.entries[e][0] or e in _diverges(t):
+        if t.entries[e][0] or e in diverging(t):
             may.stats["progressing"] += 1
         elif t.spent:
             may.stats["timeout"] += 1

@@ -3,9 +3,8 @@ from collections import Counter
 
 import pytest
 
-from bigstep import cli, pet, predicates
-from bigstep.extensions import (INFINITY, TIMEOUT, WRONG, Ok, _diverges, _table, eval_div,
-                                eval_total)
+from bigstep import cli, pet, predicates, results
+from bigstep.extensions import INFINITY, TIMEOUT, WRONG, Ok, eval_div, eval_total
 from bigstep.fj import (IMP_TABLE, INTEROP_TABLE, fj_indexed_predicate, fj_semantics,
                         fj_typed_corpus, impfj_indexed_predicate, impfj_semantics,
                         impfj_typed_corpus)
@@ -240,7 +239,7 @@ def test_preservation_reports_equal_the_reference(monkeypatch):
         # the corpus table reports each violating entry once, and every
         # violation of each member's own table
         found = [v for v in report.violations if not _dead_end_violation(v)]
-        own = [_plain_preservation(pred, _table(sem, [c], fuel).entries, [c])
+        own = [_plain_preservation(pred, results.build(sem, [c], fuel).entries, [c])
                for c in corpus]
         assert len(found) == len(set(found)) and set(found) == {v for vs in own for v in vs}
         assert [o.violation for o in single] == [next(iter(vs), None) for vs in own]
@@ -267,7 +266,7 @@ def test_preservation_asks_each_configuration_once(monkeypatch):
             counted = IndexedPredicate(indices, pred.holds_result)
             audit_preservation(sem, counted, config, fuel)
             assert max(asked.values(), default=0) <= 1, config
-            repeated += len(_table(sem, [config], fuel)[0][config][0]) > 1
+            repeated += len(results.build(sem, [config], fuel)[0][config][0]) > 1
     assert repeated > 0  # members with several results, each checked at the root
 
 
@@ -439,7 +438,7 @@ def test_must_audit_settles_omega_beside_a_choice_that_reaches_it():
 @pytest.mark.parametrize("audit", [soundness_must_audit, soundness_may_audit])
 def test_empty_corpus_gives_an_empty_passing_report(audit, monkeypatch):
     # the pooled budget is 0 queries, so no table may be built
-    monkeypatch.setattr(predicates, "_table", lambda *args: pytest.fail("built a table"))
+    monkeypatch.setattr(predicates, "build", lambda *args: pytest.fail("built a table"))
     report = audit(SEM, PRED, [], 50)
     assert report.passed and report == AuditReport() and list(report.stats) == []
 
@@ -457,7 +456,7 @@ def _counter_stats(audit, sem, pred, corpus, fuel):
                          stuck=len(t.dead_ends),
                          timeout=sum(c in unsettled for c in corpus))
         return stats
-    diverging = _diverges(t)
+    diverging = results.diverging(t)
     for c in corpus:
         verdict = ("progressing" if t.entries[c][0] or c in diverging
                    else "timeout" if c in unsettled else "all-stuck")

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bigstep import extensions as ext
-from bigstep import pet
+from bigstep import pet, results
 from bigstep.extensions import (INFINITY, NO_JUDGMENT, TIMEOUT, WRONG, CertificateCheck,
                                  Ok, divergence_certificate_check)
 from bigstep.fj import (EMPTY_MEMORY, IMP_TABLE, INTEROP_TABLE, EnvConfig, MemConfig,
@@ -228,7 +228,7 @@ def test_stepper_ends_are_read_off_the_table_when_premises_reject():
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(picky_int_rules())
     def check(sem):
-        t = ext._table(sem, [0], fuel)
+        t = results.build(sem, [0], fuel)
         assert not t.spent
         for o in run_exhaustive(sem, 0, 40):
             met[o.kind if isinstance(o, Stuck) else type(o)] += 1
@@ -271,7 +271,7 @@ def _scan_check(sem, cert, fuel):
     witness = cert.witness
     if not witness:
         return CertificateCheck(False, "empty witness")
-    table, _, _, spent = ext._table(sem, [witness[0][0]], fuel)
+    table, _, _, spent = results.build(sem, [witness[0][0]], fuel)
     for k, (cfg, family, idx) in enumerate(witness):
         nxt_cfg = witness[(k + 1) % len(witness)][0]
         waiting = table[nxt_cfg][1] if nxt_cfg in table else ()
@@ -289,7 +289,7 @@ def _scan_check(sem, cert, fuel):
                 min_size=1, max_size=4))
 def test_pending_lists_give_the_callers_loop_and_the_scan(rules, fuel, drawn):
     sem = IntRules(rules)
-    table, _, rejoined, _ = ext._table(sem, [0], fuel)
+    table, _, rejoined, _ = results.build(sem, [0], fuel)
     assert (INFINITY in ext.eval_div(sem, 0, fuel, exhaustive=True)) == \
         _callers_loop(table, 0, rejoined)
     certs = [o.certificate for o in run_exhaustive(sem, 0, 30) if isinstance(o, Diverges)]
@@ -298,3 +298,58 @@ def test_pending_lists_give_the_callers_loop_and_the_scan(rules, fuel, drawn):
     for w in witnesses:
         cert = DivergenceCertificate(w, w[0][0] if w else 0)
         assert divergence_certificate_check(sem, cert, fuel) == _scan_check(sem, cert, fuel)
+
+
+def _inline_unsettled(t):
+    """The unsettled closure as the corpus audits wrote it inline."""
+    unsettled, todo = set(t.spent), t.spent
+    while todo:
+        todo = {c for p in todo for c, _ in t.entries[p][1]} - unsettled
+        unsettled |= todo
+    return unsettled
+
+
+def _inline_diverges(table):
+    """The divergence set as the evaluators computed it beside the
+    extensions, before the table had a module of its own."""
+    if not table.rejoined:
+        return set()
+    entries = table.entries
+    live = dict.fromkeys(entries, 0)
+    for _, waiting in entries.values():
+        for c, _ in waiting:
+            live[c] += 1
+    drop = [c for c, n in live.items() if not n]
+    while drop:
+        for c, _ in entries[drop.pop()][1]:
+            live[c] -= 1
+            if not live[c]:
+                drop.append(c)
+    return {c for c, n in live.items() if n}
+
+
+def test_readers_equal_the_inline_code_they_replace():
+    # over tables of one to three roots, at budgets that often run out:
+    # each reader equals the code it replaced, and a one-root table's
+    # root is unsettled exactly when its budget left queries; the counts
+    # keep each clause from passing vacuously
+    met = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(int_rules().map(IntRules), picky_int_rules()), st.integers(1, 40),
+           st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+    def check(sem, fuel, roots):
+        t = results.build(sem, roots, fuel)
+        left, cycling = results.unsettled(t), results.diverging(t)
+        assert left == _inline_unsettled(t)
+        assert cycling == _inline_diverges(t)
+        for c, (found, _) in t.entries.items():
+            assert results.results_of(t, c) is found
+        one = results.build(sem, roots[:1], fuel)
+        assert (roots[0] in results.unsettled(one)) == bool(one.spent)
+        met["spent" if one.spent else "closed"] += 1
+        met["unsettled beyond spent"] += len(left) > len(t.spent)
+        met["diverging"] += bool(cycling)
+
+    check()
+    assert all(met[k] for k in ("spent", "closed", "unsettled beyond spent", "diverging")), met
